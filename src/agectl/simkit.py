@@ -1,13 +1,20 @@
-"""Deterministic discrete-event simulation of FCFS queueing chains.
+"""Deterministic simulation of FCFS queueing chains.
 
 Networks are directed chains of single-server FCFS queues with infinite
 buffers (optionally with a reverse chain for acknowledgment traffic) fed
 by Poisson, periodic, or closed-loop sources plus Poisson cross-traffic
-flows.  A run is a pure function of (configuration, seed): the event
-heap breaks time ties by insertion order and every stochastic element
-(arrival process, each server, each cross flow) draws from its own
-seeded substream, so edits to one part of a topology do not perturb the
-draws of another.
+flows.  A run is a pure function of (configuration, seed): every
+stochastic element (arrival process, each server, each cross flow) draws
+from its own seeded substream, so edits to one part of a topology do not
+perturb the draws of another.
+
+Open-loop runs need no event loop.  Arrival instants are cumulative sums
+of the arrival draws; each node merges its through traffic with the
+cross flows entering there and applies Lindley's recursion
+``D_k = max(A_k, D_{k-1}) + S_k`` in closed form over whole arrays, in
+memory proportional to the number of packets.  Closed-loop runs, where
+the endpoints react to every delivery, drive an event heap that breaks
+time ties by insertion order.
 
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.
@@ -40,13 +47,18 @@ DEFAULT_WARMUP_FRAC = 0.10
 _EXP_BATCH = 4096
 
 _EV_COMPLETE = 0
-_EV_SOURCE = 1
 _EV_CROSS = 2
 _EV_TIMER = 3
 
 
 class ConfigError(ValueError):
     """Malformed network/run configuration; message names the field."""
+
+
+def _require_positive(what: str, value) -> None:
+    """Reject zero, negative, infinite and NaN values of a rate or span."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{what} must be positive and finite, got {value}")
 
 
 def substream_seed(master_seed: int, name: str) -> int:
@@ -81,8 +93,7 @@ class ServiceSpec:
     def __post_init__(self):
         if self.kind not in SERVICE_KINDS:
             raise ConfigError(f"service kind must be one of {SERVICE_KINDS}, got {self.kind!r}")
-        if self.rate <= 0.0:
-            raise ConfigError(f"service rate must be positive, got {self.rate}")
+        _require_positive("service rate", self.rate)
 
     def effective_rate(self, packet_bytes: float) -> float:
         """Packets/second this server sustains for the given packet size."""
@@ -103,8 +114,7 @@ class CrossTraffic:
     def __post_init__(self):
         if self.entry < 0:
             raise ConfigError(f"cross-traffic entry node must be >= 0, got {self.entry}")
-        if self.rate_bps <= 0.0:
-            raise ConfigError(f"cross-traffic rate_bps must be positive, got {self.rate_bps}")
+        _require_positive("cross-traffic rate_bps", self.rate_bps)
         if self.packet_bytes <= 0:
             raise ConfigError(f"cross-traffic packet_bytes must be positive, got {self.packet_bytes}")
 
@@ -216,13 +226,12 @@ class _ExpStream:
 
 # Packets move through the node array as tuples
 #   (is_update, src, seq, gen_time, size_bytes, route_end, payload)
-# plus the per-node arrival time appended while queued.  route_end is the
-# index one past the last node of the packet's route; payload carries the
-# encoded frame in closed-loop runs and is None otherwise.
+# route_end is the index one past the last node of the packet's route;
+# payload carries the encoded frame (None for cross traffic).
 
 
 class _Engine:
-    """Event loop plus per-node queue state for one node array."""
+    """Closed-loop event loop plus per-node queue state for one node array."""
 
     def __init__(self, specs, seed: int):
         n = len(specs)
@@ -236,9 +245,6 @@ class _Engine:
         self.area = [0.0] * n
         self.warm_area: list[Optional[float]] = [None] * n
         self.last_t = [0.0] * n
-        self.time_sum = [0.0] * n
-        self.departs = [0] * n
-        self.arrivals = [0] * n
         self.heap: list = []
         self._order = 0
 
@@ -259,12 +265,11 @@ class _Engine:
         self.push(t + self._service_time(i, pkt[4]), _EV_COMPLETE, i)
 
     def enqueue(self, t: float, i: int, pkt) -> None:
-        self.arrivals[i] += 1
         if pkt[0]:
             self.area[i] += (t - self.last_t[i]) * self.upd_count[i]
             self.last_t[i] = t
             self.upd_count[i] += 1
-        self.queues[i].append(pkt + (t,))
+        self.queues[i].append(pkt)
         if len(self.queues[i]) == 1:
             self._start_service(t, i)
 
@@ -277,9 +282,8 @@ class _Engine:
         duration: float,
         warmup: float,
         on_deliver: Callable,
-        on_source: Optional[Callable] = None,
-        on_cross: Optional[Callable] = None,
-        on_timer: Optional[Callable] = None,
+        on_cross: Callable,
+        on_timer: Callable,
     ) -> None:
         """Drain events up to ``duration``; later events are dropped."""
         heap = self.heap
@@ -296,25 +300,20 @@ class _Engine:
                 self._snapshot_warm(warmup)
                 warm_done = True
             if kind == _EV_COMPLETE:
-                entry = queues[a].popleft()
-                if entry[0]:
+                pkt = queues[a].popleft()
+                if pkt[0]:
                     self.area[a] += (t - self.last_t[a]) * self.upd_count[a]
                     self.last_t[a] = t
                     self.upd_count[a] -= 1
-                    self.time_sum[a] += t - entry[7]
-                    self.departs[a] += 1
                 if queues[a]:
                     self._start_service(t, a)
-                pkt = entry[:7]
                 nxt = a + 1
                 if nxt < pkt[5]:
                     self.enqueue(t, nxt, pkt)
                 else:
                     on_deliver(t, pkt)
-            elif kind == _EV_SOURCE:
-                on_source(t, a)
             elif kind == _EV_CROSS:
-                on_cross(t, a)
+                on_cross(t, a, b)
             else:
                 on_timer(t, a, b)
         if not warm_done:
@@ -395,6 +394,38 @@ class AoiMetrics:
         }
 
 
+def _renewal_times(rate: float, duration: float, seed: Optional[int]) -> np.ndarray:
+    """Instants ``g1, g1+g2, ...`` up to ``duration`` of a renewal process.
+
+    The gaps are unit-exponential draws from substream ``seed`` over
+    ``rate`` (Poisson), or ``1/rate`` each when ``seed`` is None
+    (periodic).  They are added left to right, so every instant is the
+    float an event loop adding one gap per event computes.
+    """
+    gen = None if seed is None else np.random.Generator(np.random.PCG64(seed))
+    expected = rate * duration
+    chunk = int(expected + 4.0 * math.sqrt(expected)) + 16
+    parts = []
+    t = 0.0
+    while True:
+        gaps = np.full(chunk, 1.0 / rate) if gen is None else gen.exponential(1.0, chunk) / rate
+        times = np.cumsum(np.concatenate(([t], gaps)))[1:]
+        keep = int(np.searchsorted(times, duration, side="right"))
+        parts.append(times[:keep])
+        if keep < chunk:
+            return np.concatenate(parts)
+        t = times[-1]
+
+
+def _service_times(spec: ServiceSpec, sizes: np.ndarray, seed: int) -> np.ndarray:
+    """Service time of each packet, in the order the node serves them."""
+    if spec.kind == "exp":
+        return np.random.Generator(np.random.PCG64(seed)).exponential(1.0, len(sizes)) / spec.rate
+    if spec.kind == "det":
+        return np.full(len(sizes), 1.0 / spec.rate)
+    return 8.0 * sizes / spec.rate
+
+
 def _open_loop(
     net: QueueNetwork,
     lam: float,
@@ -403,57 +434,57 @@ def _open_loop(
     seed: int,
     warmup_frac: float,
 ) -> tuple[AoiMetrics, np.ndarray, np.ndarray]:
-    if lam <= 0.0:
-        raise ConfigError(f"lambda must be positive, got {lam}")
-    if duration <= 0.0:
-        raise ConfigError(f"duration must be positive, got {duration}")
+    _require_positive("lambda", lam)
+    _require_positive("duration", duration)
     if arrival not in ARRIVAL_KINDS:
         raise ConfigError(f"arrival must be one of {ARRIVAL_KINDS}, got {arrival!r}")
     if not 0.0 <= warmup_frac < 1.0:
         raise ConfigError(f"warmup_frac must be in [0, 1), got {warmup_frac}")
 
-    engine = _Engine(net.forward, substream_seed(seed, "fwd"))
     n_fwd = len(net.forward)
     warmup = warmup_frac * duration
-    arrival_draw = _ExpStream(substream_seed(seed, "arrivals")) if arrival == "poisson" else None
-    cross_draws = [_ExpStream(substream_seed(seed, f"cross/{i}")) for i in range(len(net.cross_traffic))]
-    update_size = float(net.update_bytes)
-
-    gen_log: list[float] = []
-    dlv_log: list[float] = []
-    next_seq = [1]
-
-    def on_source(t, _):
-        seq = next_seq[0]
-        next_seq[0] = seq + 1
-        engine.enqueue(t, 0, (True, 0, seq, t, update_size, n_fwd, None))
-        gap = arrival_draw.draw() / lam if arrival_draw else 1.0 / lam
-        if t + gap <= duration:
-            engine.push(t + gap, _EV_SOURCE)
-
-    def on_cross(t, flow_idx):
-        flow = net.cross_traffic[flow_idx]
-        engine.enqueue(t, flow.entry, (False, -1, 0, t, float(flow.packet_bytes), n_fwd, None))
-        gap = cross_draws[flow_idx].draw() / flow.rate_pps
-        if t + gap <= duration:
-            engine.push(t + gap, _EV_CROSS, flow_idx)
-
-    def on_deliver(t, pkt):
-        if pkt[0]:
-            gen_log.append(pkt[3])
-            dlv_log.append(t)
-
-    engine.push(0.0, _EV_SOURCE)
-    for i, flow in enumerate(net.cross_traffic):
-        first = cross_draws[i].draw() / flow.rate_pps
-        if first <= duration:
-            engine.push(first, _EV_CROSS, i)
-
-    engine.run(duration, warmup, on_deliver, on_source=on_source, on_cross=on_cross)
-
-    gen = np.asarray(gen_log)
-    dlv = np.asarray(dlv_log)
     window = duration - warmup
+    update_size = float(net.update_bytes)
+    fwd_seed = substream_seed(seed, "fwd")
+    arrival_seed = substream_seed(seed, "arrivals") if arrival == "poisson" else None
+    gen = np.concatenate(([0.0], _renewal_times(lam, duration, arrival_seed)))
+    cross = [
+        (flow, _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}")))
+        for i, flow in enumerate(net.cross_traffic)
+    ]
+
+    # packets reaching the current node, in the order it serves them
+    arrive = gen
+    is_update = np.ones(len(gen), dtype=bool)
+    sizes = np.full(len(gen), update_size)
+    backlogs, time_sums, departs = [], [], []
+    for i, spec in enumerate(net.forward):
+        entering = [(flow, times) for flow, times in cross if flow.entry == i]
+        if entering:
+            # a stable sort keeps through traffic ahead of cross traffic, and
+            # flows in index order, at equal instants
+            arrive = np.concatenate([arrive] + [times for _, times in entering])
+            is_update = np.concatenate([is_update] + [np.zeros(len(times), dtype=bool) for _, times in entering])
+            sizes = np.concatenate(
+                [sizes] + [np.full(len(times), float(flow.packet_bytes)) for flow, times in entering]
+            )
+            order = np.argsort(arrive, kind="stable")
+            arrive, is_update, sizes = arrive[order], is_update[order], sizes[order]
+        service = _service_times(spec, sizes, substream_seed(fwd_seed, f"service/{i}"))
+        # Lindley's recursion D_k = max(A_k, D_{k-1}) + S_k in closed form
+        served = np.cumsum(service)
+        leave = served + np.maximum.accumulate(arrive - (served - service))
+        upd_in, upd_out = arrive[is_update], leave[is_update]
+        left = upd_out <= duration
+        departs.append(int(np.count_nonzero(left)))
+        time_sums.append(float(np.sum(upd_out[left] - upd_in[left])))
+        stay = np.minimum(upd_out, duration) - np.maximum(upd_in, warmup)
+        backlogs.append(float(np.sum(np.maximum(stay, 0.0))) / window)
+        onward = leave <= duration
+        arrive, is_update, sizes = leave[onward], is_update[onward], sizes[onward]
+
+    dlv = arrive[is_update]
+    gen = gen[: len(dlv)]  # FCFS: updates leave the chain in the order they entered
     in_window = dlv >= warmup
     delivered = int(np.count_nonzero(in_window))
     avg_sys = float(np.mean(dlv[in_window] - gen[in_window])) if delivered else math.nan
@@ -462,7 +493,7 @@ def _open_loop(
     )
     metrics = AoiMetrics(
         avg_age=age_time_average(gen, dlv, warmup, duration),
-        avg_backlog_per_node=engine.window_backlogs(warmup, duration),
+        avg_backlog_per_node=tuple(backlogs),
         avg_system_time=avg_sys,
         throughput_updates=delivered / window,
         throughput_bps=delivered * 8.0 * net.update_bytes / window,
@@ -470,8 +501,8 @@ def _open_loop(
         unstable=lam >= capacity,
         duration=duration,
         warmup=warmup,
-        node_time_in_system_sum=tuple(engine.time_sum),
-        node_departs=tuple(engine.departs),
+        node_time_in_system_sum=tuple(time_sums),
+        node_departs=tuple(departs),
     )
     return metrics, gen, dlv
 
@@ -618,8 +649,7 @@ def run_closed_loop(
         raise ConfigError("closed-loop runs need a reverse chain for ACKs")
     if n_sources < 1:
         raise ConfigError(f"n_sources must be >= 1, got {n_sources}")
-    if duration <= 0.0:
-        raise ConfigError(f"duration must be positive, got {duration}")
+    _require_positive("duration", duration)
     if cfg is None:
         cfg = SourceConfig(policy=policy)
     elif cfg.policy != policy:
@@ -633,7 +663,10 @@ def run_closed_loop(
     monitors = [MonitorSession() for _ in range(n_sources)]
     timer_version = [0] * n_sources
     ack_size = float(net.ack_bytes)
-    cross_draws = [_ExpStream(substream_seed(seed, f"cross/{i}")) for i in range(len(net.cross_traffic))]
+    cross_times = [
+        _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}")).tolist()
+        for i, flow in enumerate(net.cross_traffic)
+    ]
 
     def sync_timer(src: int) -> None:
         timer_version[src] += 1
@@ -659,12 +692,12 @@ def run_closed_loop(
             return
         after_session_call(t, src, sessions[src].on_timer(t))
 
-    def on_cross(t: float, flow_idx: int) -> None:
+    def on_cross(t: float, flow_idx: int, k: int) -> None:
         flow = net.cross_traffic[flow_idx]
         engine.enqueue(t, flow.entry, (False, -1, 0, t, float(flow.packet_bytes), n_fwd, None))
-        gap = cross_draws[flow_idx].draw() / flow.rate_pps
-        if t + gap <= duration:
-            engine.push(t + gap, _EV_CROSS, flow_idx)
+        times = cross_times[flow_idx]
+        if k + 1 < len(times):
+            engine.push(times[k + 1], _EV_CROSS, flow_idx, k + 1)
 
     def on_deliver(t: float, pkt) -> None:
         is_update, src = pkt[0], pkt[1]
@@ -680,12 +713,11 @@ def run_closed_loop(
     for src, session in enumerate(sessions):
         inject_updates(0.0, src, session.on_start(0.0))
         sync_timer(src)
-    for i, flow in enumerate(net.cross_traffic):
-        first = cross_draws[i].draw() / flow.rate_pps
-        if first <= duration:
-            engine.push(first, _EV_CROSS, i)
+    for i, times in enumerate(cross_times):
+        if times:
+            engine.push(times[0], _EV_CROSS, i, 0)
 
-    engine.run(duration, warmup, on_deliver, on_cross=on_cross, on_timer=on_timer)
+    engine.run(duration, warmup, on_deliver, on_cross, on_timer)
 
     window = duration - warmup
     stats = []

@@ -1,14 +1,20 @@
 """Simulator correctness: determinism, conservation laws, analytic anchors."""
 
+import dataclasses
 import json
 import math
 import statistics
 
 import numpy as np
 import pytest
+from event_oracle import open_loop_events
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agectl import analytics, simkit
 from agectl.simkit import (
+    ARRIVAL_KINDS,
+    AoiMetrics,
     ConfigError,
     CrossTraffic,
     QueueNetwork,
@@ -160,12 +166,22 @@ def test_cross_traffic_adds_backlog():
     quiet = run_fixed_rate(MM1, 0.3, "poisson", duration=30_000.0, seed=9)
     crossed_net = QueueNetwork(
         forward=(ServiceSpec("exp", 1.0),),
-        cross_traffic=(CrossTraffic(entry=0, rate_bps=8_320_000 // 2, packet_bytes=1040),),
+        cross_traffic=(CrossTraffic(entry=0, rate_bps=4_160, packet_bytes=1040),),
     )
     # cross flow offers 0.5 packets/s of extra load on a 1 pkt/s server
     crossed = run_fixed_rate(crossed_net, 0.3, "poisson", duration=30_000.0, seed=9)
+    assert not crossed.unstable
     assert crossed.avg_backlog_per_node[0] > quiet.avg_backlog_per_node[0]
     assert crossed.avg_age > quiet.avg_age
+
+
+@pytest.mark.parametrize(
+    "lam,duration",
+    [(math.inf, 100.0), (math.nan, 100.0), (0.5, math.nan), (0.5, math.inf)],
+)
+def test_run_fixed_rate_rejects_non_finite(lam, duration):
+    with pytest.raises(ConfigError):
+        run_fixed_rate(MM1, lam, "poisson", duration=duration, seed=0)
 
 
 def test_single_source_throughput_equals_rate():
@@ -179,6 +195,56 @@ def test_link_service_scales_with_bytes():
     m = run_fixed_rate(net, 10.0, "poisson", duration=2000.0, seed=2)
     assert m.avg_system_time >= 0.00832
     assert m.avg_system_time == pytest.approx(0.00832 / (1 - 10 * 0.00832), rel=0.15)
+
+
+# -- array computation vs the event-driven reference ------------------------------
+
+SERVICES = st.one_of(
+    st.builds(ServiceSpec, st.just("exp"), st.floats(0.5, 8.0)),
+    st.builds(ServiceSpec, st.just("det"), st.floats(0.5, 8.0)),
+    st.builds(ServiceSpec, st.just("link"), st.floats(2e4, 2e5)),  # 1040 B in 0.04..0.4 s
+)
+
+
+@st.composite
+def open_loop_runs(draw):
+    forward = tuple(draw(st.lists(SERVICES, min_size=1, max_size=3)))
+    flows = st.builds(
+        CrossTraffic, st.integers(0, len(forward) - 1), st.floats(500.0, 8000.0), st.integers(64, 1500)
+    )
+    net = QueueNetwork(forward=forward, cross_traffic=tuple(draw(st.lists(flows, max_size=3))))
+    return (
+        net,
+        draw(st.floats(0.1, 4.0)),
+        draw(st.sampled_from(ARRIVAL_KINDS)),
+        draw(st.floats(20.0, 200.0)),
+        draw(st.integers(0, 2**32)),
+        draw(st.sampled_from((0.0, 0.1, 0.5))),
+    )
+
+
+def _assert_same_field(name, got, want):
+    if isinstance(want, (bool, int)):
+        assert got == want, name
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), name
+        for g, w in zip(got, want):
+            _assert_same_field(name, g, w)
+    elif want is None:
+        assert got is None, name
+    else:
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0, nan_ok=True), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(open_loop_runs())
+def test_open_loop_matches_event_reference(run):
+    got, gen, dlv = simkit._open_loop(*run)
+    want, want_gen, want_dlv = open_loop_events(*run)
+    for field in dataclasses.fields(AoiMetrics):
+        _assert_same_field(field.name, getattr(got, field.name), getattr(want, field.name))
+    assert np.array_equal(gen, want_gen)
+    assert dlv == pytest.approx(want_dlv, rel=1e-9, abs=0.0)
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -297,6 +363,10 @@ def test_network_from_dict_roundtrip():
             },
             "entry",
         ),
+        ({"forward": [{"service": "exp", "rate": math.nan}]}, "forward[0]"),
+        ({"forward": [{"service": "link", "rate": math.inf}]}, "forward[0]"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": [{"rate_bps": math.nan}]}, "rate_bps"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": [{"rate_bps": math.inf}]}, "rate_bps"),
     ],
 )
 def test_network_config_errors_name_fields(doc, needle):
