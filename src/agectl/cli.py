@@ -181,12 +181,16 @@ def load_config(name_or_path: str) -> tuple[dict, bytes]:
             )
         raw = bundle.read_bytes()
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_constant=_reject_constant)
     except json.JSONDecodeError as err:
         raise simkit.ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise simkit.ConfigError("config root must be a JSON object")
     return doc, raw
+
+
+def _reject_constant(name: str):
+    raise simkit.ConfigError(f"config holds the non-finite number {name}")
 
 
 def bundled_config_names() -> list[str]:
@@ -221,6 +225,14 @@ def _jsonl_writer(path: Path):
         handle.flush()
 
     return handle, write
+
+
+def _seed(args, doc: dict) -> int:
+    """The run seed: ``--seed`` if given, else the config's, else 0."""
+    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise simkit.ConfigError(f"seed must be an integer, got {seed!r}")
+    return seed
 
 
 def _require(doc: dict, key: str, kinds, where: str = "config"):
@@ -295,9 +307,7 @@ def cmd_sim(args) -> int:
     started = _now_iso()
     mode = _require(doc, "mode", str)
     net = simkit.QueueNetwork.from_dict(_require(doc, "net", dict))
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise simkit.ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = _seed(args, doc)
     duration = _require(doc, "duration", (int, float))
     warmup_frac = doc.get("warmup_frac", simkit.DEFAULT_WARMUP_FRAC)
 
@@ -335,7 +345,7 @@ def cmd_sweep(args) -> int:
     started = _now_iso()
     grid = parse_grid(args.grid)
     net = simkit.QueueNetwork.from_dict(_require(doc, "net", dict))
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    seed = _seed(args, doc)
     duration = args.duration if args.duration is not None else _require(doc, "duration", (int, float))
     arrival = doc.get("arrival", "poisson")
     warmup_frac = doc.get("warmup_frac", simkit.DEFAULT_WARMUP_FRAC)

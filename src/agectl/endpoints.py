@@ -45,6 +45,7 @@ __all__ = [
     "run_initialization",
     "run_source",
     "run_monitor",
+    "age_time_average",
     "lazy_rate",
 ]
 
@@ -87,15 +88,13 @@ class SourceConfig:
     probe_timeout: float = 1.0
     updates_per_epoch: int = 10
     alpha: float = DEFAULT_ALPHA
-    mdec_uses_average: bool = False  # scale MDEC by the epoch-average backlog
-    # instead of the instantaneous one
 
     def __post_init__(self):
         parse_policy(self.policy)
         if self.probe_count < 1:
             raise ValueError(f"probe_count must be >= 1, got {self.probe_count}")
-        if self.probe_timeout <= 0.0:
-            raise ValueError(f"probe_timeout must be positive, got {self.probe_timeout}")
+        if not (math.isfinite(self.probe_timeout) and self.probe_timeout > 0.0):
+            raise ValueError(f"probe_timeout must be positive and finite, got {self.probe_timeout}")
         if not 0 <= self.payload_size <= wire.MAX_PAYLOAD:
             raise ValueError(f"payload_size must be in [0, {wire.MAX_PAYLOAD}], got {self.payload_size}")
         if self.updates_per_epoch < 1:
@@ -107,7 +106,7 @@ class SourceSession:
 
     Drive it with ``on_start`` once, then ``on_datagram``/``on_timer``;
     every call returns the frames to transmit.  ``next_deadline`` is the
-    time of the next pending timer action (None while idle in READY).
+    time of the next pending timer action (inf while idle in READY).
     """
 
     def __init__(self, cfg: SourceConfig):
@@ -129,6 +128,7 @@ class SourceSession:
         self._init_rate: Optional[float] = None
         self._rate = math.nan  # authoritative for lazy/fixed; acp_plus uses controller
         self._epoch_anchor = math.nan
+        self._epochs_began = math.nan
         self._send_index = 0
         self._period = math.nan
         self._next_send = math.inf
@@ -160,12 +160,10 @@ class SourceSession:
         """(length, avg_age, avg_backlog, rate_at_open) per closed epoch."""
         return self._epoch_spans
 
-    def next_deadline(self) -> Optional[float]:
+    def next_deadline(self) -> float:
         if self.state == _INIT:
             return self._probe_deadline
-        if self.state == _RUN:
-            return min(self._next_send, self._next_epoch)
-        return None
+        return min(self._next_send, self._next_epoch)
 
     # -- init phase -------------------------------------------------------
 
@@ -208,6 +206,7 @@ class SourceSession:
             self.controller = RateController(rate, updates_per_epoch=self.cfg.updates_per_epoch)
         self.estimator.restart_epochs(t)
         self.state = _RUN
+        self._epochs_began = t
         self._anchor_epoch(t)
         return self._process_due(t)
 
@@ -286,8 +285,7 @@ class SourceSession:
         stats = self.estimator.close_epoch(t)
         action = None
         if self.policy_kind == "acp_plus" and stats.age_diff is not None:
-            backlog_ref = stats.avg_backlog if self.cfg.mdec_uses_average else stats.backlog_now
-            change = self.controller.decide(stats.backlog_diff, stats.age_diff, backlog_ref)
+            change = self.controller.decide(stats.backlog_diff, stats.age_diff, stats.backlog_now)
             self.controller.update_rate(
                 change.backlog_change, self.estimator.ack_gap_ewma, self.estimator.rtt_ewma
             )
@@ -312,27 +310,33 @@ class SourceSession:
 
     # -- summaries ----------------------------------------------------------
 
+    def epoch_averages(self, after: float) -> tuple[float, float, float]:
+        """Epoch-weighted mean (age, backlog, rate at open) of the estimates
+        over the closed epochs that close strictly after the instant
+        ``after`` (warm-up exclusion); NaNs if there is none."""
+        age_area = backlog_area = rate_area = total = 0.0
+        for rec, (length, avg_age, avg_backlog, open_rate) in zip(self.trace, self._epoch_spans):
+            if rec["t"] <= after:
+                continue
+            age_area += avg_age * length
+            backlog_area += avg_backlog * length
+            rate_area += open_rate * length
+            total += length
+        if total == 0.0:
+            return math.nan, math.nan, math.nan
+        return age_area / total, backlog_area / total, rate_area / total
+
     def est_avg_age(self, skip_time: float = 0.0) -> float:
         """Epoch-weighted mean of the estimated age over closed epochs.
 
         ``skip_time`` drops leading epochs until that much epoch time has
         elapsed (warm-up exclusion).
         """
-        return self._span_average(1, skip_time)
+        return self.epoch_averages(self._epochs_began + skip_time)[0]
 
     def est_avg_backlog(self, skip_time: float = 0.0) -> float:
         """Epoch-weighted mean of the estimated backlog over closed epochs."""
-        return self._span_average(2, skip_time)
-
-    def _span_average(self, idx: int, skip_time: float) -> float:
-        area = total = elapsed = 0.0
-        for span in self._epoch_spans:
-            elapsed += span[0]
-            if elapsed <= skip_time:
-                continue
-            area += span[idx] * span[0]
-            total += span[0]
-        return area / total if total > 0.0 else math.nan
+        return self.epoch_averages(self._epochs_began + skip_time)[1]
 
     @property
     def avg_rtt(self) -> Optional[float]:
@@ -362,7 +366,6 @@ class MonitorSession:
 
     def __init__(self):
         self.freshest_seq = 0
-        self.freshest_ts_us = 0
         self.trace: list[dict] = []
         self.accepted = 0
         self.stale = 0
@@ -380,18 +383,36 @@ class MonitorSession:
             self.stale += 1
             return None
         self.freshest_seq = upd.seq
-        self.freshest_ts_us = upd.gen_ts_us
         self.accepted += 1
         self.trace.append({"t": t, "age_reset": t - upd.gen_ts_us / 1e6, "seq": upd.seq})
         return wire.encode_ack(wire.AckPacket(seq=upd.seq, echo_ts_us=upd.gen_ts_us))
 
     def true_avg_age(self, lo: float, hi: float) -> float:
         """Time-average of the reconstructed true age over [lo, hi]."""
-        from .simkit import age_time_average
-
         dlv = [rec["t"] for rec in self.trace]
         gen = [rec["t"] - rec["age_reset"] for rec in self.trace]
         return age_time_average(gen, dlv, lo, hi)
+
+
+def age_time_average(gen_times, deliver_times, lo: float, hi: float) -> float:
+    """Time-average of the freshest-wins age sawtooth over [lo, hi].
+
+    ``gen_times``/``deliver_times`` are the accepted age resets in
+    delivery order.  Measurement starts no earlier than the first reset;
+    NaN if the window never sees a defined age.
+    """
+    gen = np.asarray(gen_times, dtype=float)
+    dlv = np.asarray(deliver_times, dtype=float)
+    if len(dlv) == 0:
+        return math.nan
+    lo = max(lo, float(dlv[0]))
+    if hi <= lo:
+        return math.nan
+    seg_start = np.clip(dlv, lo, hi)
+    seg_end = np.clip(np.append(dlv[1:], hi), lo, hi)
+    width = seg_end - seg_start
+    area = float(np.sum(width * ((seg_start + seg_end) * 0.5 - gen)))
+    return area / (hi - lo)
 
 
 # -- links -----------------------------------------------------------------
@@ -536,33 +557,19 @@ class SimulatedPath:
 # -- blocking drivers --------------------------------------------------------
 
 
-def _drive_until(link, session: SourceSession, end_time: float) -> None:
-    """Pump one session over a link until the link clock reaches end_time."""
+def _drive(link, session: SourceSession, frames, end_time: float = math.inf) -> None:
+    """Send ``frames``, then pump one session over a link until it is ready
+    to begin epochs or the link clock reaches ``end_time``."""
     while True:
+        for frame in frames:
+            link.send(frame)
         now = link.now()
-        if now >= end_time:
+        if session.is_ready or now >= end_time:
             return
-        deadline = session.next_deadline()
-        horizon = end_time if deadline is None else min(deadline, end_time)
-        got = link.recv(horizon - now)
+        got = link.recv(min(session.next_deadline(), end_time) - now)
         frames = (
             session.on_datagram(got[1], got[0]) if got is not None else session.on_timer(link.now())
         )
-        for frame in frames:
-            link.send(frame)
-
-
-def _drive_init(link, session: SourceSession) -> None:
-    for frame in session.on_start(link.now()):
-        link.send(frame)
-    while session.state == _INIT:
-        deadline = session.next_deadline()
-        got = link.recv(deadline - link.now())
-        frames = (
-            session.on_datagram(got[1], got[0]) if got is not None else session.on_timer(link.now())
-        )
-        for frame in frames:
-            link.send(frame)
 
 
 def run_initialization(link, cfg: SourceConfig) -> float:
@@ -571,7 +578,7 @@ def run_initialization(link, cfg: SourceConfig) -> float:
     Raises InitializationError if every probe times out.
     """
     session = SourceSession(cfg)
-    _drive_init(link, session)
+    _drive(link, session, session.on_start(link.now()))
     return session.initial_rate
 
 
@@ -589,11 +596,9 @@ def run_source(
     session = SourceSession(cfg)
     if trace_writer is not None:
         session.trace = _TeeList(trace_writer)
-    _drive_init(link, session)
+    _drive(link, session, session.on_start(link.now()))
     start = link.now()
-    for frame in session.begin_epochs(start):
-        link.send(frame)
-    _drive_until(link, session, start + duration)
+    _drive(link, session, session.begin_epochs(start), start + duration)
     return session.summary(), session
 
 

@@ -29,13 +29,12 @@ import hashlib
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import wire
-from .endpoints import MonitorSession, SourceConfig, SourceSession
+from .endpoints import MonitorSession, SourceConfig, SourceSession, age_time_average
 
 SERVICE_KINDS = ("exp", "det", "link")
 ARRIVAL_KINDS = ("poisson", "periodic")
@@ -59,6 +58,11 @@ def _require_positive(what: str, value) -> None:
     """Reject zero, negative, infinite and NaN values of a rate or span."""
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{what} must be positive and finite, got {value}")
+
+
+def _require_warmup_frac(warmup_frac) -> None:
+    if not (isinstance(warmup_frac, (int, float)) and 0.0 <= warmup_frac < 1.0):
+        raise ConfigError(f"warmup_frac must be in [0, 1), got {warmup_frac!r}")
 
 
 def substream_seed(master_seed: int, name: str) -> int:
@@ -160,10 +164,6 @@ class QueueNetwork:
                 kwargs[key] = doc[key]
         return QueueNetwork(forward=forward, reverse=reverse, cross_traffic=cross, **kwargs)
 
-    def min_effective_rate(self, packet_bytes: Optional[float] = None) -> float:
-        size = self.update_bytes if packet_bytes is None else packet_bytes
-        return min(spec.effective_rate(size) for spec in self.forward)
-
     def cross_load(self, node_index: int) -> float:
         """Fraction of node capacity consumed by cross flows through it."""
         spec = self.forward[node_index]
@@ -225,7 +225,7 @@ class _ExpStream:
 
 
 # Packets move through the node array as tuples
-#   (is_update, src, seq, gen_time, size_bytes, route_end, payload)
+#   (is_update, src, size_bytes, route_end, payload)
 # route_end is the index one past the last node of the packet's route;
 # payload carries the encoded frame (None for cross traffic).
 
@@ -262,7 +262,7 @@ class _Engine:
 
     def _start_service(self, t: float, i: int) -> None:
         pkt = self.queues[i][0]
-        self.push(t + self._service_time(i, pkt[4]), _EV_COMPLETE, i)
+        self.push(t + self._service_time(i, pkt[2]), _EV_COMPLETE, i)
 
     def enqueue(self, t: float, i: int, pkt) -> None:
         if pkt[0]:
@@ -308,7 +308,7 @@ class _Engine:
                 if queues[a]:
                     self._start_service(t, a)
                 nxt = a + 1
-                if nxt < pkt[5]:
+                if nxt < pkt[3]:
                     self.enqueue(t, nxt, pkt)
                 else:
                     on_deliver(t, pkt)
@@ -325,27 +325,6 @@ class _Engine:
     def window_backlogs(self, warmup: float, duration: float) -> tuple[float, ...]:
         window = duration - warmup
         return tuple((self.area[i] - self.warm_area[i]) / window for i in range(len(self.specs)))
-
-
-def age_time_average(gen_times, deliver_times, lo: float, hi: float) -> float:
-    """Time-average of the freshest-wins age sawtooth over [lo, hi].
-
-    ``gen_times``/``deliver_times`` are the accepted age resets in
-    delivery order.  Measurement starts no earlier than the first reset;
-    NaN if the window never sees a defined age.
-    """
-    gen = np.asarray(gen_times, dtype=float)
-    dlv = np.asarray(deliver_times, dtype=float)
-    if len(dlv) == 0:
-        return math.nan
-    lo = max(lo, float(dlv[0]))
-    if hi <= lo:
-        return math.nan
-    seg_start = np.clip(dlv, lo, hi)
-    seg_end = np.clip(np.append(dlv[1:], hi), lo, hi)
-    width = seg_end - seg_start
-    area = float(np.sum(width * ((seg_start + seg_end) * 0.5 - gen)))
-    return area / (hi - lo)
 
 
 def accepted_resets(seqs, gen_times, deliver_times) -> tuple[np.ndarray, np.ndarray]:
@@ -379,19 +358,10 @@ class AoiMetrics:
     node_departs: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "avg_age": self.avg_age,
-            "avg_backlog_per_node": list(self.avg_backlog_per_node),
-            "avg_system_time": self.avg_system_time,
-            "throughput_updates": self.throughput_updates,
-            "throughput_bps": self.throughput_bps,
-            "delivered": self.delivered,
-            "unstable": self.unstable,
-            "duration": self.duration,
-            "warmup": self.warmup,
-            "avg_rtt": self.avg_rtt,
-            "fairness": self.fairness,
-        }
+        """All fields but the per-node tallies, which are for tests only."""
+        doc = asdict(self)
+        del doc["node_time_in_system_sum"], doc["node_departs"]
+        return doc
 
 
 def _renewal_times(rate: float, duration: float, seed: Optional[int]) -> np.ndarray:
@@ -438,8 +408,7 @@ def _open_loop(
     _require_positive("duration", duration)
     if arrival not in ARRIVAL_KINDS:
         raise ConfigError(f"arrival must be one of {ARRIVAL_KINDS}, got {arrival!r}")
-    if not 0.0 <= warmup_frac < 1.0:
-        raise ConfigError(f"warmup_frac must be in [0, 1), got {warmup_frac}")
+    _require_warmup_frac(warmup_frac)
 
     n_fwd = len(net.forward)
     warmup = warmup_frac * duration
@@ -587,21 +556,7 @@ class SourceStats:
     stale_acks: int
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "est_avg_age": self.est_avg_age,
-            "est_avg_backlog": self.est_avg_backlog,
-            "true_avg_age": self.true_avg_age,
-            "mean_rate": self.mean_rate,
-            "lambda_final": self.lambda_final,
-            "epochs": self.epochs,
-            "delivered": self.delivered,
-            "throughput_updates": self.throughput_updates,
-            "throughput_bps": self.throughput_bps,
-            "avg_rtt": self.avg_rtt,
-            "fresh_acks": self.fresh_acks,
-            "stale_acks": self.stale_acks,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -617,15 +572,7 @@ class ClosedLoopResult:
     warmup: float
 
     def to_dict(self) -> dict:
-        return {
-            "sources": [s.to_dict() for s in self.sources],
-            "forward_backlogs": list(self.forward_backlogs),
-            "reverse_backlogs": list(self.reverse_backlogs),
-            "fairness_true_age": self.fairness_true_age,
-            "fairness_est_age": self.fairness_est_age,
-            "duration": self.duration,
-            "warmup": self.warmup,
-        }
+        return asdict(self)
 
 
 def run_closed_loop(
@@ -650,6 +597,7 @@ def run_closed_loop(
     if n_sources < 1:
         raise ConfigError(f"n_sources must be >= 1, got {n_sources}")
     _require_positive("duration", duration)
+    _require_warmup_frac(warmup_frac)
     if cfg is None:
         cfg = SourceConfig(policy=policy)
     elif cfg.policy != policy:
@@ -671,14 +619,12 @@ def run_closed_loop(
     def sync_timer(src: int) -> None:
         timer_version[src] += 1
         deadline = sessions[src].next_deadline()
-        if deadline is not None and deadline <= duration:
+        if deadline <= duration:
             engine.push(deadline, _EV_TIMER, src, timer_version[src])
 
     def inject_updates(t: float, src: int, frames) -> None:
         for frame in frames:
-            upd = wire.decode_update(frame)
-            pkt = (True, src, upd.seq, upd.gen_ts_us / 1e6, float(len(frame)), n_fwd, frame)
-            engine.enqueue(t, 0, pkt)
+            engine.enqueue(t, 0, (True, src, float(len(frame)), n_fwd, frame))
 
     def after_session_call(t: float, src: int, frames) -> None:
         session = sessions[src]
@@ -694,7 +640,7 @@ def run_closed_loop(
 
     def on_cross(t: float, flow_idx: int, k: int) -> None:
         flow = net.cross_traffic[flow_idx]
-        engine.enqueue(t, flow.entry, (False, -1, 0, t, float(flow.packet_bytes), n_fwd, None))
+        engine.enqueue(t, flow.entry, (False, -1, float(flow.packet_bytes), n_fwd, None))
         times = cross_times[flow_idx]
         if k + 1 < len(times):
             engine.push(times[k + 1], _EV_CROSS, flow_idx, k + 1)
@@ -702,12 +648,12 @@ def run_closed_loop(
     def on_deliver(t: float, pkt) -> None:
         is_update, src = pkt[0], pkt[1]
         if is_update:
-            reply = monitors[src].on_datagram(t, pkt[6])
+            reply = monitors[src].on_datagram(t, pkt[4])
             if reply is not None:
-                engine.enqueue(t, n_fwd, (False, src, pkt[2], t, ack_size, n_all, reply))
-        elif pkt[5] == n_all:
+                engine.enqueue(t, n_fwd, (False, src, ack_size, n_all, reply))
+        elif pkt[3] == n_all:
             # ACK back at its source
-            after_session_call(t, src, sessions[src].on_datagram(t, pkt[6]))
+            after_session_call(t, src, sessions[src].on_datagram(t, pkt[4]))
         # cross-traffic packets leave the network silently
 
     for src, session in enumerate(sessions):
@@ -723,17 +669,15 @@ def run_closed_loop(
     stats = []
     for src in range(n_sources):
         session, monitor = sessions[src], monitors[src]
-        est_age, est_backlog, mean_rate = _windowed_epoch_stats(session, warmup)
-        resets_t = [rec["t"] for rec in monitor.trace]
-        resets_gen = [rec["t"] - rec["age_reset"] for rec in monitor.trace]
-        delivered = sum(1 for t in resets_t if t >= warmup)
+        est_age, est_backlog, mean_rate = session.epoch_averages(warmup)
+        delivered = sum(1 for rec in monitor.trace if rec["t"] >= warmup)
         frame_bytes = 16 + cfg.payload_size
         stats.append(
             SourceStats(
                 source=src,
                 est_avg_age=est_age,
                 est_avg_backlog=est_backlog,
-                true_avg_age=age_time_average(resets_gen, resets_t, warmup, duration),
+                true_avg_age=monitor.true_avg_age(warmup, duration),
                 mean_rate=mean_rate,
                 lambda_final=session.rate if session.epoch_index else None,
                 epochs=session.epoch_index,
@@ -757,22 +701,6 @@ def run_closed_loop(
         duration=duration,
         warmup=warmup,
     )
-
-
-def _windowed_epoch_stats(session: SourceSession, warmup: float) -> tuple[float, float, float]:
-    """Epoch-weighted estimated age/backlog/rate over epochs closing after warmup."""
-    age_area = backlog_area = rate_area = total = 0.0
-    for rec, span in zip(session.trace, session.epoch_spans):
-        if rec["t"] <= warmup:
-            continue
-        length, avg_age, avg_backlog, open_rate = span
-        age_area += avg_age * length
-        backlog_area += avg_backlog * length
-        rate_area += open_rate * length
-        total += length
-    if total == 0.0:
-        return math.nan, math.nan, math.nan
-    return age_area / total, backlog_area / total, rate_area / total
 
 
 def _maybe_jain(values) -> Optional[float]:

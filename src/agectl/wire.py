@@ -136,10 +136,3 @@ def decode_ack(b: bytes) -> AckPacket:
     if len(b) != HEADER_LEN:
         raise LengthMismatchError(f"ACK frame is {len(b)} bytes, expected {HEADER_LEN}")
     return AckPacket(seq=seq, echo_ts_us=ts_us, version=version)
-
-
-def frame_kind(b: bytes) -> int:
-    """Peek at the kind discriminator without full decoding."""
-    if len(b) < 4:
-        raise ShortBufferError(f"frame is {len(b)} bytes, need at least 4 to read kind")
-    return b[3]

@@ -49,20 +49,18 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
 
     gen_log: list[float] = []
     dlv_log: list[float] = []
-    next_seq = [1]
 
-    # source arrivals ride the engine's timer events
+    # source arrivals ride the engine's timer events; an update carries its
+    # generation instant in the payload slot
     def on_source(t, _a, _b):
-        seq = next_seq[0]
-        next_seq[0] = seq + 1
-        engine.enqueue(t, 0, (True, 0, seq, t, update_size, n_fwd, None))
+        engine.enqueue(t, 0, (True, 0, update_size, n_fwd, t))
         gap = arrival_draw.draw() / lam if arrival_draw else 1.0 / lam
         if t + gap <= duration:
             engine.push(t + gap, simkit._EV_TIMER)
 
     def on_cross(t, flow_idx, _b):
         flow = net.cross_traffic[flow_idx]
-        engine.enqueue(t, flow.entry, (False, -1, 0, t, float(flow.packet_bytes), n_fwd, None))
+        engine.enqueue(t, flow.entry, (False, -1, float(flow.packet_bytes), n_fwd, None))
         gap = cross_draws[flow_idx].draw() / flow.rate_pps
         if t + gap <= duration:
             engine.push(t + gap, simkit._EV_CROSS, flow_idx)
@@ -70,7 +68,7 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
     def on_deliver(t, pkt):
         if pkt[0]:
             engine.update_left(t, n_fwd - 1)
-            gen_log.append(pkt[3])
+            gen_log.append(pkt[4])
             dlv_log.append(t)
 
     engine.push(0.0, simkit._EV_TIMER)

@@ -159,6 +159,37 @@ def test_sim_missing_config_is_usage_error(capsys):
     assert main(["sim", "--config", "no_such_config", "--out", "/tmp/x.json"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_sim_rejects_non_finite_json_constants(tmp_path, capsys, constant):
+    path = tmp_path / "cl.json"
+    path.write_text(
+        '{"mode": "closed_loop", "net": {"forward": [{"service": "exp", "rate": 1.0}], '
+        '"reverse": [{"service": "exp", "rate": 10.0}]}, "duration": 50.0, '
+        f'"probe_timeout": {constant}}}'
+    )
+    out = tmp_path / "x.json"
+    assert main(["sim", "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
+    assert constant in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sim_rejects_bool_seed(tmp_path, capsys):
+    cfg = small_sim_config(tmp_path, seed=True)
+    out = tmp_path / "x.json"
+    assert main(["sim", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_non_integer_seed(tmp_path, capsys):
+    cfg = small_sim_config(tmp_path, seed="abc")
+    out = tmp_path / "c.csv"
+    code = main(["sweep", "--config", str(cfg), "--grid", "0.2:0.4:0.2", "--duration", "100", "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- sweep command -----------------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Endpoint state machines, connection lifecycle, and link behavior."""
 
 import math
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -45,6 +47,9 @@ def test_source_config_validation():
         SourceConfig(payload_size=70_000)
     with pytest.raises(ValueError):
         SourceConfig(policy="bogus")
+    for timeout in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SourceConfig(probe_timeout=timeout)
 
 
 # -- initialization phase ---------------------------------------------------------
@@ -312,3 +317,18 @@ def test_udp_loopback_pair():
     assert summary["lambda_final"] == 50.0
     assert monitor.trace, "monitor recorded age resets"
     assert math.isfinite(summary["est_avg_age"])
+
+
+def test_endpoints_run_without_the_simulator():
+    # the monitor's true-age metric lives beside it, so a virtual-time
+    # connection never loads the queueing simulator
+    code = (
+        "import math, sys\n"
+        "from agectl.endpoints import SimulatedPath, SourceConfig, run_source\n"
+        "path = SimulatedPath(fwd_delay=0.05, rev_delay=0.05, seed=1)\n"
+        "run_source(path, SourceConfig(policy='fixed:4', probe_count=2), duration=5.0)\n"
+        "assert not math.isnan(path.monitor.true_avg_age(1.0, path.now()))\n"
+        "assert 'agectl.simkit' not in sys.modules, 'endpoints imported simkit'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -288,6 +288,14 @@ def test_closed_loop_needs_reverse_chain():
         run_closed_loop(TANDEM, "acp_plus", 1, duration=100.0, seed=0)
 
 
+@pytest.mark.parametrize("warmup_frac", [1.5, 1.0, -0.5, math.nan, "0.1"])
+def test_warmup_frac_outside_unit_interval_rejected(warmup_frac):
+    with pytest.raises(ConfigError, match="warmup_frac"):
+        run_closed_loop(CL_TANDEM, "acp_plus", 1, duration=60.0, seed=0, warmup_frac=warmup_frac)
+    with pytest.raises(ConfigError, match="warmup_frac"):
+        run_fixed_rate(MM1, 0.5, duration=60.0, warmup_frac=warmup_frac)
+
+
 def test_closed_loop_deterministic():
     a = run_closed_loop(CL_TANDEM, "acp_plus", 2, duration=500.0, seed=5)
     b = run_closed_loop(CL_TANDEM, "acp_plus", 2, duration=500.0, seed=5)
