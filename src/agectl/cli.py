@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
 from . import __version__, analytics, simkit
-from .endpoints import InitializationError, SourceConfig, UdpLink, run_monitor, run_source
+from .endpoints import InitializationError, SourceConfig, UdpLink, require_duration, run_monitor, run_source
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -154,6 +155,8 @@ def parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"grid values must be numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise UsageError(f"grid values must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise UsageError(f"grid needs lo <= hi and step > 0, got {text!r}")
     grid = []
@@ -249,6 +252,11 @@ def _require(doc: dict, key: str, kinds, where: str = "config"):
 
 def cmd_monitor(args) -> int:
     host, port = parse_addr(args.bind)
+    if args.duration is not None:
+        try:
+            require_duration(args.duration)
+        except ValueError as err:
+            raise UsageError(str(err)) from None
     link = UdpLink.listen(host, port)
     handle = write = None
     if args.trace is not None:
@@ -281,6 +289,7 @@ def cmd_source(args) -> int:
             updates_per_epoch=args.eta,
             alpha=args.alpha,
         )
+        require_duration(args.duration)
     except ValueError as err:
         raise UsageError(str(err)) from None
     link = UdpLink.connect(host, port)
@@ -319,9 +328,7 @@ def cmd_sim(args) -> int:
                    "metrics": metrics.to_dict()}
     elif mode == "closed_loop":
         policy = doc.get("policy", "acp_plus")
-        n_sources = doc.get("n_sources", 1)
-        if not isinstance(n_sources, int) or n_sources < 1:
-            raise simkit.ConfigError(f"n_sources must be a positive integer, got {n_sources!r}")
+        n_sources = doc.get("n_sources", 1)  # run_closed_loop checks it
         cfg_kwargs = {k: doc[k] for k in ("payload_size", "probe_count", "probe_timeout", "alpha") if k in doc}
         if "eta" in doc:
             cfg_kwargs["updates_per_epoch"] = doc["eta"]

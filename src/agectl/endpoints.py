@@ -45,6 +45,7 @@ __all__ = [
     "run_initialization",
     "run_source",
     "run_monitor",
+    "require_duration",
     "age_time_average",
     "lazy_rate",
 ]
@@ -90,6 +91,16 @@ class SourceConfig:
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
+        if not isinstance(self.policy, str):
+            raise ValueError(f"policy must be a string, got {self.policy!r}")
+        for name in ("payload_size", "probe_count", "updates_per_epoch"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("probe_timeout", "alpha"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         parse_policy(self.policy)
         if self.probe_count < 1:
             raise ValueError(f"probe_count must be >= 1, got {self.probe_count}")
@@ -99,6 +110,14 @@ class SourceConfig:
             raise ValueError(f"payload_size must be in [0, {wire.MAX_PAYLOAD}], got {self.payload_size}")
         if self.updates_per_epoch < 1:
             raise ValueError(f"updates_per_epoch must be >= 1, got {self.updates_per_epoch}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+
+
+def require_duration(duration: float) -> None:
+    """Reject a run duration that is not positive and finite."""
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be positive and finite, got {duration}")
 
 
 class SourceSession:
@@ -122,11 +141,10 @@ class SourceSession:
         self.sends = 0
         self.fresh_acks = 0
         self._payload = bytes(cfg.payload_size)
-        self._rtt_samples: list[float] = []
         self._probes_sent = 0
         self._probe_deadline = math.inf
         self._init_rate: Optional[float] = None
-        self._rate = math.nan  # authoritative for lazy/fixed; acp_plus uses controller
+        self.rate = math.nan  # current send rate, set once epochs begin
         self._epoch_anchor = math.nan
         self._epochs_began = math.nan
         self._send_index = 0
@@ -138,13 +156,6 @@ class SourceSession:
         self._epoch_spans: list[tuple[float, float, float, float]] = []
         self._epoch_open_rate = math.nan
         self._rtt_sum = 0.0
-        self._rtt_count = 0
-
-    @property
-    def rate(self) -> float:
-        if self.policy_kind == "acp_plus" and self.controller is not None:
-            return self.controller.rate
-        return self._rate
 
     @property
     def initial_rate(self) -> Optional[float]:
@@ -188,11 +199,12 @@ class SourceSession:
         )
 
     def _finish_init(self, t: float) -> None:
-        if not self._rtt_samples:
+        # every fresh ACK so far answered a probe
+        if not self.fresh_acks:
             raise InitializationError(
                 f"all {self.cfg.probe_count} probes timed out; monitor unreachable"
             )
-        self._init_rate = 1.0 / (sum(self._rtt_samples) / len(self._rtt_samples))
+        self._init_rate = 1.0 / (self._rtt_sum / self.fresh_acks)
         self._probe_deadline = math.inf
         self.state = _READY
 
@@ -200,10 +212,9 @@ class SourceSession:
         """Leave READY: start the first control epoch at ``t``."""
         if self.state != _READY:
             raise RuntimeError(f"cannot begin epochs in state {self.state}")
-        rate = self._fixed_rate if self.policy_kind == "fixed" else self._init_rate
-        self._rate = rate
+        self.rate = self._fixed_rate if self.policy_kind == "fixed" else self._init_rate
         if self.policy_kind == "acp_plus":
-            self.controller = RateController(rate, updates_per_epoch=self.cfg.updates_per_epoch)
+            self.controller = RateController(self.rate, updates_per_epoch=self.cfg.updates_per_epoch)
         self.estimator.restart_epochs(t)
         self.state = _RUN
         self._epochs_began = t
@@ -234,9 +245,7 @@ class SourceSession:
             return []
         self.fresh_acks += 1
         self._rtt_sum += outcome.rtt
-        self._rtt_count += 1
         if self.state == _INIT:
-            self._rtt_samples.append(outcome.rtt)
             if ack.seq == self.estimator.highest_sent:
                 # current probe answered: next probe, or done probing
                 if self._probes_sent < self.cfg.probe_count:
@@ -244,7 +253,7 @@ class SourceSession:
                 self._finish_init(t)
             return []
         if self.policy_kind == "lazy":
-            self._rate = lazy_rate(self.estimator.rtt_ewma)
+            self.rate = lazy_rate(self.estimator.rtt_ewma)
         return []
 
     def on_timer(self, t: float) -> list[bytes]:
@@ -286,7 +295,7 @@ class SourceSession:
         action = None
         if self.policy_kind == "acp_plus" and stats.age_diff is not None:
             change = self.controller.decide(stats.backlog_diff, stats.age_diff, stats.backlog_now)
-            self.controller.update_rate(
+            self.rate = self.controller.update_rate(
                 change.backlog_change, self.estimator.ack_gap_ewma, self.estimator.rtt_ewma
             )
             action = change.label()
@@ -341,7 +350,7 @@ class SourceSession:
     @property
     def avg_rtt(self) -> Optional[float]:
         """Plain mean of all fresh-ACK round-trip samples this connection."""
-        return self._rtt_sum / self._rtt_count if self._rtt_count else None
+        return self._rtt_sum / self.fresh_acks if self.fresh_acks else None
 
     def summary(self) -> dict:
         return {
@@ -508,8 +517,9 @@ class SimulatedPath:
         self._loss = loss
         self._rng = rng
         self._now = 0.0
-        self._to_monitor: list = []
-        self._to_source: list = []
+        # (arrival, to_monitor, order, payload): at equal instants an ACK
+        # reaches the source before an update reaches the monitor
+        self._in_flight: list = []
         self._order = 0
 
     def now(self) -> float:
@@ -519,7 +529,7 @@ class SimulatedPath:
         if self._loss and self._rng.random() < self._loss:
             return
         self._order += 1
-        heapq.heappush(self._to_monitor, (self._now + self._fwd.sample(), self._order, payload))
+        heapq.heappush(self._in_flight, (self._now + self._fwd.sample(), True, self._order, payload))
 
     def _deliver_to_monitor(self, t: float, payload: bytes) -> None:
         reply = self.monitor.on_datagram(t, payload)
@@ -528,27 +538,22 @@ class SimulatedPath:
         if self._loss and self._rng.random() < self._loss:
             return
         self._order += 1
-        heapq.heappush(self._to_source, (t + self._rev.sample(), self._order, reply))
+        heapq.heappush(self._in_flight, (t + self._rev.sample(), False, self._order, reply))
 
     def recv(self, timeout: Optional[float]):
         """Advance virtual time until an ACK arrives or the timeout passes."""
         deadline = math.inf if timeout is None else self._now + max(timeout, 0.0)
-        while True:
-            m_t = self._to_monitor[0][0] if self._to_monitor else math.inf
-            s_t = self._to_source[0][0] if self._to_source else math.inf
-            if s_t <= deadline and s_t <= m_t:
-                t, _, payload = heapq.heappop(self._to_source)
-                self._now = t
+        in_flight = self._in_flight
+        while in_flight and in_flight[0][0] <= deadline:
+            t, to_monitor, _, payload = heapq.heappop(in_flight)
+            self._now = t
+            if not to_monitor:
                 return payload, t
-            if m_t <= deadline:
-                t, _, payload = heapq.heappop(self._to_monitor)
-                self._now = t
-                self._deliver_to_monitor(t, payload)
-                continue
-            if math.isinf(deadline):
-                raise RuntimeError("recv would block forever: no traffic in flight")
-            self._now = deadline
-            return None
+            self._deliver_to_monitor(t, payload)
+        if math.isinf(deadline):
+            raise RuntimeError("recv would block forever: no traffic in flight")
+        self._now = deadline
+        return None
 
     def close(self) -> None:
         pass
@@ -593,6 +598,7 @@ def run_source(
     Returns (summary, session); per-epoch records go to ``trace_writer``
     as they are produced and stay available on ``session.trace``.
     """
+    require_duration(duration)
     session = SourceSession(cfg)
     if trace_writer is not None:
         session.trace = _TeeList(trace_writer)
@@ -609,6 +615,8 @@ def run_monitor(
     trace_writer: Optional[Callable[[dict], None]] = None,
 ) -> MonitorSession:
     """Serve a monitor over ``link`` until duration/max_updates/interrupt."""
+    if duration is not None:
+        require_duration(duration)
     session = MonitorSession()
     if trace_writer is not None:
         session.trace = _TeeList(trace_writer)

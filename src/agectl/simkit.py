@@ -34,6 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import wire
 from .endpoints import MonitorSession, SourceConfig, SourceSession, age_time_average
 
 SERVICE_KINDS = ("exp", "det", "link")
@@ -44,10 +45,6 @@ DEFAULT_ACK_BYTES = 64
 DEFAULT_WARMUP_FRAC = 0.10
 
 _EXP_BATCH = 4096
-
-_EV_COMPLETE = 0
-_EV_CROSS = 2
-_EV_TIMER = 3
 
 
 class ConfigError(ValueError):
@@ -231,100 +228,74 @@ class _ExpStream:
 
 
 class _Engine:
-    """Closed-loop event loop plus per-node queue state for one node array."""
+    """Closed-loop event loop plus per-node queue state for one node array.
 
-    def __init__(self, specs, seed: int):
+    Heap entries ``(t, order, handler, a, b)`` run as ``handler(t, a, b)``
+    in time order, ties in insertion order."""
+
+    def __init__(self, specs, seed: int, on_deliver: Callable):
         n = len(specs)
-        self.specs = list(specs)
         self.queues: list[deque] = [deque() for _ in range(n)]
-        self._draws = [
-            _ExpStream(substream_seed(seed, f"service/{i}")) if s.kind == "exp" else None
-            for i, s in enumerate(specs)
-        ]
+        self._service = [_service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
+        self._on_deliver = on_deliver
         self.upd_count = [0] * n
         self.area = [0.0] * n
-        self.warm_area: list[Optional[float]] = [None] * n
+        self.warm_area = [0.0] * n
         self.last_t = [0.0] * n
         self.heap: list = []
         self._order = 0
 
-    def push(self, t: float, kind: int, a=None, b=None) -> None:
+    def push(self, t: float, handler: Callable, a=None, b=None) -> None:
         self._order += 1
-        heapq.heappush(self.heap, (t, self._order, kind, a, b))
+        heapq.heappush(self.heap, (t, self._order, handler, a, b))
 
-    def _service_time(self, i: int, size: float) -> float:
-        spec = self.specs[i]
-        if spec.kind == "exp":
-            return self._draws[i].draw() / spec.rate
-        if spec.kind == "det":
-            return 1.0 / spec.rate
-        return 8.0 * size / spec.rate
-
-    def _start_service(self, t: float, i: int) -> None:
-        pkt = self.queues[i][0]
-        self.push(t + self._service_time(i, pkt[2]), _EV_COMPLETE, i)
+    def _backlog_step(self, t: float, i: int, delta: int) -> None:
+        self.area[i] += (t - self.last_t[i]) * self.upd_count[i]
+        self.last_t[i] = t
+        self.upd_count[i] += delta
 
     def enqueue(self, t: float, i: int, pkt) -> None:
         if pkt[0]:
-            self.area[i] += (t - self.last_t[i]) * self.upd_count[i]
-            self.last_t[i] = t
-            self.upd_count[i] += 1
-        self.queues[i].append(pkt)
-        if len(self.queues[i]) == 1:
-            self._start_service(t, i)
+            self._backlog_step(t, i, 1)
+        queue = self.queues[i]
+        queue.append(pkt)
+        if len(queue) == 1:
+            self.push(t + self._service[i](pkt[2]), self._complete, i)
 
-    def _snapshot_warm(self, t_w: float) -> None:
-        for i in range(len(self.specs)):
+    def _complete(self, t: float, i: int, _b) -> None:
+        queue = self.queues[i]
+        pkt = queue.popleft()
+        if pkt[0]:
+            self._backlog_step(t, i, -1)
+        if queue:
+            self.push(t + self._service[i](queue[0][2]), self._complete, i)
+        if i + 1 < pkt[3]:
+            self.enqueue(t, i + 1, pkt)
+        else:
+            self._on_deliver(t, pkt)
+
+    def _snapshot_warm(self, t_w: float, _a, _b) -> None:
+        for i in range(len(self.queues)):
             self.warm_area[i] = self.area[i] + (t_w - self.last_t[i]) * self.upd_count[i]
 
-    def run(
-        self,
-        duration: float,
-        warmup: float,
-        on_deliver: Callable,
-        on_cross: Callable,
-        on_timer: Callable,
-    ) -> None:
+    def run(self, duration: float, warmup: float) -> None:
         """Drain events up to ``duration``; later events are dropped."""
         heap = self.heap
-        queues = self.queues
         pop = heapq.heappop
-        warm_done = warmup <= 0.0
-        if warm_done:
-            self._snapshot_warm(0.0)
+        # order 0 runs the snapshot before every other event at ``warmup``;
+        # pushed past ``push`` so that ``_order`` counts scheduled events only
+        heapq.heappush(heap, (warmup, 0, self._snapshot_warm, None, None))
         while heap:
-            t, _, kind, a, b = pop(heap)
+            t, _, handler, a, b = pop(heap)
             if t > duration:
                 break
-            if not warm_done and t >= warmup:
-                self._snapshot_warm(warmup)
-                warm_done = True
-            if kind == _EV_COMPLETE:
-                pkt = queues[a].popleft()
-                if pkt[0]:
-                    self.area[a] += (t - self.last_t[a]) * self.upd_count[a]
-                    self.last_t[a] = t
-                    self.upd_count[a] -= 1
-                if queues[a]:
-                    self._start_service(t, a)
-                nxt = a + 1
-                if nxt < pkt[3]:
-                    self.enqueue(t, nxt, pkt)
-                else:
-                    on_deliver(t, pkt)
-            elif kind == _EV_CROSS:
-                on_cross(t, a, b)
-            else:
-                on_timer(t, a, b)
-        if not warm_done:
-            self._snapshot_warm(warmup)
-        for i in range(len(self.specs)):
-            self.area[i] += (duration - self.last_t[i]) * self.upd_count[i]
-            self.last_t[i] = duration
+            handler(t, a, b)
+        for i in range(len(self.queues)):
+            self._backlog_step(duration, i, 0)
 
     def window_backlogs(self, warmup: float, duration: float) -> tuple[float, ...]:
         window = duration - warmup
-        return tuple((self.area[i] - self.warm_area[i]) / window for i in range(len(self.specs)))
+        return tuple((self.area[i] - self.warm_area[i]) / window for i in range(len(self.queues)))
 
 
 def accepted_resets(seqs, gen_times, deliver_times) -> tuple[np.ndarray, np.ndarray]:
@@ -385,6 +356,18 @@ def _renewal_times(rate: float, duration: float, seed: Optional[int]) -> np.ndar
         if keep < chunk:
             return np.concatenate(parts)
         t = times[-1]
+
+
+def _service_fn(spec: ServiceSpec, seed: int) -> Callable[[float], float]:
+    """Packet size -> service seconds at one node (``exp``: one draw each)."""
+    rate = spec.rate
+    if spec.kind == "exp":
+        draw = _ExpStream(seed).draw
+        return lambda size: draw() / rate
+    if spec.kind == "det":
+        period = 1.0 / rate
+        return lambda size: period
+    return lambda size: 8.0 * size / rate
 
 
 def _service_times(spec: ServiceSpec, sizes: np.ndarray, seed: int) -> np.ndarray:
@@ -594,8 +577,8 @@ def run_closed_loop(
     """
     if not net.reverse:
         raise ConfigError("closed-loop runs need a reverse chain for ACKs")
-    if n_sources < 1:
-        raise ConfigError(f"n_sources must be >= 1, got {n_sources}")
+    if not isinstance(n_sources, int) or isinstance(n_sources, bool) or n_sources < 1:
+        raise ConfigError(f"n_sources must be a positive integer, got {n_sources!r}")
     _require_positive("duration", duration)
     _require_warmup_frac(warmup_frac)
     if cfg is None:
@@ -605,7 +588,6 @@ def run_closed_loop(
 
     n_fwd = len(net.forward)
     n_all = n_fwd + len(net.reverse)
-    engine = _Engine(tuple(net.forward) + tuple(net.reverse), substream_seed(seed, "net"))
     warmup = warmup_frac * duration
     sessions = [SourceSession(cfg) for _ in range(n_sources)]
     monitors = [MonitorSession() for _ in range(n_sources)]
@@ -620,7 +602,7 @@ def run_closed_loop(
         timer_version[src] += 1
         deadline = sessions[src].next_deadline()
         if deadline <= duration:
-            engine.push(deadline, _EV_TIMER, src, timer_version[src])
+            engine.push(deadline, on_timer, src, timer_version[src])
 
     def inject_updates(t: float, src: int, frames) -> None:
         for frame in frames:
@@ -643,7 +625,7 @@ def run_closed_loop(
         engine.enqueue(t, flow.entry, (False, -1, float(flow.packet_bytes), n_fwd, None))
         times = cross_times[flow_idx]
         if k + 1 < len(times):
-            engine.push(times[k + 1], _EV_CROSS, flow_idx, k + 1)
+            engine.push(times[k + 1], on_cross, flow_idx, k + 1)
 
     def on_deliver(t: float, pkt) -> None:
         is_update, src = pkt[0], pkt[1]
@@ -656,22 +638,23 @@ def run_closed_loop(
             after_session_call(t, src, sessions[src].on_datagram(t, pkt[4]))
         # cross-traffic packets leave the network silently
 
+    engine = _Engine(tuple(net.forward) + tuple(net.reverse), substream_seed(seed, "net"), on_deliver)
     for src, session in enumerate(sessions):
         inject_updates(0.0, src, session.on_start(0.0))
         sync_timer(src)
     for i, times in enumerate(cross_times):
         if times:
-            engine.push(times[0], _EV_CROSS, i, 0)
+            engine.push(times[0], on_cross, i, 0)
 
-    engine.run(duration, warmup, on_deliver, on_cross, on_timer)
+    engine.run(duration, warmup)
 
     window = duration - warmup
+    frame_bytes = wire.HEADER_LEN + cfg.payload_size
     stats = []
     for src in range(n_sources):
         session, monitor = sessions[src], monitors[src]
         est_age, est_backlog, mean_rate = session.epoch_averages(warmup)
         delivered = sum(1 for rec in monitor.trace if rec["t"] >= warmup)
-        frame_bytes = 16 + cfg.payload_size
         stats.append(
             SourceStats(
                 source=src,

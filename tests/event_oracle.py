@@ -20,8 +20,8 @@ from agectl.simkit import AoiMetrics, age_time_average, substream_seed
 class _TallyingEngine(simkit._Engine):
     """``_Engine`` that also sums, per node, departed updates and their time there."""
 
-    def __init__(self, specs, seed: int):
-        super().__init__(specs, seed)
+    def __init__(self, specs, seed: int, on_deliver):
+        super().__init__(specs, seed, on_deliver)
         self.waiting = [deque() for _ in specs]  # arrival instants of queued updates
         self.time_sum = [0.0] * len(specs)
         self.departs = [0] * len(specs)
@@ -40,7 +40,6 @@ class _TallyingEngine(simkit._Engine):
 
 def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
     """(AoiMetrics, gen, dlv) of an open-loop run, by discrete events."""
-    engine = _TallyingEngine(net.forward, substream_seed(seed, "fwd"))
     n_fwd = len(net.forward)
     warmup = warmup_frac * duration
     arrival_draw = simkit._ExpStream(substream_seed(seed, "arrivals")) if arrival == "poisson" else None
@@ -50,20 +49,19 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
     gen_log: list[float] = []
     dlv_log: list[float] = []
 
-    # source arrivals ride the engine's timer events; an update carries its
-    # generation instant in the payload slot
+    # an update carries its generation instant in the payload slot
     def on_source(t, _a, _b):
         engine.enqueue(t, 0, (True, 0, update_size, n_fwd, t))
         gap = arrival_draw.draw() / lam if arrival_draw else 1.0 / lam
         if t + gap <= duration:
-            engine.push(t + gap, simkit._EV_TIMER)
+            engine.push(t + gap, on_source)
 
     def on_cross(t, flow_idx, _b):
         flow = net.cross_traffic[flow_idx]
         engine.enqueue(t, flow.entry, (False, -1, float(flow.packet_bytes), n_fwd, None))
         gap = cross_draws[flow_idx].draw() / flow.rate_pps
         if t + gap <= duration:
-            engine.push(t + gap, simkit._EV_CROSS, flow_idx)
+            engine.push(t + gap, on_cross, flow_idx)
 
     def on_deliver(t, pkt):
         if pkt[0]:
@@ -71,13 +69,14 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
             gen_log.append(pkt[4])
             dlv_log.append(t)
 
-    engine.push(0.0, simkit._EV_TIMER)
+    engine = _TallyingEngine(net.forward, substream_seed(seed, "fwd"), on_deliver)
+    engine.push(0.0, on_source)
     for i, flow in enumerate(net.cross_traffic):
         first = cross_draws[i].draw() / flow.rate_pps
         if first <= duration:
-            engine.push(first, simkit._EV_CROSS, i)
+            engine.push(first, on_cross, i)
 
-    engine.run(duration, warmup, on_deliver, on_cross, on_source)
+    engine.run(duration, warmup)
 
     gen = np.asarray(gen_log)
     dlv = np.asarray(dlv_log)

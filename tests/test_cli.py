@@ -30,7 +30,7 @@ def test_parse_addr():
 
 def test_parse_grid():
     assert parse_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
-    for bad in ("1:2", "a:b:c", "0.5:0.1:0.1", "1:2:0"):
+    for bad in ("1:2", "a:b:c", "0.5:0.1:0.1", "1:2:0", "1:inf:1", "1:2:nan", "inf:inf:1"):
         with pytest.raises(Exception):
             parse_grid(bad)
 
@@ -77,6 +77,19 @@ def test_unknown_flag_is_usage_error():
 
 def test_monitor_bad_address_is_usage_error(capsys):
     assert main(["monitor", "--bind", "127.0.0.1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "-5", "0"])
+@pytest.mark.parametrize("command", [["monitor", "--bind"], ["source", "--peer"]])
+def test_endpoint_bad_duration_is_usage_error(capsys, command, duration):
+    # checked before a socket is opened
+    assert main([*command, "127.0.0.1:9", f"--duration={duration}"]) == EXIT_USAGE
+    assert "duration" in capsys.readouterr().err
+
+
+def test_source_bad_alpha_is_usage_error(capsys):
+    assert main(["source", "--peer", "127.0.0.1:9", "--alpha", "5"]) == EXIT_USAGE
+    assert "alpha" in capsys.readouterr().err
 
 
 # -- sim command ----------------------------------------------------------------------
@@ -170,6 +183,34 @@ def test_sim_rejects_non_finite_json_constants(tmp_path, capsys, constant):
     out = tmp_path / "x.json"
     assert main(["sim", "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
     assert constant in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, needle",
+    [
+        ("policy", 5, "policy"),
+        ("payload_size", 2.5, "payload_size"),
+        ("alpha", "x", "alpha"),
+        ("alpha", 5.0, "alpha"),
+        ("n_sources", True, "n_sources"),
+        ("eta", True, "updates_per_epoch"),
+        ("probe_count", 1.5, "probe_count"),
+    ],
+)
+def test_sim_rejects_mistyped_closed_loop_fields(tmp_path, capsys, field, value, needle):
+    doc = {
+        "mode": "closed_loop",
+        "net": {"forward": [{"service": "exp", "rate": 1.0}], "reverse": [{"service": "exp", "rate": 10.0}]},
+        "duration": 50.0,
+        field: value,
+    }
+    path = tmp_path / "cl.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    assert main(["sim", "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err and "Traceback" not in err
     assert not out.exists()
 
 

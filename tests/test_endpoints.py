@@ -50,6 +50,24 @@ def test_source_config_validation():
     for timeout in (math.nan, math.inf):
         with pytest.raises(ValueError):
             SourceConfig(probe_timeout=timeout)
+    wrong_types = [
+        {"policy": 5},
+        {"payload_size": 2.5},
+        {"probe_count": 1.5},
+        {"probe_count": True},
+        {"updates_per_epoch": True},
+        {"probe_timeout": True},
+        {"probe_timeout": "1"},
+        {"alpha": "x"},
+        {"alpha": True},
+    ]
+    for kwargs in wrong_types:
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SourceConfig(**kwargs)
+    for alpha in (5.0, 0.0, -0.25, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            SourceConfig(alpha=alpha)
+    assert SourceConfig(alpha=1).alpha == 1
 
 
 # -- initialization phase ---------------------------------------------------------
@@ -274,6 +292,27 @@ def test_simulated_path_deterministic():
 
     assert run(11) == run(11)
     assert run(11) != run(12)
+
+
+def test_simulated_path_ack_beats_update_at_equal_instant():
+    path = SimulatedPath(fwd_delay=0.01, rev_delay=0.01)
+    u1, u2 = (wire.encode_update(wire.UpdatePacket(seq=s, gen_ts_us=0, payload=b"")) for s in (1, 2))
+    path.send(u1)
+    assert path.recv(0.01) is None  # u1 reached the monitor at 0.01; its ACK is due at 0.02
+    path.send(u2)  # due at the monitor at 0.02 too
+    data, t = path.recv(None)
+    assert wire.decode_ack(data).seq == 1 and t == 0.02
+    assert path.monitor.accepted == 1
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -5.0, 0.0])
+def test_drivers_reject_bad_duration(duration):
+    path = SimulatedPath(fwd_delay=0.01, rev_delay=0.01)
+    with pytest.raises(ValueError, match="duration"):
+        run_source(path, SourceConfig(probe_count=2), duration)
+    with pytest.raises(ValueError, match="duration"):
+        run_monitor(path, duration=duration)
+    assert path.now() == 0.0 and path.monitor.accepted == 0
 
 
 def test_run_source_writes_trace_records():

@@ -189,6 +189,16 @@ def test_single_source_throughput_equals_rate():
     assert m.throughput_updates == pytest.approx(0.5, rel=0.05)
 
 
+def test_backlog_window_opens_on_a_completion_instant():
+    # two updates at t=0 on a 1 s server leave at 1 and 2; warm-up ends at
+    # the first departure, and the backlog integral is continuous there
+    engine = simkit._Engine((ServiceSpec("det", 1.0),), 0, lambda t, pkt: None)
+    for _ in range(2):
+        engine.enqueue(0.0, 0, (True, 0, 1040.0, 1, None))
+    engine.run(4.0, 1.0)
+    assert engine.window_backlogs(1.0, 4.0) == (1 / 3,)
+
+
 def test_link_service_scales_with_bytes():
     # 1040-byte updates over 1 Mbps: 8.32 ms per hop, deterministic
     net = QueueNetwork(forward=(ServiceSpec("link", 1_000_000.0),))
@@ -286,6 +296,12 @@ CL_TANDEM = QueueNetwork(
 def test_closed_loop_needs_reverse_chain():
     with pytest.raises(ConfigError):
         run_closed_loop(TANDEM, "acp_plus", 1, duration=100.0, seed=0)
+
+
+@pytest.mark.parametrize("n_sources", [0, True, 1.5, "2"])
+def test_closed_loop_rejects_bad_n_sources(n_sources):
+    with pytest.raises(ConfigError, match="n_sources"):
+        run_closed_loop(CL_TANDEM, "acp_plus", n_sources, duration=60.0, seed=0)
 
 
 @pytest.mark.parametrize("warmup_frac", [1.5, 1.0, -0.5, math.nan, "0.1"])
