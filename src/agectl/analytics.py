@@ -55,10 +55,10 @@ class TandemParams:
 
 
 def _check_stable(lam: float, mu: float) -> None:
-    if lam <= 0.0:
-        raise StabilityError(f"arrival rate must be positive, got {lam}")
-    if mu <= 0.0:
-        raise StabilityError(f"service rate must be positive, got {mu}")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise StabilityError(f"arrival rate must be positive and finite, got {lam}")
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise StabilityError(f"service rate must be positive and finite, got {mu}")
     if mu - lam < MIN_STABILITY_GAP:
         raise StabilityError(f"unstable: arrival rate {lam} too close to service rate {mu}")
 

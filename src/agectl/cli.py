@@ -28,7 +28,8 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__, analytics, simkit
-from .endpoints import InitializationError, SourceConfig, UdpLink, require_duration, run_monitor, run_source
+from .endpoints import InitializationError, SourceConfig, UdpLink, require_duration, require_monitor_limits
+from .endpoints import run_monitor, run_source
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -252,11 +253,10 @@ def _require(doc: dict, key: str, kinds, where: str = "config"):
 
 def cmd_monitor(args) -> int:
     host, port = parse_addr(args.bind)
-    if args.duration is not None:
-        try:
-            require_duration(args.duration)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
+    try:
+        require_monitor_limits(args.duration, args.max_updates)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     link = UdpLink.listen(host, port)
     handle = write = None
     if args.trace is not None:

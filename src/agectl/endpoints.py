@@ -46,6 +46,7 @@ __all__ = [
     "run_source",
     "run_monitor",
     "require_duration",
+    "require_monitor_limits",
     "age_time_average",
     "lazy_rate",
 ]
@@ -118,6 +119,14 @@ def require_duration(duration: float) -> None:
     """Reject a run duration that is not positive and finite."""
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be positive and finite, got {duration}")
+
+
+def require_monitor_limits(duration: Optional[float], max_updates: Optional[int]) -> None:
+    """Reject monitor stop conditions that are met before anything is served."""
+    if duration is not None:
+        require_duration(duration)
+    if max_updates is not None and max_updates < 1:
+        raise ValueError(f"max_updates must be >= 1, got {max_updates}")
 
 
 class SourceSession:
@@ -468,25 +477,17 @@ class UdpLink:
         self.sock.close()
 
 
-class _Delay:
-    """Per-direction delay model: constant or exponential."""
-
-    def __init__(self, spec, rng: np.random.Generator):
-        if isinstance(spec, (int, float)):
-            self.kind, self.value = "const", float(spec)
-        else:
-            self.kind, self.value = spec
-            self.value = float(self.value)
-        if self.kind not in ("const", "exp"):
-            raise ValueError(f"delay kind must be 'const' or 'exp', got {self.kind!r}")
-        if self.value < 0.0:
-            raise ValueError(f"delay must be non-negative, got {self.value}")
-        self._rng = rng
-
-    def sample(self) -> float:
-        if self.kind == "const":
-            return self.value
-        return float(self._rng.exponential(self.value))
+def _delay_sampler(spec, rng: np.random.Generator) -> Callable[[], float]:
+    """Per-direction delay model, constant or ``("exp", mean)``, bound once."""
+    kind, value = ("const", spec) if isinstance(spec, (int, float)) else spec
+    value = float(value)
+    if kind not in ("const", "exp"):
+        raise ValueError(f"delay kind must be 'const' or 'exp', got {kind!r}")
+    if value < 0.0:
+        raise ValueError(f"delay must be non-negative, got {value}")
+    if kind == "const":
+        return lambda: value
+    return lambda: float(rng.exponential(value))
 
 
 class SimulatedPath:
@@ -512,8 +513,8 @@ class SimulatedPath:
             raise ValueError(f"loss probability must be in [0, 1), got {loss}")
         rng = np.random.Generator(np.random.PCG64(seed))
         self.monitor = monitor if monitor is not None else MonitorSession()
-        self._fwd = _Delay(fwd_delay, rng)
-        self._rev = _Delay(rev_delay, rng)
+        self._fwd_delay = _delay_sampler(fwd_delay, rng)
+        self._rev_delay = _delay_sampler(rev_delay, rng)
         self._loss = loss
         self._rng = rng
         self._now = 0.0
@@ -529,7 +530,7 @@ class SimulatedPath:
         if self._loss and self._rng.random() < self._loss:
             return
         self._order += 1
-        heapq.heappush(self._in_flight, (self._now + self._fwd.sample(), True, self._order, payload))
+        heapq.heappush(self._in_flight, (self._now + self._fwd_delay(), True, self._order, payload))
 
     def _deliver_to_monitor(self, t: float, payload: bytes) -> None:
         reply = self.monitor.on_datagram(t, payload)
@@ -538,7 +539,7 @@ class SimulatedPath:
         if self._loss and self._rng.random() < self._loss:
             return
         self._order += 1
-        heapq.heappush(self._in_flight, (t + self._rev.sample(), False, self._order, reply))
+        heapq.heappush(self._in_flight, (t + self._rev_delay(), False, self._order, reply))
 
     def recv(self, timeout: Optional[float]):
         """Advance virtual time until an ACK arrives or the timeout passes."""
@@ -615,8 +616,7 @@ def run_monitor(
     trace_writer: Optional[Callable[[dict], None]] = None,
 ) -> MonitorSession:
     """Serve a monitor over ``link`` until duration/max_updates/interrupt."""
-    if duration is not None:
-        require_duration(duration)
+    require_monitor_limits(duration, max_updates)
     session = MonitorSession()
     if trace_writer is not None:
         session.trace = _TeeList(trace_writer)

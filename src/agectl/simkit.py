@@ -11,10 +11,11 @@ perturb the draws of another.
 Open-loop runs need no event loop.  Arrival instants are cumulative sums
 of the arrival draws; each node merges its through traffic with the
 cross flows entering there and applies Lindley's recursion
-``D_k = max(A_k, D_{k-1}) + S_k`` in closed form over whole arrays, in
-memory proportional to the number of packets.  Closed-loop runs, where
-the endpoints react to every delivery, drive an event heap that breaks
-time ties by insertion order.
+``D_k = max(A_k, D_{k-1}) + S_k`` in closed form over whole arrays.
+Closed-loop runs, where the endpoints react to every delivery, apply it
+one packet at a time: a packet is walked through its whole FCFS segment
+(the nodes up to the next entry point) when it enters, and an event heap
+that breaks time ties by insertion order holds one event for its exit.
 
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.
@@ -28,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -58,7 +58,7 @@ def _require_positive(what: str, value) -> None:
 
 
 def _require_warmup_frac(warmup_frac) -> None:
-    if not (isinstance(warmup_frac, (int, float)) and 0.0 <= warmup_frac < 1.0):
+    if isinstance(warmup_frac, bool) or not (isinstance(warmup_frac, (int, float)) and 0.0 <= warmup_frac < 1.0):
         raise ConfigError(f"warmup_frac must be in [0, 1), got {warmup_frac!r}")
 
 
@@ -228,20 +228,26 @@ class _ExpStream:
 
 
 class _Engine:
-    """Closed-loop event loop plus per-node queue state for one node array.
+    """Closed-loop event loop over one node array of FCFS servers.
 
     Heap entries ``(t, order, handler, a, b)`` run as ``handler(t, a, b)``
-    in time order, ties in insertion order."""
+    in time order, ties in insertion order.  Packets enter only at
+    ``heads`` and every route ends at a head or at the array's end, so
+    FCFS keeps entry order from one head to the next: ``enqueue`` walks a
+    packet through that segment by Lindley's recursion and pushes one exit
+    event, ordered among equal-time events by when the packet entered.
+    Each update's stay at a node, clipped to [warmup, duration], adds to
+    that node's backlog area."""
 
-    def __init__(self, specs, seed: int, on_deliver: Callable):
+    def __init__(self, specs, seed: int, on_deliver: Callable, heads, warmup: float, duration: float):
         n = len(specs)
-        self.queues: list[deque] = [deque() for _ in range(n)]
         self._service = [_service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
         self._on_deliver = on_deliver
-        self.upd_count = [0] * n
+        self._segment_end = [min((h for h in heads if h > i), default=n) for i in range(n)]
+        self._free = [0.0] * n  # when each server finishes its last packet
+        self._warmup = warmup
+        self._duration = duration
         self.area = [0.0] * n
-        self.warm_area = [0.0] * n
-        self.last_t = [0.0] * n
         self.heap: list = []
         self._order = 0
 
@@ -249,53 +255,36 @@ class _Engine:
         self._order += 1
         heapq.heappush(self.heap, (t, self._order, handler, a, b))
 
-    def _backlog_step(self, t: float, i: int, delta: int) -> None:
-        self.area[i] += (t - self.last_t[i]) * self.upd_count[i]
-        self.last_t[i] = t
-        self.upd_count[i] += delta
-
     def enqueue(self, t: float, i: int, pkt) -> None:
-        if pkt[0]:
-            self._backlog_step(t, i, 1)
-        queue = self.queues[i]
-        queue.append(pkt)
-        if len(queue) == 1:
-            self.push(t + self._service[i](pkt[2]), self._complete, i)
+        end, is_update, size = self._segment_end[i], pkt[0], pkt[2]
+        free, service = self._free, self._service
+        for j in range(i, end):
+            leave = free[j] = (free[j] if free[j] > t else t) + service[j](size)
+            if is_update:
+                stay = min(leave, self._duration) - max(t, self._warmup)
+                if stay > 0.0:
+                    self.area[j] += stay
+            t = leave
+        self.push(t, self._exit, end, pkt)
 
-    def _complete(self, t: float, i: int, _b) -> None:
-        queue = self.queues[i]
-        pkt = queue.popleft()
-        if pkt[0]:
-            self._backlog_step(t, i, -1)
-        if queue:
-            self.push(t + self._service[i](queue[0][2]), self._complete, i)
-        if i + 1 < pkt[3]:
-            self.enqueue(t, i + 1, pkt)
+    def _exit(self, t: float, end: int, pkt) -> None:
+        if end < pkt[3]:
+            self.enqueue(t, end, pkt)
         else:
             self._on_deliver(t, pkt)
 
-    def _snapshot_warm(self, t_w: float, _a, _b) -> None:
-        for i in range(len(self.queues)):
-            self.warm_area[i] = self.area[i] + (t_w - self.last_t[i]) * self.upd_count[i]
-
-    def run(self, duration: float, warmup: float) -> None:
+    def run(self) -> None:
         """Drain events up to ``duration``; later events are dropped."""
-        heap = self.heap
-        pop = heapq.heappop
-        # order 0 runs the snapshot before every other event at ``warmup``;
-        # pushed past ``push`` so that ``_order`` counts scheduled events only
-        heapq.heappush(heap, (warmup, 0, self._snapshot_warm, None, None))
+        heap, pop, duration = self.heap, heapq.heappop, self._duration
         while heap:
             t, _, handler, a, b = pop(heap)
             if t > duration:
                 break
             handler(t, a, b)
-        for i in range(len(self.queues)):
-            self._backlog_step(duration, i, 0)
 
-    def window_backlogs(self, warmup: float, duration: float) -> tuple[float, ...]:
-        window = duration - warmup
-        return tuple((self.area[i] - self.warm_area[i]) / window for i in range(len(self.queues)))
+    def window_backlogs(self) -> tuple[float, ...]:
+        window = self._duration - self._warmup
+        return tuple(area / window for area in self.area)
 
 
 def accepted_resets(seqs, gen_times, deliver_times) -> tuple[np.ndarray, np.ndarray]:
@@ -638,7 +627,9 @@ def run_closed_loop(
             after_session_call(t, src, sessions[src].on_datagram(t, pkt[4]))
         # cross-traffic packets leave the network silently
 
-    engine = _Engine(tuple(net.forward) + tuple(net.reverse), substream_seed(seed, "net"), on_deliver)
+    heads = {0, n_fwd} | {flow.entry for flow in net.cross_traffic}
+    specs = tuple(net.forward) + tuple(net.reverse)
+    engine = _Engine(specs, substream_seed(seed, "net"), on_deliver, heads, warmup, duration)
     for src, session in enumerate(sessions):
         inject_updates(0.0, src, session.on_start(0.0))
         sync_timer(src)
@@ -646,7 +637,7 @@ def run_closed_loop(
         if times:
             engine.push(times[0], on_cross, i, 0)
 
-    engine.run(duration, warmup)
+    engine.run()
 
     window = duration - warmup
     frame_bytes = wire.HEADER_LEN + cfg.payload_size
@@ -674,7 +665,7 @@ def run_closed_loop(
         )
     true_ages = [s.true_avg_age for s in stats]
     est_ages = [s.est_avg_age for s in stats]
-    backlogs = engine.window_backlogs(warmup, duration)
+    backlogs = engine.window_backlogs()
     return ClosedLoopResult(
         sources=tuple(stats),
         forward_backlogs=backlogs[:n_fwd],

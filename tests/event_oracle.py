@@ -1,13 +1,20 @@
-"""Event-driven reference for the open-loop simulator.
+"""Hop-by-hop event-driven references for the simulator.
 
-``open_loop_events`` simulates an open-loop run packet by packet on
-``simkit._Engine``, drawing every gap and service time one at a time from
-the same substreams ``simkit._open_loop`` uses.  Its figures are summed in
-event order, so the array computation should match it to rounding.
+``HopEngine`` is a closed-loop event engine that moves every packet one
+node at a time: per-node FIFO queues, one completion event per hop, and
+backlog areas summed in event order.  It takes ``simkit._Engine``'s
+constructor, ignores ``heads``, and stands in for it to check the
+segment walk.
+
+``open_loop_events`` simulates an open-loop run packet by packet on it,
+drawing every gap and service time one at a time from the same
+substreams ``simkit._open_loop`` uses.  Its figures are summed in event
+order, so the array computation should match it to rounding.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 
@@ -17,11 +24,79 @@ from agectl import simkit
 from agectl.simkit import AoiMetrics, age_time_average, substream_seed
 
 
-class _TallyingEngine(simkit._Engine):
-    """``_Engine`` that also sums, per node, departed updates and their time there."""
+class HopEngine:
+    """Event loop plus per-node queue state; heap entries ``(t, order,
+    handler, a, b)`` run as ``handler(t, a, b)``, ties in insertion order."""
 
-    def __init__(self, specs, seed: int, on_deliver):
-        super().__init__(specs, seed, on_deliver)
+    def __init__(self, specs, seed: int, on_deliver, heads, warmup: float, duration: float):
+        n = len(specs)
+        self.queues = [deque() for _ in range(n)]
+        self._service = [simkit._service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
+        self._on_deliver = on_deliver
+        self._warmup = warmup
+        self._duration = duration
+        self.upd_count = [0] * n
+        self.area = [0.0] * n
+        self.warm_area = [0.0] * n
+        self.last_t = [0.0] * n
+        self.heap: list = []
+        self._order = 0
+
+    def push(self, t: float, handler, a=None, b=None) -> None:
+        self._order += 1
+        heapq.heappush(self.heap, (t, self._order, handler, a, b))
+
+    def _backlog_step(self, t: float, i: int, delta: int) -> None:
+        self.area[i] += (t - self.last_t[i]) * self.upd_count[i]
+        self.last_t[i] = t
+        self.upd_count[i] += delta
+
+    def enqueue(self, t: float, i: int, pkt) -> None:
+        if pkt[0]:
+            self._backlog_step(t, i, 1)
+        queue = self.queues[i]
+        queue.append(pkt)
+        if len(queue) == 1:
+            self.push(t + self._service[i](pkt[2]), self._complete, i)
+
+    def _complete(self, t: float, i: int, _b) -> None:
+        queue = self.queues[i]
+        pkt = queue.popleft()
+        if pkt[0]:
+            self._backlog_step(t, i, -1)
+        if queue:
+            self.push(t + self._service[i](queue[0][2]), self._complete, i)
+        if i + 1 < pkt[3]:
+            self.enqueue(t, i + 1, pkt)
+        else:
+            self._on_deliver(t, pkt)
+
+    def _snapshot_warm(self, t_w: float, _a, _b) -> None:
+        for i in range(len(self.queues)):
+            self.warm_area[i] = self.area[i] + (t_w - self.last_t[i]) * self.upd_count[i]
+
+    def run(self) -> None:
+        heap = self.heap
+        # order 0 runs the snapshot before every other event at the warm-up end
+        heapq.heappush(heap, (self._warmup, 0, self._snapshot_warm, None, None))
+        while heap:
+            t, _, handler, a, b = heapq.heappop(heap)
+            if t > self._duration:
+                break
+            handler(t, a, b)
+        for i in range(len(self.queues)):
+            self._backlog_step(self._duration, i, 0)
+
+    def window_backlogs(self) -> tuple[float, ...]:
+        window = self._duration - self._warmup
+        return tuple((area - warm) / window for area, warm in zip(self.area, self.warm_area))
+
+
+class _TallyingEngine(HopEngine):
+    """``HopEngine`` that also sums, per node, departed updates and their time there."""
+
+    def __init__(self, specs, seed: int, on_deliver, heads, warmup: float, duration: float):
+        super().__init__(specs, seed, on_deliver, heads, warmup, duration)
         self.waiting = [deque() for _ in specs]  # arrival instants of queued updates
         self.time_sum = [0.0] * len(specs)
         self.departs = [0] * len(specs)
@@ -69,14 +144,14 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
             gen_log.append(pkt[4])
             dlv_log.append(t)
 
-    engine = _TallyingEngine(net.forward, substream_seed(seed, "fwd"), on_deliver)
+    engine = _TallyingEngine(net.forward, substream_seed(seed, "fwd"), on_deliver, (0,), warmup, duration)
     engine.push(0.0, on_source)
     for i, flow in enumerate(net.cross_traffic):
         first = cross_draws[i].draw() / flow.rate_pps
         if first <= duration:
             engine.push(first, on_cross, i)
 
-    engine.run(duration, warmup)
+    engine.run()
 
     gen = np.asarray(gen_log)
     dlv = np.asarray(dlv_log)
@@ -89,7 +164,7 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
     )
     metrics = AoiMetrics(
         avg_age=age_time_average(gen, dlv, warmup, duration),
-        avg_backlog_per_node=engine.window_backlogs(warmup, duration),
+        avg_backlog_per_node=engine.window_backlogs(),
         avg_system_time=avg_sys,
         throughput_updates=delivered / window,
         throughput_bps=delivered * 8.0 * net.update_bytes / window,

@@ -120,6 +120,11 @@ def test_domain_errors():
         aoi_tandem(0.9, 1.0, 0.5)
     with pytest.raises(StabilityError):
         aoi_mm1(1.0 - 1e-12, 1.0)  # too close to saturation
+    for lam, mu in ((0.5, math.nan), (0.5, math.inf), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(StabilityError):
+            aoi_mm1(lam, mu)
+    with pytest.raises(StabilityError):
+        aoi_tandem(0.5, 1.0, math.nan)
     with pytest.raises(StabilityError):
         optimal_lambda(lambda l: aoi_mm1(l, 1.0), 0.5, 1.5)
     with pytest.raises(ValueError):

@@ -70,6 +70,20 @@ def test_analyze_unstable_is_runtime_error(capsys):
     assert "unstable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mm1", "--mu", "nan", "--lambda", "0.5"],
+        ["mm1", "--mu", "inf", "--lambda", "0.5"],
+        ["mm1", "--mu", "1", "--lambda", "nan"],
+        ["tandem", "--mu1", "1", "--mu2", "nan", "--lambda", "0.5"],
+    ],
+)
+def test_analyze_non_finite_rate_is_runtime_error(capsys, argv):
+    assert main(["analyze", *argv]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_flag_is_usage_error():
     proc = run_cli("analyze", "mm1", "--mu", "1", "--lambda", "0.5", "--frobnicate")
     assert proc.returncode == EXIT_USAGE
@@ -85,6 +99,13 @@ def test_endpoint_bad_duration_is_usage_error(capsys, command, duration):
     # checked before a socket is opened
     assert main([*command, "127.0.0.1:9", f"--duration={duration}"]) == EXIT_USAGE
     assert "duration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_updates", ["0", "-3"])
+def test_monitor_bad_max_updates_is_usage_error(capsys, max_updates):
+    # checked before a socket is opened
+    assert main(["monitor", "--bind", "127.0.0.1:9", f"--max-updates={max_updates}"]) == EXIT_USAGE
+    assert "max_updates" in capsys.readouterr().err
 
 
 def test_source_bad_alpha_is_usage_error(capsys):
@@ -317,7 +338,7 @@ def test_monitor_sigint_flushes_and_exits_zero(tmp_path):
     )
     assert source.returncode == EXIT_OK, source.stderr
     monitor.send_signal(signal.SIGINT)
-    monitor.wait(timeout=10)
+    monitor.communicate(timeout=10)
     assert monitor.returncode == EXIT_OK
     assert trace.read_text().strip(), "trace flushed on interrupt"
 

@@ -315,6 +315,14 @@ def test_drivers_reject_bad_duration(duration):
     assert path.now() == 0.0 and path.monitor.accepted == 0
 
 
+@pytest.mark.parametrize("max_updates", [0, -3])
+def test_run_monitor_rejects_bad_max_updates(max_updates):
+    path = SimulatedPath(fwd_delay=0.01, rev_delay=0.01)
+    with pytest.raises(ValueError, match="max_updates"):
+        run_monitor(path, max_updates=max_updates)
+    assert path.now() == 0.0
+
+
 def test_run_source_writes_trace_records():
     path = SimulatedPath(fwd_delay=0.02, rev_delay=0.02, seed=4)
     records = []

@@ -4,14 +4,17 @@ import dataclasses
 import json
 import math
 import statistics
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from event_oracle import open_loop_events
-from hypothesis import given, settings
+from event_oracle import HopEngine, open_loop_events
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agectl import analytics, simkit
+from agectl.endpoints import InitializationError
 from agectl.simkit import (
     ARRIVAL_KINDS,
     AoiMetrics,
@@ -192,11 +195,24 @@ def test_single_source_throughput_equals_rate():
 def test_backlog_window_opens_on_a_completion_instant():
     # two updates at t=0 on a 1 s server leave at 1 and 2; warm-up ends at
     # the first departure, and the backlog integral is continuous there
-    engine = simkit._Engine((ServiceSpec("det", 1.0),), 0, lambda t, pkt: None)
+    engine = simkit._Engine((ServiceSpec("det", 1.0),), 0, lambda t, pkt: None, (0,), 1.0, 4.0)
     for _ in range(2):
         engine.enqueue(0.0, 0, (True, 0, 1040.0, 1, None))
-    engine.run(4.0, 1.0)
-    assert engine.window_backlogs(1.0, 4.0) == (1 / 3,)
+    engine.run()
+    assert engine.window_backlogs() == (1 / 3,)
+
+
+def test_segment_exit_takes_its_order_on_entry():
+    # a two-hop det segment entered at t=0 exits at t=2; the exit event was
+    # pushed at entry, so it runs before a handler pushed at t=0.5 for t=2
+    seen = []
+    engine = simkit._Engine(
+        (ServiceSpec("det", 1.0),) * 2, 0, lambda t, pkt: seen.append(("exit", t)), (0,), 0.0, 4.0
+    )
+    engine.enqueue(0.0, 0, (True, 0, 1040.0, 2, None))
+    engine.push(0.5, lambda t, a, b: engine.push(2.0, lambda t, a, b: seen.append(("handler", t))))
+    engine.run()
+    assert seen == [("exit", 2.0), ("handler", 2.0)]
 
 
 def test_link_service_scales_with_bytes():
@@ -304,7 +320,7 @@ def test_closed_loop_rejects_bad_n_sources(n_sources):
         run_closed_loop(CL_TANDEM, "acp_plus", n_sources, duration=60.0, seed=0)
 
 
-@pytest.mark.parametrize("warmup_frac", [1.5, 1.0, -0.5, math.nan, "0.1"])
+@pytest.mark.parametrize("warmup_frac", [1.5, 1.0, -0.5, math.nan, "0.1", False])
 def test_warmup_frac_outside_unit_interval_rejected(warmup_frac):
     with pytest.raises(ConfigError, match="warmup_frac"):
         run_closed_loop(CL_TANDEM, "acp_plus", 1, duration=60.0, seed=0, warmup_frac=warmup_frac)
@@ -352,6 +368,82 @@ def test_closed_loop_source_isolation():
     assert len(r.sources) == 3
     assert all(s.delivered > 0 for s in r.sources)
     assert r.fairness_true_age is not None
+
+
+SOURCE_POLICIES = st.one_of(
+    st.sampled_from(("lazy", "acp_plus")), st.builds("fixed:{}".format, st.floats(0.1, 4.0))
+)
+
+
+@st.composite
+def closed_loop_runs(draw):
+    forward = tuple(draw(st.lists(SERVICES, min_size=1, max_size=3)))
+    reverse = tuple(draw(st.lists(SERVICES, min_size=1, max_size=2)))
+    flows = st.builds(
+        CrossTraffic, st.integers(0, len(forward) - 1), st.floats(500.0, 8000.0), st.integers(64, 1500)
+    )
+    net = QueueNetwork(forward=forward, reverse=reverse, cross_traffic=tuple(draw(st.lists(flows, max_size=3))))
+    return (
+        net,
+        draw(SOURCE_POLICIES),
+        draw(st.integers(1, 3)),
+        draw(st.floats(20.0, 200.0)),
+        draw(st.integers(0, 2**32)),
+        draw(st.sampled_from((0.0, 0.1))),
+    )
+
+
+class _TieWatch(simkit._Engine):
+    """``_Engine`` that notes the instant of every event it runs and whether
+    that event was a segment exit."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ran = []
+
+    def push(self, t, handler, a=None, b=None):
+        is_exit = handler == self._exit
+
+        def noted(t, a, b):
+            self.ran.append((t, is_exit))
+            handler(t, a, b)
+
+        super().push(t, noted, a, b)
+
+    def exit_tied(self) -> bool:
+        """Whether an exit ran at the same instant as another event."""
+        count = Counter(t for t, _ in self.ran)
+        return any(is_exit and count[t] > 1 for t, is_exit in self.ran)
+
+
+def _closed_loop_outcome(run, engine_cls):
+    made = []
+
+    def make(*args):
+        made.append(engine_cls(*args))
+        return made[-1]
+
+    with mock.patch.object(simkit, "_Engine", make):
+        try:
+            return run_closed_loop(*run), made[0]
+        except InitializationError as err:  # slow paths may time out every probe
+            return repr(err), made[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_loop_runs())
+def test_closed_loop_matches_hop_by_hop_engine(run):
+    got, engine = _closed_loop_outcome(run, _TieWatch)
+    # at an instant shared with an exit the two engines break the tie by
+    # different rules (test_segment_exit_takes_its_order_on_entry pins ours)
+    assume(not engine.exit_tied())
+    want, _ = _closed_loop_outcome(run, HopEngine)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert json.dumps(got.to_dict()["sources"]) == json.dumps(want.to_dict()["sources"])
+    for field in ("forward_backlogs", "reverse_backlogs"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0), field
 
 
 # -- config parsing -----------------------------------------------------------------
