@@ -108,12 +108,13 @@ def mean_system_time_mm1(lam: float, mu: float) -> float:
     return 1.0 / (mu - lam)
 
 
-def optimal_lambda(age_fn, lo: float, hi: float, rel_tol: float = 1e-6) -> tuple[float, float]:
+def optimal_lambda(age_fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section minimizer of a unimodal age curve over [lo, hi].
 
-    Returns (rate, age at that rate).  The bounds must lie inside the
-    stability region of ``age_fn``; evaluation outside it raises
-    StabilityError, which is propagated.
+    Returns (rate, age at that rate) once the bracket is narrower than
+    1e-6 of the rate.  The bounds must lie inside the stability region
+    of ``age_fn``; evaluation outside it raises StabilityError, which is
+    propagated.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -124,7 +125,7 @@ def optimal_lambda(age_fn, lo: float, hi: float, rel_tol: float = 1e-6) -> tuple
     c = b - (b - a) / GOLDEN_RATIO
     d = a + (b - a) / GOLDEN_RATIO
     fc, fd = age_fn(c), age_fn(d)
-    while (b - a) > rel_tol * max(abs(a), abs(b)):
+    while (b - a) > 1e-6 * max(abs(a), abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - (b - a) / GOLDEN_RATIO

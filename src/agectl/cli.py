@@ -35,6 +35,8 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
+MAX_GRID_POINTS = 1_000_000
+
 
 class UsageError(Exception):
     """Bad command-line input detected after argparse."""
@@ -160,6 +162,10 @@ def parse_grid(text: str) -> list[float]:
         raise UsageError(f"grid values must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise UsageError(f"grid needs lo <= hi and step > 0, got {text!r}")
+    if lo + step == lo or hi + step == hi:
+        raise UsageError(f"grid step is lost to rounding at its ends, got {text!r}")
+    if (hi - lo) / step >= MAX_GRID_POINTS:
+        raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     grid = []
     value = lo
     while value <= hi + 1e-12:

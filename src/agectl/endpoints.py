@@ -152,23 +152,17 @@ class SourceSession:
         self._payload = bytes(cfg.payload_size)
         self._probes_sent = 0
         self._probe_deadline = math.inf
-        self._init_rate: Optional[float] = None
+        self.initial_rate: Optional[float] = None  # inverse mean probe RTT
         self.rate = math.nan  # current send rate, set once epochs begin
         self._epoch_anchor = math.nan
         self._epochs_began = math.nan
+        self._first_rate = math.nan  # rate of the first epoch
         self._send_index = 0
         self._period = math.nan
         self._next_send = math.inf
         self._next_epoch = math.inf
         self._clock = 0.0  # latest event time seen, guards against late timers
-        # (length, avg_age, avg_backlog, rate_at_open) per closed epoch
-        self._epoch_spans: list[tuple[float, float, float, float]] = []
-        self._epoch_open_rate = math.nan
         self._rtt_sum = 0.0
-
-    @property
-    def initial_rate(self) -> Optional[float]:
-        return self._init_rate
 
     @property
     def is_ready(self) -> bool:
@@ -177,8 +171,14 @@ class SourceSession:
 
     @property
     def epoch_spans(self) -> list[tuple[float, float, float, float]]:
-        """(length, avg_age, avg_backlog, rate_at_open) per closed epoch."""
-        return self._epoch_spans
+        """(length, avg_age, avg_backlog, rate_at_open) per closed epoch, read
+        off ``trace``: each epoch opens at the previous record's ``t`` and
+        ``lambda``, the first one where and at the rate epochs began."""
+        spans, opened, rate = [], self._epochs_began, self._first_rate
+        for rec in self.trace:
+            spans.append((rec["t"] - opened, rec["delta_bar"], rec["b_bar"], rate))
+            opened, rate = rec["t"], rec["lambda"]
+        return spans
 
     def next_deadline(self) -> float:
         if self.state == _INIT:
@@ -213,7 +213,7 @@ class SourceSession:
             raise InitializationError(
                 f"all {self.cfg.probe_count} probes timed out; monitor unreachable"
             )
-        self._init_rate = 1.0 / (self._rtt_sum / self.fresh_acks)
+        self.initial_rate = 1.0 / (self._rtt_sum / self.fresh_acks)
         self._probe_deadline = math.inf
         self.state = _READY
 
@@ -221,7 +221,7 @@ class SourceSession:
         """Leave READY: start the first control epoch at ``t``."""
         if self.state != _READY:
             raise RuntimeError(f"cannot begin epochs in state {self.state}")
-        self.rate = self._fixed_rate if self.policy_kind == "fixed" else self._init_rate
+        self.rate = self._first_rate = self._fixed_rate if self.policy_kind == "fixed" else self.initial_rate
         if self.policy_kind == "acp_plus":
             self.controller = RateController(self.rate, updates_per_epoch=self.cfg.updates_per_epoch)
         self.estimator.restart_epochs(t)
@@ -232,7 +232,6 @@ class SourceSession:
 
     def _anchor_epoch(self, t: float) -> None:
         self._epoch_anchor = t
-        self._epoch_open_rate = self.rate
         self._send_index = 0
         self._period = 1.0 / self.rate
         self._next_send = t
@@ -245,15 +244,15 @@ class SourceSession:
         self._clock = max(self._clock, t)
         try:
             ack = wire.decode_ack(data)
-            outcome = self.estimator.on_ack(t, ack.seq)
+            rtt = self.estimator.on_ack(t, ack.seq)
         except (wire.WireError, ProtocolError):
             self.malformed += 1
             return []
-        if not outcome.fresh:
+        if rtt is None:
             self.stale_acks += 1
             return []
         self.fresh_acks += 1
-        self._rtt_sum += outcome.rtt
+        self._rtt_sum += rtt
         if self.state == _INIT:
             if ack.seq == self.estimator.highest_sent:
                 # current probe answered: next probe, or done probing
@@ -309,9 +308,6 @@ class SourceSession:
             )
             action = change.label()
         self.epoch_index += 1
-        self._epoch_spans.append(
-            (t - self._epoch_anchor, stats.avg_age, stats.avg_backlog, self._epoch_open_rate)
-        )
         self.trace.append(
             {
                 "epoch": self.epoch_index,
@@ -333,7 +329,7 @@ class SourceSession:
         over the closed epochs that close strictly after the instant
         ``after`` (warm-up exclusion); NaNs if there is none."""
         age_area = backlog_area = rate_area = total = 0.0
-        for rec, (length, avg_age, avg_backlog, open_rate) in zip(self.trace, self._epoch_spans):
+        for rec, (length, avg_age, avg_backlog, open_rate) in zip(self.trace, self.epoch_spans):
             if rec["t"] <= after:
                 continue
             age_area += avg_age * length
@@ -364,7 +360,7 @@ class SourceSession:
     def summary(self) -> dict:
         return {
             "policy": self.cfg.policy,
-            "lambda_initial": self._init_rate,
+            "lambda_initial": self.initial_rate,
             "lambda_final": self.rate if self.state == _RUN else None,
             "epochs": self.epoch_index,
             "sends": self.sends,
@@ -477,14 +473,14 @@ class UdpLink:
         self.sock.close()
 
 
-def _delay_sampler(spec, rng: np.random.Generator) -> Callable[[], float]:
+def _delay_sampler(name: str, spec, rng: np.random.Generator) -> Callable[[], float]:
     """Per-direction delay model, constant or ``("exp", mean)``, bound once."""
     kind, value = ("const", spec) if isinstance(spec, (int, float)) else spec
     value = float(value)
     if kind not in ("const", "exp"):
-        raise ValueError(f"delay kind must be 'const' or 'exp', got {kind!r}")
-    if value < 0.0:
-        raise ValueError(f"delay must be non-negative, got {value}")
+        raise ValueError(f"{name} kind must be 'const' or 'exp', got {kind!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
     if kind == "const":
         return lambda: value
     return lambda: float(rng.exponential(value))
@@ -501,20 +497,13 @@ class SimulatedPath:
     simulated time.
     """
 
-    def __init__(
-        self,
-        fwd_delay=0.01,
-        rev_delay=0.01,
-        loss: float = 0.0,
-        seed: int = 0,
-        monitor: Optional[MonitorSession] = None,
-    ):
+    def __init__(self, fwd_delay=0.01, rev_delay=0.01, loss: float = 0.0, seed: int = 0):
         if not 0.0 <= loss < 1.0:
             raise ValueError(f"loss probability must be in [0, 1), got {loss}")
         rng = np.random.Generator(np.random.PCG64(seed))
-        self.monitor = monitor if monitor is not None else MonitorSession()
-        self._fwd_delay = _delay_sampler(fwd_delay, rng)
-        self._rev_delay = _delay_sampler(rev_delay, rng)
+        self.monitor = MonitorSession()
+        self._fwd_delay = _delay_sampler("fwd_delay", fwd_delay, rng)
+        self._rev_delay = _delay_sampler("rev_delay", rev_delay, rng)
         self._loss = loss
         self._rng = rng
         self._now = 0.0

@@ -11,6 +11,8 @@ processes from what it can see locally:
   that arrive after an ACK for a newer update are stale and change
   nothing.  A fresh ACK for ``i`` implicitly acknowledges every older
   outstanding update.
+* ``on_ack`` returns the round-trip time of a fresh ACK and None for a
+  stale one; each fresh sample also feeds the RTT and ACK-gap EWMAs.
 
 Both sample paths are integrated lazily so per-epoch time averages are
 exact, not sampled.  Before the first fresh ACK the age process is
@@ -35,19 +37,6 @@ class ProtocolError(Exception):
 
 class NoEstimateError(Exception):
     """Age queried before any fresh ACK established an estimate."""
-
-
-@dataclass(frozen=True)
-class AckOutcome:
-    """Result of processing one ACK.
-
-    ``rtt`` is present iff the ACK was fresh.  ``ack_gap`` is the time
-    since the previous fresh ACK and is absent for the very first one.
-    """
-
-    fresh: bool
-    rtt: Optional[float] = None
-    ack_gap: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -109,22 +98,21 @@ class SourceEstimator:
         self.highest_sent = seq
         self._pending[seq] = gen_ts
 
-    def on_ack(self, t: float, seq: int) -> AckOutcome:
-        """Process an ACK; fresh ACKs reset the age and update the EWMAs."""
+    def on_ack(self, t: float, seq: int) -> Optional[float]:
+        """Process an ACK; a fresh one resets the age, updates the EWMAs and
+        returns its RTT, a stale one changes nothing and returns None."""
         if seq < 1 or seq > self.highest_sent:
             raise ProtocolError(f"ACK for unknown seq {seq} (highest sent {self.highest_sent})")
         if seq <= self.highest_acked:
-            return AckOutcome(fresh=False)
+            return None
         self._advance(t)
         gen_ts = self._pending[seq]
         rtt = t - gen_ts
-        gap = None if self._last_fresh_at is None else t - self._last_fresh_at
         # everything at or below seq is now implicitly acknowledged
         for s in range(self.highest_acked + 1, seq + 1):
             self._pending.pop(s, None)
         self.highest_acked = seq
         self._acked_gen_ts = gen_ts
-        self._last_fresh_at = t
         if self.rtt_ewma is None:
             # seed both averages with the first sample; the ACK gap has no
             # sample yet so it borrows the RTT until a second fresh ACK
@@ -132,8 +120,9 @@ class SourceEstimator:
             self.ack_gap_ewma = rtt
         else:
             self.rtt_ewma = (1.0 - self.alpha) * self.rtt_ewma + self.alpha * rtt
-            self.ack_gap_ewma = (1.0 - self.alpha) * self.ack_gap_ewma + self.alpha * gap
-        return AckOutcome(fresh=True, rtt=rtt, ack_gap=gap)
+            self.ack_gap_ewma = (1.0 - self.alpha) * self.ack_gap_ewma + self.alpha * (t - self._last_fresh_at)
+        self._last_fresh_at = t
+        return rtt
 
     def age_at(self, t: float) -> float:
         """Estimated age at ``t`` (valid for t at or after the last fresh ACK)."""

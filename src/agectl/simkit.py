@@ -45,6 +45,7 @@ DEFAULT_ACK_BYTES = 64
 DEFAULT_WARMUP_FRAC = 0.10
 
 _EXP_BATCH = 4096
+_SWEEP_BATCHES = 10  # batch means behind each sweep point's interval
 
 
 class ConfigError(ValueError):
@@ -55,6 +56,23 @@ def _require_positive(what: str, value) -> None:
     """Reject zero, negative, infinite and NaN values of a rate or span."""
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{what} must be positive and finite, got {value}")
+
+
+def _require_int(what: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _require_number(what: str, value) -> None:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
+def _list_field(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"'{key}' must be a list, got {value!r}")
+    return value
 
 
 def _require_warmup_frac(warmup_frac) -> None:
@@ -150,14 +168,15 @@ class QueueNetwork:
             raise ConfigError("network config must be an object")
         if "forward" not in doc:
             raise ConfigError("network config missing required field 'forward'")
-        forward = tuple(_parse_service(n, f"forward[{i}]") for i, n in enumerate(doc["forward"]))
-        reverse = tuple(_parse_service(n, f"reverse[{i}]") for i, n in enumerate(doc.get("reverse", [])))
-        cross = tuple(_parse_cross(c, f"cross_traffic[{i}]") for i, c in enumerate(doc.get("cross_traffic", [])))
+        forward = tuple(_parse_service(n, f"forward[{i}]") for i, n in enumerate(_list_field(doc, "forward")))
+        reverse = tuple(_parse_service(n, f"reverse[{i}]") for i, n in enumerate(_list_field(doc, "reverse")))
+        cross = tuple(_parse_cross(c, f"cross_traffic[{i}]") for i, c in enumerate(_list_field(doc, "cross_traffic")))
         kwargs = {}
         for key in ("update_bytes", "ack_bytes"):
             if key in doc:
-                if not isinstance(doc[key], int) or doc[key] <= 0:
-                    raise ConfigError(f"'{key}' must be a positive integer, got {doc[key]!r}")
+                _require_int(f"'{key}'", doc[key])
+                if doc[key] <= 0:
+                    raise ConfigError(f"'{key}' must be positive, got {doc[key]!r}")
                 kwargs[key] = doc[key]
         return QueueNetwork(forward=forward, reverse=reverse, cross_traffic=cross, **kwargs)
 
@@ -179,8 +198,7 @@ def _parse_service(node, where: str) -> ServiceSpec:
         rate = node["rate"]
     except KeyError as missing:
         raise ConfigError(f"{where} missing required field {missing.args[0]!r}") from None
-    if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-        raise ConfigError(f"{where}.rate must be a number, got {rate!r}")
+    _require_number(f"{where}.rate", rate)
     try:
         return ServiceSpec(kind=kind, rate=float(rate))
     except ConfigError as err:
@@ -190,14 +208,15 @@ def _parse_service(node, where: str) -> ServiceSpec:
 def _parse_cross(flow, where: str) -> CrossTraffic:
     if not isinstance(flow, dict):
         raise ConfigError(f"{where} must be an object")
+    if "rate_bps" not in flow:
+        raise ConfigError(f"{where} missing required field 'rate_bps'")
+    entry, rate_bps = flow.get("entry", 0), flow["rate_bps"]
+    packet_bytes = flow.get("packet_bytes", DEFAULT_UPDATE_BYTES)
+    _require_int(f"{where}.entry", entry)
+    _require_number(f"{where}.rate_bps", rate_bps)
+    _require_int(f"{where}.packet_bytes", packet_bytes)
     try:
-        return CrossTraffic(
-            entry=flow.get("entry", 0),
-            rate_bps=flow["rate_bps"],
-            packet_bytes=flow.get("packet_bytes", DEFAULT_UPDATE_BYTES),
-        )
-    except KeyError as missing:
-        raise ConfigError(f"{where} missing required field {missing.args[0]!r}") from None
+        return CrossTraffic(entry=entry, rate_bps=rate_bps, packet_bytes=packet_bytes)
     except ConfigError as err:
         raise ConfigError(f"{where}: {err}") from None
 
@@ -312,8 +331,6 @@ class AoiMetrics:
     unstable: bool
     duration: float
     warmup: float
-    avg_rtt: Optional[float] = None
-    fairness: Optional[float] = None
     node_time_in_system_sum: tuple[float, ...] = ()
     node_departs: tuple[int, ...] = ()
 
@@ -479,7 +496,6 @@ def sweep_lambda(
     seed: int = 0,
     arrival: str = "poisson",
     warmup_frac: float = DEFAULT_WARMUP_FRAC,
-    batches: int = 10,
 ) -> SweepResult:
     """Open-loop age curve across a rate grid, with the empirical minimizer.
 
@@ -494,8 +510,8 @@ def sweep_lambda(
     for idx, lam in enumerate(grid):
         point_seed = substream_seed(seed, f"sweep/{idx}")
         metrics, gen, dlv = _open_loop(net, lam, arrival, duration, point_seed, warmup_frac)
-        edges = np.linspace(metrics.warmup, duration, batches + 1)
-        means = [age_time_average(gen, dlv, edges[i], edges[i + 1]) for i in range(batches)]
+        edges = np.linspace(metrics.warmup, duration, _SWEEP_BATCHES + 1)
+        means = [age_time_average(gen, dlv, edges[i], edges[i + 1]) for i in range(_SWEEP_BATCHES)]
         means = [m for m in means if not math.isnan(m)]
         if len(means) >= 2:
             half = 1.96 * float(np.std(means, ddof=1)) / math.sqrt(len(means))
@@ -526,9 +542,6 @@ class SourceStats:
     avg_rtt: Optional[float]
     fresh_acks: int
     stale_acks: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ Frame layout (all integers big-endian):
 Updates carry an opaque payload whose length is implied by the datagram
 length.  ACK frames are exactly HEADER_LEN bytes and echo both the
 acknowledged sequence number and the update's generation timestamp, so
-staleness checks never depend on timestamp uniqueness.  One frame per
-UDP datagram; no fragmentation handling.
+staleness checks never depend on timestamp uniqueness.  Encoders always
+write ``VERSION`` and decoders reject any other, so packets carry no
+version field.  One frame per UDP datagram; no fragmentation handling.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class UpdatePacket:
     seq: int
     gen_ts_us: int
     payload: bytes = b""
-    version: int = VERSION
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ class AckPacket:
 
     seq: int
     echo_ts_us: int
-    version: int = VERSION
 
 
 def _check_fields(seq: int, ts_us: int) -> None:
@@ -102,16 +101,16 @@ def encode_update(p: UpdatePacket) -> bytes:
     if len(p.payload) > MAX_PAYLOAD:
         raise EncodeError(f"payload {len(p.payload)} exceeds {MAX_PAYLOAD} bytes")
     _check_fields(p.seq, p.gen_ts_us)
-    return HEADER.pack(MAGIC, p.version, KIND_UPDATE, p.seq, p.gen_ts_us) + p.payload
+    return HEADER.pack(MAGIC, VERSION, KIND_UPDATE, p.seq, p.gen_ts_us) + p.payload
 
 
 def encode_ack(a: AckPacket) -> bytes:
     """Serialize a fixed-size ACK frame."""
     _check_fields(a.seq, a.echo_ts_us)
-    return HEADER.pack(MAGIC, a.version, KIND_ACK, a.seq, a.echo_ts_us)
+    return HEADER.pack(MAGIC, VERSION, KIND_ACK, a.seq, a.echo_ts_us)
 
 
-def _decode_header(b: bytes, want_kind: int) -> tuple[int, int, int]:
+def _decode_header(b: bytes, want_kind: int) -> tuple[int, int]:
     if len(b) < HEADER_LEN:
         raise ShortBufferError(f"frame is {len(b)} bytes, need at least {HEADER_LEN}")
     magic, version, kind, seq, ts_us = HEADER.unpack_from(b)
@@ -121,18 +120,18 @@ def _decode_header(b: bytes, want_kind: int) -> tuple[int, int, int]:
         raise BadVersionError(f"unsupported version {version}")
     if kind != want_kind:
         raise BadKindError(f"expected kind {want_kind}, got {kind}")
-    return version, seq, ts_us
+    return seq, ts_us
 
 
 def decode_update(b: bytes) -> UpdatePacket:
     """Parse an update frame; inverse of encode_update on valid input."""
-    version, seq, ts_us = _decode_header(b, KIND_UPDATE)
-    return UpdatePacket(seq=seq, gen_ts_us=ts_us, payload=bytes(b[HEADER_LEN:]), version=version)
+    seq, ts_us = _decode_header(b, KIND_UPDATE)
+    return UpdatePacket(seq=seq, gen_ts_us=ts_us, payload=bytes(b[HEADER_LEN:]))
 
 
 def decode_ack(b: bytes) -> AckPacket:
     """Parse an ACK frame; rejects any trailing bytes."""
-    version, seq, ts_us = _decode_header(b, KIND_ACK)
+    seq, ts_us = _decode_header(b, KIND_ACK)
     if len(b) != HEADER_LEN:
         raise LengthMismatchError(f"ACK frame is {len(b)} bytes, expected {HEADER_LEN}")
-    return AckPacket(seq=seq, echo_ts_us=ts_us, version=version)
+    return AckPacket(seq=seq, echo_ts_us=ts_us)

@@ -286,11 +286,10 @@ def test_c07_out_of_sequence_ack_regression():
     est = SourceEstimator()
     for seq, t in ((1, 0.0), (2, 0.2), (3, 0.4)):
         est.on_send(t, seq, t)
-    fresh = est.on_ack(1.0, 3)
-    assert fresh.fresh and est.highest_acked == 3 and est.backlog == 0
+    assert est.on_ack(1.0, 3) is not None
+    assert est.highest_acked == 3 and est.backlog == 0
     age_before = est.age_at(1.1)
-    stale = est.on_ack(1.1, 2)
-    assert not stale.fresh
+    assert est.on_ack(1.1, 2) is None
     assert est.highest_acked == 3
     assert est.age_at(1.1) == age_before
     report("C7 out-of-sequence ACK leaves age and backlog untouched")

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from agectl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_addr, parse_grid
+from agectl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, UsageError, main, parse_addr, parse_grid
 
 CLI = [sys.executable, "-m", "agectl.cli"]
 
@@ -32,6 +32,11 @@ def test_parse_grid():
     assert parse_grid("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
     for bad in ("1:2", "a:b:c", "0.5:0.1:0.1", "1:2:0", "1:inf:1", "1:2:nan", "inf:inf:1"):
         with pytest.raises(Exception):
+            parse_grid(bad)
+    # a step lost to rounding never advances; a fine step over a wide range
+    # would build 10^12 points
+    for bad in ("1e17:2e17:1", "0:1e9:1e-3"):
+        with pytest.raises(UsageError):
             parse_grid(bad)
 
 
@@ -232,6 +237,26 @@ def test_sim_rejects_mistyped_closed_loop_fields(tmp_path, capsys, field, value,
     assert main(["sim", "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert err.startswith("error:") and needle in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sim_rejects_fractional_cross_traffic_entry(tmp_path):
+    # the open loop used to ignore such a flow, the closed loop to crash on it
+    doc = {
+        "mode": "fixed_rate",
+        "net": {
+            "forward": [{"service": "exp", "rate": 1.0}] * 2,
+            "cross_traffic": [{"entry": 0.5, "rate_bps": 1000, "packet_bytes": 100}],
+        },
+        "lambda": 0.5,
+        "duration": 100.0,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    proc = run_cli("sim", "--config", str(path), "--out", str(out))
+    assert proc.returncode == EXIT_RUNTIME
+    assert proc.stderr.startswith("error:") and "entry" in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
 
 

@@ -232,6 +232,32 @@ def test_pacing_gaps_are_exact_within_epoch():
     assert all(g == pytest.approx(0.25, rel=1e-12) for g in gaps)
 
 
+def test_epoch_spans_and_averages_by_hand():
+    # fixed:4 with 2 updates per epoch: epochs of 0.5 s opening at 1.0, 1.5;
+    # the probe (gen 0.0) is answered at 0.5, so the initial rate is 2/s
+    sess = SourceSession(SourceConfig(policy="fixed:4", probe_count=1, updates_per_epoch=2))
+    probe = sess.on_start(0.0)[0]
+    sess.on_datagram(0.5, ack_for(probe))
+    assert sess.initial_rate == 2.0 and sess.epoch_spans == []
+    sent = sess.begin_epochs(1.0)  # seq 2 at 1.0
+    sent += sess.on_timer(1.25)  # seq 3
+    sess.on_datagram(1.375, ack_for(sent[0]))  # age resets to 0.375
+    sent += sess.on_timer(1.5)  # epoch 1 closes, then seq 4
+    sent += sess.on_timer(1.75)  # seq 5
+    sess.on_datagram(1.875, ack_for(sent[2]))  # seq 4: age resets to 0.375
+    sess.on_timer(2.0)  # epoch 2 closes
+    # epoch 1: age t over [1, 1.375], t - 1 over [1.375, 1.5] -> area 0.5;
+    # backlog 1, 2, 1 over 0.25, 0.125, 0.125 -> area 0.625
+    # epoch 2: age t - 1 over [1.5, 1.875], t - 1.5 after -> area 0.3125;
+    # backlog 2, 3, 1 over 0.25, 0.125, 0.125 -> area 1.0
+    # both open at the fixed rate, not at the initial rate
+    assert sess.epoch_spans == [(0.5, 1.0, 1.25, 4.0), (0.5, 0.625, 2.0, 4.0)]
+    assert sess.epoch_averages(1.0) == (0.8125, 1.625, 4.0)
+    assert sess.epoch_averages(1.5) == (0.625, 2.0, 4.0)  # epoch 1 closes at 1.5
+    assert all(math.isnan(v) for v in sess.epoch_averages(2.0))
+    assert sess.est_avg_age(skip_time=0.5) == 0.625 and sess.est_avg_backlog() == 1.625
+
+
 def test_lazy_policy_tracks_inverse_rtt():
     path = SimulatedPath(fwd_delay=0.05, rev_delay=0.05, seed=1)
     summary, sess = run_source(path, SourceConfig(policy="lazy", probe_count=3), duration=30.0)
@@ -313,6 +339,10 @@ def test_drivers_reject_bad_duration(duration):
     with pytest.raises(ValueError, match="duration"):
         run_monitor(path, duration=duration)
     assert path.now() == 0.0 and path.monitor.accepted == 0
+    if duration != 0.0:  # the same values are bad delays, but a zero delay is fine
+        for spec in ({"fwd_delay": duration}, {"rev_delay": ("exp", duration)}):
+            with pytest.raises(ValueError, match=next(iter(spec))):
+                SimulatedPath(**spec)
 
 
 @pytest.mark.parametrize("max_updates", [0, -3])

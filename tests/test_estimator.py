@@ -109,8 +109,7 @@ def test_three_sends_no_acks():
 def test_single_exchange_resets_age_to_rtt():
     est = SourceEstimator()
     est.on_send(0.0, 1, 0.0)
-    out = est.on_ack(0.2, 1)
-    assert out.fresh and out.rtt == pytest.approx(0.2)
+    assert est.on_ack(0.2, 1) == pytest.approx(0.2)
     assert est.age_at(0.2) == pytest.approx(0.2)
     assert est.age_at(1.2) == pytest.approx(1.2)  # unit slope afterwards
     assert est.backlog == 0
@@ -122,12 +121,10 @@ def test_out_of_sequence_ack_is_discarded():
     est = SourceEstimator()
     for seq, t in ((1, 0.0), (2, 0.1), (3, 0.2)):
         est.on_send(t, seq, t)
-    out3 = est.on_ack(0.5, 3)
-    assert out3.fresh
+    assert est.on_ack(0.5, 3) is not None
     assert est.highest_acked == 3 and est.backlog == 0
     age_before = est.age_at(0.6)
-    out2 = est.on_ack(0.6, 2)
-    assert not out2.fresh and out2.rtt is None and out2.ack_gap is None
+    assert est.on_ack(0.6, 2) is None
     assert est.highest_acked == 3
     assert est.age_at(0.6) == age_before
 
@@ -150,10 +147,9 @@ def test_ewma_seeding_and_recurrence():
     assert est.rtt_ewma == pytest.approx(0.4)
     assert est.ack_gap_ewma == pytest.approx(0.4)
     est.on_send(1.0, 2, 1.0)
-    out = est.on_ack(1.2, 2)
-    assert out.ack_gap == pytest.approx(0.8)  # 1.2 - 0.4
+    assert est.on_ack(1.2, 2) == pytest.approx(0.2)
     assert est.rtt_ewma == pytest.approx(0.75 * 0.4 + 0.25 * 0.2)
-    assert est.ack_gap_ewma == pytest.approx(0.75 * 0.4 + 0.25 * 0.8)
+    assert est.ack_gap_ewma == pytest.approx(0.75 * 0.4 + 0.25 * 0.8)  # gap 1.2 - 0.4
 
 
 def test_alpha_one_tracks_latest_sample():

@@ -483,6 +483,20 @@ def test_network_from_dict_roundtrip():
         ({"forward": [{"service": "link", "rate": math.inf}]}, "forward[0]"),
         ({"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": [{"rate_bps": math.nan}]}, "rate_bps"),
         ({"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": [{"rate_bps": math.inf}]}, "rate_bps"),
+        ({"forward": 5}, "forward"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "reverse": 3}, "reverse"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": {"rate_bps": 1000}}, "cross_traffic"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": [{"entry": "0", "rate_bps": 1000}]}, "entry"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": [{"entry": 0.5, "rate_bps": 1000}]}, "entry"),
+        ({"forward": [{"service": "exp", "rate": 1.0}] * 2, "cross_traffic": [{"entry": True, "rate_bps": 1000}]}, "entry"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": [{"rate_bps": "x"}]}, "rate_bps"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": [{"rate_bps": True}]}, "rate_bps"),
+        (
+            {"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": [{"rate_bps": 1000, "packet_bytes": True}]},
+            "packet_bytes",
+        ),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "update_bytes": True}, "update_bytes"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "ack_bytes": True}, "ack_bytes"),
     ],
 )
 def test_network_config_errors_name_fields(doc, needle):
