@@ -37,6 +37,12 @@ EXIT_USAGE = 2
 
 MAX_GRID_POINTS = 1_000_000
 
+# top-level fields of a sim config; sweep reads the same files
+CONFIG_KEYS = (
+    "mode", "net", "duration", "seed", "warmup_frac", "lambda", "arrival",
+    "policy", "n_sources", "payload_size", "probe_count", "probe_timeout", "alpha", "eta",
+)
+
 
 class UsageError(Exception):
     """Bad command-line input detected after argparse."""
@@ -164,16 +170,12 @@ def parse_grid(text: str) -> list[float]:
         raise UsageError(f"grid needs lo <= hi and step > 0, got {text!r}")
     if lo + step == lo or hi + step == hi:
         raise UsageError(f"grid step is lost to rounding at its ends, got {text!r}")
-    if (hi - lo) / step >= MAX_GRID_POINTS:
+    span = (hi - lo) / step
+    if span >= MAX_GRID_POINTS:
         raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    grid = []
-    value = lo
-    while value <= hi + 1e-12:
-        grid.append(round(value, 12))
-        value += step
-    if not grid:
-        raise UsageError(f"grid {text!r} is empty")
-    return grid
+    # a span within round-off of a whole number of steps ends exactly at hi
+    steps = round(span) if math.isclose(span, round(span), rel_tol=1e-9) else math.floor(span)
+    return [float(f"{lo + k * step:.12g}") for k in range(steps + 1)]
 
 
 def load_config(name_or_path: str) -> tuple[dict, bytes]:
@@ -319,6 +321,7 @@ def cmd_source(args) -> int:
 
 def cmd_sim(args) -> int:
     doc, raw = load_config(args.config)
+    simkit._reject_unknown(doc, CONFIG_KEYS, "config")
     started = _now_iso()
     mode = _require(doc, "mode", str)
     net = simkit.QueueNetwork.from_dict(_require(doc, "net", dict))
@@ -355,6 +358,7 @@ def cmd_sim(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc, raw = load_config(args.config)
+    simkit._reject_unknown(doc, CONFIG_KEYS, "config")
     started = _now_iso()
     grid = parse_grid(args.grid)
     net = simkit.QueueNetwork.from_dict(_require(doc, "net", dict))

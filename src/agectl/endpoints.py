@@ -203,9 +203,7 @@ class SourceSession:
         seq = self.estimator.highest_sent + 1
         self.estimator.on_send(t, seq, t)
         self.sends += 1
-        return wire.encode_update(
-            wire.UpdatePacket(seq=seq, gen_ts_us=round(t * 1e6), payload=self._payload)
-        )
+        return wire.encode_update(seq, round(t * 1e6), self._payload)
 
     def _finish_init(self, t: float) -> None:
         # every fresh ACK so far answered a probe
@@ -243,8 +241,8 @@ class SourceSession:
         """Consume one inbound datagram (expected: an ACK frame)."""
         self._clock = max(self._clock, t)
         try:
-            ack = wire.decode_ack(data)
-            rtt = self.estimator.on_ack(t, ack.seq)
+            seq, _ = wire.decode_ack(data)
+            rtt = self.estimator.on_ack(t, seq)
         except (wire.WireError, ProtocolError):
             self.malformed += 1
             return []
@@ -254,7 +252,7 @@ class SourceSession:
         self.fresh_acks += 1
         self._rtt_sum += rtt
         if self.state == _INIT:
-            if ack.seq == self.estimator.highest_sent:
+            if seq == self.estimator.highest_sent:
                 # current probe answered: next probe, or done probing
                 if self._probes_sent < self.cfg.probe_count:
                     return [self._send_probe(t)]
@@ -388,18 +386,18 @@ class MonitorSession:
     def on_datagram(self, t: float, data: bytes) -> Optional[bytes]:
         """Process one update; returns the ACK frame or None if discarded."""
         try:
-            upd = wire.decode_update(data)
+            seq, gen_ts_us = wire.decode_update(data)
         except wire.WireError:
             self.malformed += 1
             return None
-        if upd.seq <= self.freshest_seq:
+        if seq <= self.freshest_seq:
             # out-of-sequence: an older measurement than what we hold
             self.stale += 1
             return None
-        self.freshest_seq = upd.seq
+        self.freshest_seq = seq
         self.accepted += 1
-        self.trace.append({"t": t, "age_reset": t - upd.gen_ts_us / 1e6, "seq": upd.seq})
-        return wire.encode_ack(wire.AckPacket(seq=upd.seq, echo_ts_us=upd.gen_ts_us))
+        self.trace.append({"t": t, "age_reset": t - gen_ts_us / 1e6, "seq": seq})
+        return wire.encode_ack(seq, gen_ts_us)
 
     def true_avg_age(self, lo: float, hi: float) -> float:
         """Time-average of the reconstructed true age over [lo, hi]."""

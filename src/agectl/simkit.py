@@ -75,6 +75,12 @@ def _list_field(doc: dict, key: str) -> list:
     return value
 
 
+def _reject_unknown(doc: dict, known: tuple, where: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ConfigError(f"{where} has unknown field(s) {', '.join(map(repr, unknown))}")
+
+
 def _require_warmup_frac(warmup_frac) -> None:
     if isinstance(warmup_frac, bool) or not (isinstance(warmup_frac, (int, float)) and 0.0 <= warmup_frac < 1.0):
         raise ConfigError(f"warmup_frac must be in [0, 1), got {warmup_frac!r}")
@@ -168,6 +174,7 @@ class QueueNetwork:
             raise ConfigError("network config must be an object")
         if "forward" not in doc:
             raise ConfigError("network config missing required field 'forward'")
+        _reject_unknown(doc, ("forward", "reverse", "cross_traffic", "update_bytes", "ack_bytes"), "network config")
         forward = tuple(_parse_service(n, f"forward[{i}]") for i, n in enumerate(_list_field(doc, "forward")))
         reverse = tuple(_parse_service(n, f"reverse[{i}]") for i, n in enumerate(_list_field(doc, "reverse")))
         cross = tuple(_parse_cross(c, f"cross_traffic[{i}]") for i, c in enumerate(_list_field(doc, "cross_traffic")))
@@ -198,6 +205,7 @@ def _parse_service(node, where: str) -> ServiceSpec:
         rate = node["rate"]
     except KeyError as missing:
         raise ConfigError(f"{where} missing required field {missing.args[0]!r}") from None
+    _reject_unknown(node, ("service", "rate"), where)
     _require_number(f"{where}.rate", rate)
     try:
         return ServiceSpec(kind=kind, rate=float(rate))
@@ -210,6 +218,7 @@ def _parse_cross(flow, where: str) -> CrossTraffic:
         raise ConfigError(f"{where} must be an object")
     if "rate_bps" not in flow:
         raise ConfigError(f"{where} missing required field 'rate_bps'")
+    _reject_unknown(flow, ("entry", "rate_bps", "packet_bytes"), where)
     entry, rate_bps = flow.get("entry", 0), flow["rate_bps"]
     packet_bytes = flow.get("packet_bytes", DEFAULT_UPDATE_BYTES)
     _require_int(f"{where}.entry", entry)

@@ -18,14 +18,16 @@ Updates carry an opaque payload whose length is implied by the datagram
 length.  ACK frames are exactly HEADER_LEN bytes and echo both the
 acknowledged sequence number and the update's generation timestamp, so
 staleness checks never depend on timestamp uniqueness.  Encoders always
-write ``VERSION`` and decoders reject any other, so packets carry no
-version field.  One frame per UDP datagram; no fragmentation handling.
+write ``VERSION`` and decoders reject any other.  One frame per UDP
+datagram; no fragmentation handling.  ``encode_update(seq, gen_ts_us,
+payload=b"")`` and ``encode_ack(seq, echo_ts_us)`` return a frame;
+``decode_update(frame)`` returns ``(seq, gen_ts_us)``, the payload being
+``frame[HEADER_LEN:]``, and ``decode_ack(frame)`` returns ``(seq, echo_ts_us)``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 MAGIC = b"\xacP"  # 0xAC 0x50
 VERSION = 1
@@ -72,23 +74,6 @@ class LengthMismatchError(DecodeError):
     """ACK frame with trailing bytes (ACKs are fixed-size)."""
 
 
-@dataclass(frozen=True)
-class UpdatePacket:
-    """A status update: sequence index plus its generation timestamp."""
-
-    seq: int
-    gen_ts_us: int
-    payload: bytes = b""
-
-
-@dataclass(frozen=True)
-class AckPacket:
-    """Acknowledgment echoing an update's seq and generation timestamp."""
-
-    seq: int
-    echo_ts_us: int
-
-
 def _check_fields(seq: int, ts_us: int) -> None:
     if not 0 <= seq <= MAX_SEQ:
         raise EncodeError(f"seq {seq} out of u32 range")
@@ -96,18 +81,18 @@ def _check_fields(seq: int, ts_us: int) -> None:
         raise EncodeError(f"timestamp {ts_us} out of u64 range")
 
 
-def encode_update(p: UpdatePacket) -> bytes:
+def encode_update(seq: int, gen_ts_us: int, payload: bytes = b"") -> bytes:
     """Serialize an update frame; raises EncodeError on oversize payload."""
-    if len(p.payload) > MAX_PAYLOAD:
-        raise EncodeError(f"payload {len(p.payload)} exceeds {MAX_PAYLOAD} bytes")
-    _check_fields(p.seq, p.gen_ts_us)
-    return HEADER.pack(MAGIC, VERSION, KIND_UPDATE, p.seq, p.gen_ts_us) + p.payload
+    if len(payload) > MAX_PAYLOAD:
+        raise EncodeError(f"payload {len(payload)} exceeds {MAX_PAYLOAD} bytes")
+    _check_fields(seq, gen_ts_us)
+    return HEADER.pack(MAGIC, VERSION, KIND_UPDATE, seq, gen_ts_us) + payload
 
 
-def encode_ack(a: AckPacket) -> bytes:
+def encode_ack(seq: int, echo_ts_us: int) -> bytes:
     """Serialize a fixed-size ACK frame."""
-    _check_fields(a.seq, a.echo_ts_us)
-    return HEADER.pack(MAGIC, VERSION, KIND_ACK, a.seq, a.echo_ts_us)
+    _check_fields(seq, echo_ts_us)
+    return HEADER.pack(MAGIC, VERSION, KIND_ACK, seq, echo_ts_us)
 
 
 def _decode_header(b: bytes, want_kind: int) -> tuple[int, int]:
@@ -123,15 +108,14 @@ def _decode_header(b: bytes, want_kind: int) -> tuple[int, int]:
     return seq, ts_us
 
 
-def decode_update(b: bytes) -> UpdatePacket:
-    """Parse an update frame; inverse of encode_update on valid input."""
-    seq, ts_us = _decode_header(b, KIND_UPDATE)
-    return UpdatePacket(seq=seq, gen_ts_us=ts_us, payload=bytes(b[HEADER_LEN:]))
+def decode_update(b: bytes) -> tuple[int, int]:
+    """Parse an update frame into ``(seq, gen_ts_us)``; the payload is ``b[HEADER_LEN:]``, uncopied."""
+    return _decode_header(b, KIND_UPDATE)
 
 
-def decode_ack(b: bytes) -> AckPacket:
-    """Parse an ACK frame; rejects any trailing bytes."""
-    seq, ts_us = _decode_header(b, KIND_ACK)
+def decode_ack(b: bytes) -> tuple[int, int]:
+    """Parse an ACK frame into ``(seq, echo_ts_us)``; rejects trailing bytes."""
+    seq_ts = _decode_header(b, KIND_ACK)
     if len(b) != HEADER_LEN:
         raise LengthMismatchError(f"ACK frame is {len(b)} bytes, expected {HEADER_LEN}")
-    return AckPacket(seq=seq, echo_ts_us=ts_us)
+    return seq_ts

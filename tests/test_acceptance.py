@@ -359,16 +359,14 @@ def test_c10_determinism_and_codec_integrity():
 
     rng = random.Random(0xF00D)
     for _ in range(50_000):
-        p = wire.UpdatePacket(
-            seq=rng.getrandbits(32),
-            gen_ts_us=rng.getrandbits(64),
-            payload=rng.randbytes(rng.randrange(0, 48)),
-        )
-        frame = wire.encode_update(p)
+        seq, ts = rng.getrandbits(32), rng.getrandbits(64)
+        payload = rng.randbytes(rng.randrange(0, 48))
+        frame = wire.encode_update(seq, ts, payload)
         decoded = wire.decode_update(frame)
-        assert decoded == p and wire.encode_update(decoded) == frame
-        ack = wire.AckPacket(seq=rng.getrandbits(32), echo_ts_us=rng.getrandbits(64))
-        ack_frame = wire.encode_ack(ack)
+        assert decoded == (seq, ts) and frame[wire.HEADER_LEN:] == payload
+        assert wire.encode_update(*decoded, frame[wire.HEADER_LEN:]) == frame
+        seq, ts = rng.getrandbits(32), rng.getrandbits(64)
+        ack_frame = wire.encode_ack(seq, ts)
         decoded_ack = wire.decode_ack(ack_frame)
-        assert decoded_ack == ack and wire.encode_ack(decoded_ack) == ack_frame
+        assert decoded_ack == (seq, ts) and wire.encode_ack(*decoded_ack) == ack_frame
     report("C10 reruns byte-identical; 1e5 random frames round-trip bit-exactly")

@@ -38,6 +38,10 @@ def test_parse_grid():
     for bad in ("1e17:2e17:1", "0:1e9:1e-3"):
         with pytest.raises(UsageError):
             parse_grid(bad)
+    # the point count comes from the span, not from an absolute tolerance
+    assert parse_grid("1e-13:5e-13:1e-13") == [1e-13, 2e-13, 3e-13, 4e-13, 5e-13]
+    assert parse_grid("8.933:169.433:0.9")[-1] == 169.133
+    assert parse_grid("3.6135:760.0935:3.94")[-1] == 760.0935
 
 
 # -- analytics commands ------------------------------------------------------------
@@ -257,6 +261,19 @@ def test_sim_rejects_fractional_cross_traffic_entry(tmp_path):
     proc = run_cli("sim", "--config", str(path), "--out", str(out))
     assert proc.returncode == EXIT_RUNTIME
     assert proc.stderr.startswith("error:") and "entry" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where, key", [("top", "warmup_fraction"), ("net", "cross_trafic")])
+def test_sim_rejects_unknown_config_key(tmp_path, where, key):
+    doc = json.loads(small_sim_config(tmp_path).read_text())
+    (doc if where == "top" else doc["net"])[key] = 0.5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    proc = run_cli("sim", "--config", str(path), "--out", str(out))
+    assert proc.returncode == EXIT_RUNTIME
+    assert proc.stderr.startswith("error:") and repr(key) in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
 
 

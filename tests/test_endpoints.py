@@ -24,8 +24,7 @@ from agectl.endpoints import (
 
 
 def ack_for(frame: bytes) -> bytes:
-    upd = wire.decode_update(frame)
-    return wire.encode_ack(wire.AckPacket(seq=upd.seq, echo_ts_us=upd.gen_ts_us))
+    return wire.encode_ack(*wire.decode_update(frame))
 
 
 # -- policy parsing -------------------------------------------------------------
@@ -109,7 +108,7 @@ def test_init_timeouts_excluded_from_mean():
     sess.on_timer(1.4 + 1.0)
     assert sess.is_ready
     assert sess.initial_rate == pytest.approx(1.0 / 0.4)
-    assert wire.decode_update(first[0]).seq == 1
+    assert wire.decode_update(first[0])[0] == 1
 
 
 def test_init_total_failure():
@@ -152,7 +151,7 @@ def test_late_probe_ack_still_counts_for_the_mean():
 
 
 def make_update(seq: int, gen_ts_us: int, payload: bytes = b"x") -> bytes:
-    return wire.encode_update(wire.UpdatePacket(seq=seq, gen_ts_us=gen_ts_us, payload=payload))
+    return wire.encode_update(seq, gen_ts_us, payload)
 
 
 def test_monitor_discards_out_of_sequence_without_ack():
@@ -169,15 +168,14 @@ def test_monitor_discards_out_of_sequence_without_ack():
 def test_monitor_single_round_trip():
     mon = MonitorSession()
     reply = mon.on_datagram(0.25, make_update(1, 50_000))
-    ack = wire.decode_ack(reply)
-    assert ack.seq == 1 and ack.echo_ts_us == 50_000
+    assert wire.decode_ack(reply) == (1, 50_000)
     assert mon.trace[0]["age_reset"] == pytest.approx(0.25 - 0.05)
 
 
 def test_monitor_counts_malformed():
     mon = MonitorSession()
     assert mon.on_datagram(0.0, b"garbage") is None
-    assert mon.on_datagram(0.0, wire.encode_ack(wire.AckPacket(seq=1, echo_ts_us=0))) is None
+    assert mon.on_datagram(0.0, wire.encode_ack(1, 0)) is None
     assert mon.malformed == 2
 
 
@@ -322,12 +320,12 @@ def test_simulated_path_deterministic():
 
 def test_simulated_path_ack_beats_update_at_equal_instant():
     path = SimulatedPath(fwd_delay=0.01, rev_delay=0.01)
-    u1, u2 = (wire.encode_update(wire.UpdatePacket(seq=s, gen_ts_us=0, payload=b"")) for s in (1, 2))
+    u1, u2 = (wire.encode_update(s, 0) for s in (1, 2))
     path.send(u1)
     assert path.recv(0.01) is None  # u1 reached the monitor at 0.01; its ACK is due at 0.02
     path.send(u2)  # due at the monitor at 0.02 too
     data, t = path.recv(None)
-    assert wire.decode_ack(data).seq == 1 and t == 0.02
+    assert wire.decode_ack(data)[0] == 1 and t == 0.02
     assert path.monitor.accepted == 1
 
 

@@ -497,6 +497,10 @@ def test_network_from_dict_roundtrip():
         ),
         ({"forward": [{"service": "exp", "rate": 1.0}], "update_bytes": True}, "update_bytes"),
         ({"forward": [{"service": "exp", "rate": 1.0}], "ack_bytes": True}, "ack_bytes"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "cross_trafic": []}, "'cross_trafic'"),
+        ({"forward": [{"service": "exp", "rate": 1.0, "rates": 2.0}]}, "'rates'"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "reverse": [{"service": "exp", "rate": 1.0, "x": 0}]}, "reverse[0]"),
+        ({"forward": [{"service": "exp", "rate": 1.0}], "cross_traffic": [{"rate_bps": 1000, "packet_size": 100}]}, "'packet_size'"),
     ],
 )
 def test_network_config_errors_name_fields(doc, needle):

@@ -10,7 +10,7 @@ from agectl import wire
 
 
 def test_zero_update_frame_layout():
-    frame = wire.encode_update(wire.UpdatePacket(seq=0, gen_ts_us=0, payload=b""))
+    frame = wire.encode_update(0, 0, b"")
     assert len(frame) == 16
     assert frame[:2] == b"\xacP"
     assert frame[2] == 1  # version
@@ -19,40 +19,38 @@ def test_zero_update_frame_layout():
 
 
 def test_zero_ack_round_trip():
-    ack = wire.AckPacket(seq=0, echo_ts_us=0)
-    assert wire.decode_ack(wire.encode_ack(ack)) == ack
+    assert wire.decode_ack(wire.encode_ack(0, 0)) == (0, 0)
 
 
 def test_update_round_trip_identity():
-    p = wire.UpdatePacket(seq=1234, gen_ts_us=987654321, payload=b"hello world")
-    assert wire.decode_update(wire.encode_update(p)) == p
+    frame = wire.encode_update(1234, 987654321, b"hello world")
+    assert wire.decode_update(frame) == (1234, 987654321)
+    assert frame[wire.HEADER_LEN:] == b"hello world"
 
 
 def test_ack_round_trip():
-    a = wire.AckPacket(seq=7, echo_ts_us=123)
-    frame = wire.encode_ack(a)
+    frame = wire.encode_ack(7, 123)
     assert len(frame) == 16
-    assert wire.decode_ack(frame) == a
+    assert wire.decode_ack(frame) == (7, 123)
 
 
 def test_encoded_length_is_header_plus_payload():
     for n in (0, 1, 17, 1024, 65_000):
-        p = wire.UpdatePacket(seq=1, gen_ts_us=2, payload=bytes(n))
-        assert len(wire.encode_update(p)) == 16 + n
+        assert len(wire.encode_update(1, 2, bytes(n))) == 16 + n
 
 
 def test_oversize_payload_rejected():
     with pytest.raises(wire.EncodeError):
-        wire.encode_update(wire.UpdatePacket(seq=1, gen_ts_us=1, payload=bytes(65_001)))
+        wire.encode_update(1, 1, bytes(65_001))
 
 
 def test_field_range_rejected():
     with pytest.raises(wire.EncodeError):
-        wire.encode_update(wire.UpdatePacket(seq=2**32, gen_ts_us=0))
+        wire.encode_update(2**32, 0)
     with pytest.raises(wire.EncodeError):
-        wire.encode_ack(wire.AckPacket(seq=1, echo_ts_us=2**64))
+        wire.encode_ack(1, 2**64)
     with pytest.raises(wire.EncodeError):
-        wire.encode_ack(wire.AckPacket(seq=-1, echo_ts_us=0))
+        wire.encode_ack(-1, 0)
 
 
 def test_short_buffer_error():
@@ -63,8 +61,8 @@ def test_short_buffer_error():
 
 
 def test_kind_mismatch_error():
-    upd = wire.encode_update(wire.UpdatePacket(seq=1, gen_ts_us=1))
-    ack = wire.encode_ack(wire.AckPacket(seq=1, echo_ts_us=1))
+    upd = wire.encode_update(1, 1)
+    ack = wire.encode_ack(1, 1)
     with pytest.raises(wire.BadKindError):
         wire.decode_update(ack)
     with pytest.raises(wire.BadKindError):
@@ -72,18 +70,18 @@ def test_kind_mismatch_error():
 
 
 def test_bad_magic_and_version():
-    frame = bytearray(wire.encode_ack(wire.AckPacket(seq=1, echo_ts_us=1)))
+    frame = bytearray(wire.encode_ack(1, 1))
     frame[0] = 0x00
     with pytest.raises(wire.BadMagicError):
         wire.decode_ack(bytes(frame))
-    frame = bytearray(wire.encode_ack(wire.AckPacket(seq=1, echo_ts_us=1)))
+    frame = bytearray(wire.encode_ack(1, 1))
     frame[2] = 9
     with pytest.raises(wire.BadVersionError):
         wire.decode_ack(bytes(frame))
 
 
 def test_ack_length_mismatch():
-    frame = wire.encode_ack(wire.AckPacket(seq=1, echo_ts_us=1)) + b"x"
+    frame = wire.encode_ack(1, 1) + b"x"
     with pytest.raises(wire.LengthMismatchError):
         wire.decode_ack(frame)
 
@@ -94,14 +92,14 @@ def test_ack_length_mismatch():
     payload=st.binary(max_size=2048),
 )
 def test_update_round_trip_fuzz(seq, ts, payload):
-    p = wire.UpdatePacket(seq=seq, gen_ts_us=ts, payload=payload)
-    assert wire.decode_update(wire.encode_update(p)) == p
+    frame = wire.encode_update(seq, ts, payload)
+    assert wire.decode_update(frame) == (seq, ts)
+    assert frame[wire.HEADER_LEN:] == payload
 
 
 @given(seq=st.integers(0, 2**32 - 1), ts=st.integers(0, 2**64 - 1))
 def test_ack_round_trip_fuzz(seq, ts):
-    a = wire.AckPacket(seq=seq, echo_ts_us=ts)
-    assert wire.decode_ack(wire.encode_ack(a)) == a
+    assert wire.decode_ack(wire.encode_ack(seq, ts)) == (seq, ts)
 
 
 @given(junk=st.binary(max_size=64))
@@ -117,11 +115,9 @@ def test_decoder_never_raises_unexpected(junk):
 def test_random_frames_bulk_round_trip():
     rng = random.Random(0xACE)
     for _ in range(20_000):
-        p = wire.UpdatePacket(
-            seq=rng.getrandbits(32),
-            gen_ts_us=rng.getrandbits(64),
-            payload=rng.randbytes(rng.randrange(0, 64)),
-        )
-        assert wire.decode_update(wire.encode_update(p)) == p
-        a = wire.AckPacket(seq=rng.getrandbits(32), echo_ts_us=rng.getrandbits(64))
-        assert wire.decode_ack(wire.encode_ack(a)) == a
+        seq, ts = rng.getrandbits(32), rng.getrandbits(64)
+        payload = rng.randbytes(rng.randrange(0, 64))
+        frame = wire.encode_update(seq, ts, payload)
+        assert wire.decode_update(frame) == (seq, ts) and frame[wire.HEADER_LEN:] == payload
+        seq, ts = rng.getrandbits(32), rng.getrandbits(64)
+        assert wire.decode_ack(wire.encode_ack(seq, ts)) == (seq, ts)
