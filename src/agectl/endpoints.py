@@ -57,7 +57,8 @@ _RUN = "run"
 
 
 class InitializationError(Exception):
-    """Every probe of the initialization phase timed out."""
+    """The initialization phase found no initial rate: every probe timed
+    out, or the answered probes' mean round-trip time was zero."""
 
 
 def parse_policy(policy: str) -> tuple[str, Optional[float]]:
@@ -211,7 +212,12 @@ class SourceSession:
             raise InitializationError(
                 f"all {self.cfg.probe_count} probes timed out; monitor unreachable"
             )
-        self.initial_rate = 1.0 / (self._rtt_sum / self.fresh_acks)
+        mean_rtt = self._rtt_sum / self.fresh_acks
+        if mean_rtt == 0.0:
+            raise InitializationError(
+                f"mean RTT of {self.fresh_acks} answered probes is zero; no initial rate follows"
+            )
+        self.initial_rate = 1.0 / mean_rtt
         self._probe_deadline = math.inf
         self.state = _READY
 
@@ -238,11 +244,13 @@ class SourceSession:
     # -- datagram / timer inputs -------------------------------------------
 
     def on_datagram(self, t: float, data: bytes) -> list[bytes]:
-        """Consume one inbound datagram (expected: an ACK frame)."""
+        """Consume one inbound datagram (expected: an ACK frame).  A frame
+        that does not decode, names an update never sent, or echoes a
+        timestamp other than its update's counts as malformed."""
         self._clock = max(self._clock, t)
         try:
-            seq, _ = wire.decode_ack(data)
-            rtt = self.estimator.on_ack(t, seq)
+            seq, echo_ts_us = wire.decode_ack(data)
+            rtt = self.estimator.on_ack(t, seq, echo_ts_us)
         except (wire.WireError, ProtocolError):
             self.malformed += 1
             return []

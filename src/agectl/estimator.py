@@ -12,7 +12,9 @@ processes from what it can see locally:
   nothing.  A fresh ACK for ``i`` implicitly acknowledges every older
   outstanding update.
 * ``on_ack`` returns the round-trip time of a fresh ACK and None for a
-  stale one; each fresh sample also feeds the RTT and ACK-gap EWMAs.
+  stale one; each fresh sample also feeds the RTT and ACK-gap EWMAs.  A
+  fresh ACK must echo its update's generation time as the wire carries
+  it, in whole microseconds; one that does not is rejected unused.
 
 Both sample paths are integrated lazily so per-epoch time averages are
 exact, not sampled.  Before the first fresh ACK the age process is
@@ -98,15 +100,21 @@ class SourceEstimator:
         self.highest_sent = seq
         self._pending[seq] = gen_ts
 
-    def on_ack(self, t: float, seq: int) -> Optional[float]:
+    def on_ack(self, t: float, seq: int, echo_ts_us: Optional[int] = None) -> Optional[float]:
         """Process an ACK; a fresh one resets the age, updates the EWMAs and
-        returns its RTT, a stale one changes nothing and returns None."""
+        returns its RTT, a stale one changes nothing and returns None.
+
+        A fresh ACK whose ``echo_ts_us`` is given and is not
+        ``round(gen_ts * 1e6)`` of update ``seq`` raises ProtocolError
+        and changes nothing."""
         if seq < 1 or seq > self.highest_sent:
             raise ProtocolError(f"ACK for unknown seq {seq} (highest sent {self.highest_sent})")
         if seq <= self.highest_acked:
             return None
-        self._advance(t)
         gen_ts = self._pending[seq]
+        if echo_ts_us is not None and echo_ts_us != round(gen_ts * 1e6):
+            raise ProtocolError(f"ACK for seq {seq} echoes {echo_ts_us} us, update was sent at {gen_ts} s")
+        self._advance(t)
         rtt = t - gen_ts
         # everything at or below seq is now implicitly acknowledged
         for s in range(self.highest_acked + 1, seq + 1):

@@ -15,7 +15,11 @@ cross flows entering there and applies Lindley's recursion
 Closed-loop runs, where the endpoints react to every delivery, apply it
 one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
-that breaks time ties by insertion order holds one event for its exit.
+that breaks time ties by insertion order holds one entry for its exit.
+A packet carries its arrival handler, so that entry is the walk through
+the next segment or, at the end of the route, the arrival itself; cross
+traffic ends with no entry.  Each source's timer takes one heap entry
+per deadline, not one per endpoint call.
 
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.
@@ -250,9 +254,10 @@ class _ExpStream:
 
 
 # Packets move through the node array as tuples
-#   (is_update, src, size_bytes, route_end, payload)
-# route_end is the index one past the last node of the packet's route;
-# payload carries the encoded frame (None for cross traffic).
+#   (is_update, size_bytes, route_end, arrive, src, payload)
+# route_end is the index one past the last node of the packet's route, where
+# the engine schedules ``arrive(t, src, payload)``; cross traffic has no
+# ``arrive`` (and no payload) and leaves the network silently.
 
 
 class _Engine:
@@ -262,15 +267,16 @@ class _Engine:
     in time order, ties in insertion order.  Packets enter only at
     ``heads`` and every route ends at a head or at the array's end, so
     FCFS keeps entry order from one head to the next: ``enqueue`` walks a
-    packet through that segment by Lindley's recursion and pushes one exit
-    event, ordered among equal-time events by when the packet entered.
-    Each update's stay at a node, clipped to [warmup, duration], adds to
-    that node's backlog area."""
+    packet through that segment by Lindley's recursion and pushes one
+    entry for its exit, ordered among equal-time events by when the
+    packet entered.  That entry is the packet's ``arrive`` handler at the
+    end of its route (none for cross traffic) and ``enqueue`` for the
+    next segment otherwise.  Each update's stay at a node, clipped to
+    [warmup, duration], adds to that node's backlog area."""
 
-    def __init__(self, specs, seed: int, on_deliver: Callable, heads, warmup: float, duration: float):
+    def __init__(self, specs, seed: int, heads, warmup: float, duration: float):
         n = len(specs)
         self._service = [_service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
-        self._on_deliver = on_deliver
         self._segment_end = [min((h for h in heads if h > i), default=n) for i in range(n)]
         self._free = [0.0] * n  # when each server finishes its last packet
         self._warmup = warmup
@@ -284,22 +290,22 @@ class _Engine:
         heapq.heappush(self.heap, (t, self._order, handler, a, b))
 
     def enqueue(self, t: float, i: int, pkt) -> None:
-        end, is_update, size = self._segment_end[i], pkt[0], pkt[2]
-        free, service = self._free, self._service
+        is_update, size, route_end, arrive, src, payload = pkt
+        end = self._segment_end[i]
+        free, area, service = self._free, self.area, self._service
+        warmup, duration = self._warmup, self._duration
         for j in range(i, end):
-            leave = free[j] = (free[j] if free[j] > t else t) + service[j](size)
+            busy = free[j]
+            leave = free[j] = (busy if busy > t else t) + service[j](size)
             if is_update:
-                stay = min(leave, self._duration) - max(t, self._warmup)
+                stay = (leave if leave < duration else duration) - (t if t > warmup else warmup)
                 if stay > 0.0:
-                    self.area[j] += stay
+                    area[j] += stay
             t = leave
-        self.push(t, self._exit, end, pkt)
-
-    def _exit(self, t: float, end: int, pkt) -> None:
-        if end < pkt[3]:
-            self.enqueue(t, end, pkt)
-        else:
-            self._on_deliver(t, pkt)
+        if end < route_end:
+            self.push(t, self.enqueue, end, pkt)
+        elif arrive is not None:
+            self.push(t, arrive, src, payload)
 
     def run(self) -> None:
         """Drain events up to ``duration``; later events are dropped."""
@@ -542,6 +548,7 @@ class SourceStats:
     est_avg_age: float
     est_avg_backlog: float
     true_avg_age: float
+    est_minus_true_age: float  # how far the source's age estimate overshoots
     mean_rate: float
     lambda_final: Optional[float]
     epochs: int
@@ -602,7 +609,12 @@ def run_closed_loop(
     warmup = warmup_frac * duration
     sessions = [SourceSession(cfg) for _ in range(n_sources)]
     monitors = [MonitorSession() for _ in range(n_sources)]
+    # each source has one live timer entry, for the deadline it armed last
+    # (None once that entry fired); older entries are dropped by version.  A
+    # deadline another source has armed too is re-armed after every call, so
+    # the two timers run in the order of their sources' latest calls.
     timer_version = [0] * n_sources
+    armed = [None] * n_sources
     ack_size = float(net.ack_bytes)
     cross_times = [
         _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}")).tolist()
@@ -610,14 +622,17 @@ def run_closed_loop(
     ]
 
     def sync_timer(src: int) -> None:
-        timer_version[src] += 1
         deadline = sessions[src].next_deadline()
+        if deadline == armed[src] and armed.count(deadline) == 1:
+            return
+        timer_version[src] += 1
+        armed[src] = deadline
         if deadline <= duration:
             engine.push(deadline, on_timer, src, timer_version[src])
 
     def inject_updates(t: float, src: int, frames) -> None:
         for frame in frames:
-            engine.enqueue(t, 0, (True, src, float(len(frame)), n_fwd, frame))
+            engine.enqueue(t, 0, (True, float(len(frame)), n_fwd, update_arrives, src, frame))
 
     def after_session_call(t: float, src: int, frames) -> None:
         session = sessions[src]
@@ -629,29 +644,27 @@ def run_closed_loop(
     def on_timer(t: float, src: int, version: int) -> None:
         if version != timer_version[src]:
             return
+        armed[src] = None
         after_session_call(t, src, sessions[src].on_timer(t))
 
     def on_cross(t: float, flow_idx: int, k: int) -> None:
         flow = net.cross_traffic[flow_idx]
-        engine.enqueue(t, flow.entry, (False, -1, float(flow.packet_bytes), n_fwd, None))
+        engine.enqueue(t, flow.entry, (False, float(flow.packet_bytes), n_fwd, None, -1, None))
         times = cross_times[flow_idx]
         if k + 1 < len(times):
             engine.push(times[k + 1], on_cross, flow_idx, k + 1)
 
-    def on_deliver(t: float, pkt) -> None:
-        is_update, src = pkt[0], pkt[1]
-        if is_update:
-            reply = monitors[src].on_datagram(t, pkt[4])
-            if reply is not None:
-                engine.enqueue(t, n_fwd, (False, src, ack_size, n_all, reply))
-        elif pkt[3] == n_all:
-            # ACK back at its source
-            after_session_call(t, src, sessions[src].on_datagram(t, pkt[4]))
-        # cross-traffic packets leave the network silently
+    def update_arrives(t: float, src: int, frame: bytes) -> None:
+        reply = monitors[src].on_datagram(t, frame)
+        if reply is not None:
+            engine.enqueue(t, n_fwd, (False, ack_size, n_all, ack_arrives, src, reply))
+
+    def ack_arrives(t: float, src: int, frame: bytes) -> None:
+        after_session_call(t, src, sessions[src].on_datagram(t, frame))
 
     heads = {0, n_fwd} | {flow.entry for flow in net.cross_traffic}
     specs = tuple(net.forward) + tuple(net.reverse)
-    engine = _Engine(specs, substream_seed(seed, "net"), on_deliver, heads, warmup, duration)
+    engine = _Engine(specs, substream_seed(seed, "net"), heads, warmup, duration)
     for src, session in enumerate(sessions):
         inject_updates(0.0, src, session.on_start(0.0))
         sync_timer(src)
@@ -667,13 +680,15 @@ def run_closed_loop(
     for src in range(n_sources):
         session, monitor = sessions[src], monitors[src]
         est_age, est_backlog, mean_rate = session.epoch_averages(warmup)
+        true_age = monitor.true_avg_age(warmup, duration)
         delivered = sum(1 for rec in monitor.trace if rec["t"] >= warmup)
         stats.append(
             SourceStats(
                 source=src,
                 est_avg_age=est_age,
                 est_avg_backlog=est_backlog,
-                true_avg_age=monitor.true_avg_age(warmup, duration),
+                true_avg_age=true_age,
+                est_minus_true_age=est_age - true_age,
                 mean_rate=mean_rate,
                 lambda_final=session.rate if session.epoch_index else None,
                 epochs=session.epoch_index,

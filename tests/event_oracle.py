@@ -28,11 +28,10 @@ class HopEngine:
     """Event loop plus per-node queue state; heap entries ``(t, order,
     handler, a, b)`` run as ``handler(t, a, b)``, ties in insertion order."""
 
-    def __init__(self, specs, seed: int, on_deliver, heads, warmup: float, duration: float):
+    def __init__(self, specs, seed: int, heads, warmup: float, duration: float):
         n = len(specs)
         self.queues = [deque() for _ in range(n)]
         self._service = [simkit._service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
-        self._on_deliver = on_deliver
         self._warmup = warmup
         self._duration = duration
         self.upd_count = [0] * n
@@ -57,7 +56,7 @@ class HopEngine:
         queue = self.queues[i]
         queue.append(pkt)
         if len(queue) == 1:
-            self.push(t + self._service[i](pkt[2]), self._complete, i)
+            self.push(t + self._service[i](pkt[1]), self._complete, i)
 
     def _complete(self, t: float, i: int, _b) -> None:
         queue = self.queues[i]
@@ -65,11 +64,11 @@ class HopEngine:
         if pkt[0]:
             self._backlog_step(t, i, -1)
         if queue:
-            self.push(t + self._service[i](queue[0][2]), self._complete, i)
-        if i + 1 < pkt[3]:
+            self.push(t + self._service[i](queue[0][1]), self._complete, i)
+        if i + 1 < pkt[2]:
             self.enqueue(t, i + 1, pkt)
-        else:
-            self._on_deliver(t, pkt)
+        elif pkt[3] is not None:
+            pkt[3](t, pkt[4], pkt[5])
 
     def _snapshot_warm(self, t_w: float, _a, _b) -> None:
         for i in range(len(self.queues)):
@@ -95,8 +94,8 @@ class HopEngine:
 class _TallyingEngine(HopEngine):
     """``HopEngine`` that also sums, per node, departed updates and their time there."""
 
-    def __init__(self, specs, seed: int, on_deliver, heads, warmup: float, duration: float):
-        super().__init__(specs, seed, on_deliver, heads, warmup, duration)
+    def __init__(self, specs, seed: int, heads, warmup: float, duration: float):
+        super().__init__(specs, seed, heads, warmup, duration)
         self.waiting = [deque() for _ in specs]  # arrival instants of queued updates
         self.time_sum = [0.0] * len(specs)
         self.departs = [0] * len(specs)
@@ -126,25 +125,24 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
 
     # an update carries its generation instant in the payload slot
     def on_source(t, _a, _b):
-        engine.enqueue(t, 0, (True, 0, update_size, n_fwd, t))
+        engine.enqueue(t, 0, (True, update_size, n_fwd, on_deliver, 0, t))
         gap = arrival_draw.draw() / lam if arrival_draw else 1.0 / lam
         if t + gap <= duration:
             engine.push(t + gap, on_source)
 
     def on_cross(t, flow_idx, _b):
         flow = net.cross_traffic[flow_idx]
-        engine.enqueue(t, flow.entry, (False, -1, float(flow.packet_bytes), n_fwd, None))
+        engine.enqueue(t, flow.entry, (False, float(flow.packet_bytes), n_fwd, None, -1, None))
         gap = cross_draws[flow_idx].draw() / flow.rate_pps
         if t + gap <= duration:
             engine.push(t + gap, on_cross, flow_idx)
 
-    def on_deliver(t, pkt):
-        if pkt[0]:
-            engine.update_left(t, n_fwd - 1)
-            gen_log.append(pkt[4])
-            dlv_log.append(t)
+    def on_deliver(t, _src, gen):
+        engine.update_left(t, n_fwd - 1)
+        gen_log.append(gen)
+        dlv_log.append(t)
 
-    engine = _TallyingEngine(net.forward, substream_seed(seed, "fwd"), on_deliver, (0,), warmup, duration)
+    engine = _TallyingEngine(net.forward, substream_seed(seed, "fwd"), (0,), warmup, duration)
     engine.push(0.0, on_source)
     for i, flow in enumerate(net.cross_traffic):
         first = cross_draws[i].draw() / flow.rate_pps

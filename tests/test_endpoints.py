@@ -147,6 +147,26 @@ def test_late_probe_ack_still_counts_for_the_mean():
     assert sess.initial_rate == pytest.approx(2.0 / (0.7 + 0.3))
 
 
+def test_ack_with_a_wrong_echo_is_malformed():
+    # probe 1 left at t=0; an ACK that names it but echoes another instant
+    # is no evidence that it arrived
+    sess = SourceSession(SourceConfig(probe_count=1))
+    sess.on_start(0.0)
+    assert sess.on_datagram(0.1, wire.encode_ack(1, 123456789)) == []
+    assert (sess.malformed, sess.fresh_acks, sess.stale_acks) == (1, 0, 0)
+    assert not sess.is_ready and sess.initial_rate is None
+    assert sess.estimator.highest_acked == 0 and sess.estimator.rtt_ewma is None
+    sess.on_datagram(0.2, wire.encode_ack(1, 0))
+    assert sess.is_ready and sess.initial_rate == pytest.approx(5.0)
+
+
+def test_zero_mean_probe_rtt_is_an_initialization_error():
+    with pytest.raises(InitializationError, match="zero"):
+        run_initialization(SimulatedPath(0.0, 0.0), SourceConfig())
+    with pytest.raises(InitializationError, match="zero"):
+        run_source(SimulatedPath(0.0, 0.0), SourceConfig(), duration=1.0)
+
+
 # -- monitor -----------------------------------------------------------------------
 
 

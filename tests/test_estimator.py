@@ -228,6 +228,17 @@ def test_errors():
         SourceEstimator(alpha=0.0)
 
 
+def test_fresh_ack_must_echo_the_generation_time():
+    est = SourceEstimator()
+    est.on_send(0.0, 1, 0.25)
+    est.on_send(0.5, 2, 0.5)
+    with pytest.raises(ProtocolError, match="echoes"):
+        est.on_ack(1.0, 2, 250_000)  # update 1's time, not update 2's
+    assert (est.highest_acked, est.rtt_ewma, est.backlog) == (0, None, 2)
+    assert est.on_ack(1.0, 1, 250_000) == pytest.approx(0.75)
+    assert est.on_ack(1.5, 1, 999) is None  # stale: no estimate to guard
+
+
 # -- oracle equivalence --------------------------------------------------------
 
 

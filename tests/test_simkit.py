@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agectl import analytics, simkit
-from agectl.endpoints import InitializationError
+from agectl.endpoints import InitializationError, SourceSession
 from agectl.simkit import (
     ARRIVAL_KINDS,
     AoiMetrics,
@@ -195,9 +195,9 @@ def test_single_source_throughput_equals_rate():
 def test_backlog_window_opens_on_a_completion_instant():
     # two updates at t=0 on a 1 s server leave at 1 and 2; warm-up ends at
     # the first departure, and the backlog integral is continuous there
-    engine = simkit._Engine((ServiceSpec("det", 1.0),), 0, lambda t, pkt: None, (0,), 1.0, 4.0)
+    engine = simkit._Engine((ServiceSpec("det", 1.0),), 0, (0,), 1.0, 4.0)
     for _ in range(2):
-        engine.enqueue(0.0, 0, (True, 0, 1040.0, 1, None))
+        engine.enqueue(0.0, 0, (True, 1040.0, 1, lambda t, src, payload: None, 0, None))
     engine.run()
     assert engine.window_backlogs() == (1 / 3,)
 
@@ -206,10 +206,8 @@ def test_segment_exit_takes_its_order_on_entry():
     # a two-hop det segment entered at t=0 exits at t=2; the exit event was
     # pushed at entry, so it runs before a handler pushed at t=0.5 for t=2
     seen = []
-    engine = simkit._Engine(
-        (ServiceSpec("det", 1.0),) * 2, 0, lambda t, pkt: seen.append(("exit", t)), (0,), 0.0, 4.0
-    )
-    engine.enqueue(0.0, 0, (True, 0, 1040.0, 2, None))
+    engine = simkit._Engine((ServiceSpec("det", 1.0),) * 2, 0, (0,), 0.0, 4.0)
+    engine.enqueue(0.0, 0, (True, 1040.0, 2, lambda t, src, payload: seen.append(("exit", t)), 0, None))
     engine.push(0.5, lambda t, a, b: engine.push(2.0, lambda t, a, b: seen.append(("handler", t))))
     engine.run()
     assert seen == [("exit", 2.0), ("handler", 2.0)]
@@ -395,14 +393,20 @@ def closed_loop_runs(draw):
 
 class _TieWatch(simkit._Engine):
     """``_Engine`` that notes the instant of every event it runs and whether
-    that event was a segment exit."""
+    that event was a segment exit (an entry ``enqueue`` pushed)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.ran = []
+        self._in_enqueue = False
+
+    def enqueue(self, t, i, pkt):
+        self._in_enqueue = True
+        super().enqueue(t, i, pkt)
+        self._in_enqueue = False
 
     def push(self, t, handler, a=None, b=None):
-        is_exit = handler == self._exit
+        is_exit = self._in_enqueue
 
         def noted(t, a, b):
             self.ran.append((t, is_exit))
@@ -444,6 +448,90 @@ def test_closed_loop_matches_hop_by_hop_engine(run):
     assert json.dumps(got.to_dict()["sources"]) == json.dumps(want.to_dict()["sources"])
     for field in ("forward_backlogs", "reverse_backlogs"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0), field
+
+
+class _TimerWatch(simkit._Engine):
+    """``_Engine`` that notes the instant each stale source timer entry (a
+    newer one was armed since) was armed, and for each live one the instant,
+    its source and when every source's session was last called."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.now = 0.0
+        self.newest = {}  # source -> version of its newest timer entry
+        self.stale_armed_at = []
+        self.calls = 0  # session calls made so far (on_timer or on_datagram)
+        self.last_call = {}  # source -> index of its session's latest call
+        self.live_runs = []
+
+    def push(self, t, handler, a=None, b=None):
+        armed_at = self.now
+        name = handler.__name__
+        if name == "on_timer":
+            self.newest[a] = b
+
+        def noted(t, a, b):
+            self.now = t
+            if name == "on_timer" and b != self.newest[a]:
+                self.stale_armed_at.append(armed_at)
+            elif name in ("on_timer", "ack_arrives"):
+                if name == "on_timer":
+                    self.live_runs.append((t, a, dict(self.last_call)))
+                self.last_call[a] = self.calls
+                self.calls += 1
+            handler(t, a, b)
+
+        super().push(t, noted, a, b)
+
+
+def test_timer_entry_is_armed_once_per_deadline():
+    # once epochs run an ACK never moves the next send or epoch instant, so
+    # no timer entry armed from then on may be left to fire stale
+    net = QueueNetwork(forward=(ServiceSpec("det", 4.0),), reverse=(ServiceSpec("det", 10.0),))
+    made, sessions = [], []
+
+    def make_engine(*args):
+        made.append(_TimerWatch(*args))
+        return made[-1]
+
+    def make_session(cfg):
+        sessions.append(SourceSession(cfg))
+        return sessions[-1]
+
+    with mock.patch.object(simkit, "_Engine", make_engine), mock.patch.object(simkit, "SourceSession", make_session):
+        result = run_closed_loop(net, "fixed:2.0", 1, duration=60.0, seed=0)
+    assert result.sources[0].fresh_acks > 100
+    assert made[0].stale_armed_at  # probes answered early leave stale timeouts
+    assert [t for t in made[0].stale_armed_at if t >= sessions[0]._epochs_began] == []
+
+
+def test_timers_sharing_a_deadline_run_in_order_of_their_sources_latest_calls():
+    # round trips of about 2 s outlast the 1 s probe timeout, so both sources
+    # probe, begin epochs and send in lockstep and their timers share every
+    # deadline; the timer whose session was called last runs last, as when
+    # every call re-armed the timer (sessions start in source order)
+    made = []
+
+    def make_engine(*args):
+        made.append(_TimerWatch(*args))
+        return made[-1]
+
+    with mock.patch.object(simkit, "_Engine", make_engine):
+        run_closed_loop(CL_TANDEM, "fixed:0.3", 2, duration=100.0, seed=1)
+    runs = made[0].live_runs
+    ties = [(a, b, calls) for (t, a, calls), (u, b, _) in zip(runs, runs[1:]) if t == u and a != b]
+    assert len(ties) > 20
+    assert any(a == 1 for a, _, _ in ties)  # the later source was called first
+    for a, b, calls in ties:
+        assert (calls.get(a, -1), a) < (calls.get(b, -1), b)
+
+
+def test_closed_loop_reports_the_age_estimate_gap():
+    r = run_closed_loop(CL_TANDEM, "fixed:0.3", 2, duration=600.0, seed=3)
+    for s in r.sources:
+        assert s.est_minus_true_age == s.est_avg_age - s.true_avg_age
+        assert s.est_minus_true_age > 0.0  # the estimate includes the ACK's trip back
+    assert "est_minus_true_age" in r.to_dict()["sources"][0]
 
 
 # -- config parsing -----------------------------------------------------------------
