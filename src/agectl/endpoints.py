@@ -202,9 +202,10 @@ class SourceSession:
     def _send_update(self, t: float) -> bytes:
         self._clock = max(self._clock, t)
         seq = self.estimator.highest_sent + 1
-        self.estimator.on_send(t, seq, t)
+        gen_ts_us = round(t * 1e6)
+        self.estimator.on_send(t, seq, t, gen_ts_us)
         self.sends += 1
-        return wire.encode_update(seq, round(t * 1e6), self._payload)
+        return wire.encode_update(seq, gen_ts_us, self._payload)
 
     def _finish_init(self, t: float) -> None:
         # every fresh ACK so far answered a probe

@@ -13,8 +13,8 @@ processes from what it can see locally:
   outstanding update.
 * ``on_ack`` returns the round-trip time of a fresh ACK and None for a
   stale one; each fresh sample also feeds the RTT and ACK-gap EWMAs.  A
-  fresh ACK must echo its update's generation time as the wire carries
-  it, in whole microseconds; one that does not is rejected unused.
+  fresh ACK must echo the timestamp its update carried on the wire, as
+  ``on_send`` was given it; one that does not is rejected unused.
 
 Both sample paths are integrated lazily so per-epoch time averages are
 exact, not sampled.  Before the first fresh ACK the age process is
@@ -68,7 +68,8 @@ class SourceEstimator:
         self.highest_acked = 0
         self.rtt_ewma: Optional[float] = None
         self.ack_gap_ewma: Optional[float] = None
-        self._pending: dict[int, float] = {}  # seq -> generation time, seqs > highest_acked
+        # seq -> (generation time, its wire timestamp), seqs > highest_acked
+        self._pending: dict[int, tuple[float, int]] = {}
         self._acked_gen_ts = 0.0  # generation time of update highest_acked
         self._last_fresh_at: Optional[float] = None
         self._clock = start
@@ -92,28 +93,28 @@ class SourceEstimator:
                 self._age_area += dt * ((self._clock + t) * 0.5 - self._acked_gen_ts)
         self._clock = t
 
-    def on_send(self, t: float, seq: int, gen_ts: float) -> None:
-        """Record the transmission of update ``seq`` generated at ``gen_ts``."""
+    def on_send(self, t: float, seq: int, gen_ts: float, gen_ts_us: int) -> None:
+        """Record the transmission of update ``seq`` generated at ``gen_ts``,
+        whose frame carries the timestamp ``gen_ts_us``."""
         if seq != self.highest_sent + 1:
             raise ProtocolError(f"non-monotone send seq {seq}, expected {self.highest_sent + 1}")
         self._advance(t)
         self.highest_sent = seq
-        self._pending[seq] = gen_ts
+        self._pending[seq] = (gen_ts, gen_ts_us)
 
-    def on_ack(self, t: float, seq: int, echo_ts_us: Optional[int] = None) -> Optional[float]:
+    def on_ack(self, t: float, seq: int, echo_ts_us: int) -> Optional[float]:
         """Process an ACK; a fresh one resets the age, updates the EWMAs and
         returns its RTT, a stale one changes nothing and returns None.
 
-        A fresh ACK whose ``echo_ts_us`` is given and is not
-        ``round(gen_ts * 1e6)`` of update ``seq`` raises ProtocolError
-        and changes nothing."""
+        A fresh ACK whose ``echo_ts_us`` is not the ``gen_ts_us`` update
+        ``seq`` was sent with raises ProtocolError and changes nothing."""
         if seq < 1 or seq > self.highest_sent:
             raise ProtocolError(f"ACK for unknown seq {seq} (highest sent {self.highest_sent})")
         if seq <= self.highest_acked:
             return None
-        gen_ts = self._pending[seq]
-        if echo_ts_us is not None and echo_ts_us != round(gen_ts * 1e6):
-            raise ProtocolError(f"ACK for seq {seq} echoes {echo_ts_us} us, update was sent at {gen_ts} s")
+        gen_ts, gen_ts_us = self._pending[seq]
+        if echo_ts_us != gen_ts_us:
+            raise ProtocolError(f"ACK for seq {seq} echoes {echo_ts_us}, update carried {gen_ts_us}")
         self._advance(t)
         rtt = t - gen_ts
         # everything at or below seq is now implicitly acknowledged

@@ -247,7 +247,7 @@ def random_trace(rng):
     for seq, sent_at in sends.items():
         if rng.random() < 0.3:
             continue  # lost
-        events.append(("ack", sent_at + 0.01 + rng.expovariate(1.5), seq))
+        events.append(("ack", sent_at + 0.01 + rng.expovariate(1.5), seq, round(sent_at * 1e6)))
     events.sort(key=lambda e: e[1])
     return events
 
@@ -259,9 +259,9 @@ def test_c07_estimator_matches_oracle_on_random_traces():
         est = SourceEstimator()
         for ev in events:
             if ev[0] == "send":
-                est.on_send(ev[1], ev[2], ev[3])
+                est.on_send(ev[1], ev[2], ev[3], round(ev[3] * 1e6))
             else:
-                est.on_ack(ev[1], ev[2])
+                est.on_ack(ev[1], ev[2], ev[3])
         oracle = ReplayOracle(events)
         end = events[-1][1]
         probe = end + rng.random()
@@ -285,11 +285,11 @@ def test_c07_out_of_sequence_ack_regression():
     # age process or shrink the backlog
     est = SourceEstimator()
     for seq, t in ((1, 0.0), (2, 0.2), (3, 0.4)):
-        est.on_send(t, seq, t)
-    assert est.on_ack(1.0, 3) is not None
+        est.on_send(t, seq, t, round(t * 1e6))
+    assert est.on_ack(1.0, 3, round(0.4 * 1e6)) is not None
     assert est.highest_acked == 3 and est.backlog == 0
     age_before = est.age_at(1.1)
-    assert est.on_ack(1.1, 2) is None
+    assert est.on_ack(1.1, 2, round(0.2 * 1e6)) is None
     assert est.highest_acked == 3
     assert est.age_at(1.1) == age_before
     report("C7 out-of-sequence ACK leaves age and backlog untouched")

@@ -16,7 +16,8 @@ from agectl.estimator import NoEstimateError, ProtocolError, SourceEstimator
 class ReplayOracle:
     """Reconstructs the processes from a raw event log, by definition.
 
-    Events: ("send", t, seq, gen_ts) and ("ack", t, seq), time-sorted.
+    Events: ("send", t, seq, gen_ts) and ("ack", t, seq, echo_ts_us),
+    time-sorted.
     highest-sent S(t) counts sends up to t; highest-acked N(t) is the
     running max seq over all ACK arrivals up to t (stale arrivals cannot
     raise the max).  Age is t - gen_ts[N(t)] once N(t) > 0, else
@@ -63,6 +64,12 @@ class ReplayOracle:
         return age_area, backlog_area
 
 
+def us(gen_ts):
+    """The wire timestamp of an update generated at ``gen_ts``, as a
+    source session encodes it."""
+    return round(gen_ts * 1e6)
+
+
 def make_random_trace(rng, n_updates=30, loss=0.25, jitter=1.0):
     """Random send/ACK event log with loss and ACK reordering."""
     events = []
@@ -75,7 +82,7 @@ def make_random_trace(rng, n_updates=30, loss=0.25, jitter=1.0):
     for seq, sent_at in send_times.items():
         if rng.random() < loss:
             continue
-        events.append(("ack", sent_at + 0.01 + rng.expovariate(1.0 / jitter), seq))
+        events.append(("ack", sent_at + 0.01 + rng.expovariate(1.0 / jitter), seq, us(sent_at)))
     events.sort(key=lambda e: e[1])
     return events
 
@@ -84,9 +91,9 @@ def replay_into_estimator(events, est=None):
     est = est or SourceEstimator()
     for ev in events:
         if ev[0] == "send":
-            est.on_send(ev[1], ev[2], ev[3])
+            est.on_send(ev[1], ev[2], ev[3], us(ev[3]))
         else:
-            est.on_ack(ev[1], ev[2])
+            est.on_ack(ev[1], ev[2], ev[3])
     return est
 
 
@@ -95,21 +102,21 @@ def replay_into_estimator(events, est=None):
 
 def test_first_send_backlog():
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.0)
+    est.on_send(0.0, 1, 0.0, us(0.0))
     assert est.backlog == 1
 
 
 def test_three_sends_no_acks():
     est = SourceEstimator()
     for seq, t in ((1, 0.0), (2, 0.5), (3, 1.0)):
-        est.on_send(t, seq, t)
+        est.on_send(t, seq, t, us(t))
     assert est.backlog == 3
 
 
 def test_single_exchange_resets_age_to_rtt():
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.0)
-    assert est.on_ack(0.2, 1) == pytest.approx(0.2)
+    est.on_send(0.0, 1, 0.0, us(0.0))
+    assert est.on_ack(0.2, 1, us(0.0)) == pytest.approx(0.2)
     assert est.age_at(0.2) == pytest.approx(0.2)
     assert est.age_at(1.2) == pytest.approx(1.2)  # unit slope afterwards
     assert est.backlog == 0
@@ -120,34 +127,34 @@ def test_out_of_sequence_ack_is_discarded():
     # ACK of an older update must then change nothing
     est = SourceEstimator()
     for seq, t in ((1, 0.0), (2, 0.1), (3, 0.2)):
-        est.on_send(t, seq, t)
-    assert est.on_ack(0.5, 3) is not None
+        est.on_send(t, seq, t, us(t))
+    assert est.on_ack(0.5, 3, us(0.2)) is not None
     assert est.highest_acked == 3 and est.backlog == 0
     age_before = est.age_at(0.6)
-    assert est.on_ack(0.6, 2) is None
+    assert est.on_ack(0.6, 2, us(0.1)) is None
     assert est.highest_acked == 3
     assert est.age_at(0.6) == age_before
 
 
 def test_stale_ack_keeps_ewma():
     est = SourceEstimator(alpha=0.5)
-    est.on_send(0.0, 1, 0.0)
-    est.on_send(0.1, 2, 0.1)
-    est.on_ack(0.4, 2)
+    est.on_send(0.0, 1, 0.0, us(0.0))
+    est.on_send(0.1, 2, 0.1, us(0.1))
+    est.on_ack(0.4, 2, us(0.1))
     rtt_before = est.rtt_ewma
-    est.on_ack(0.9, 1)  # stale
+    est.on_ack(0.9, 1, us(0.0))  # stale
     assert est.rtt_ewma == rtt_before
 
 
 def test_ewma_seeding_and_recurrence():
     est = SourceEstimator(alpha=0.25)
-    est.on_send(0.0, 1, 0.0)
-    est.on_ack(0.4, 1)
+    est.on_send(0.0, 1, 0.0, us(0.0))
+    est.on_ack(0.4, 1, us(0.0))
     # first fresh ACK seeds both averages with the RTT
     assert est.rtt_ewma == pytest.approx(0.4)
     assert est.ack_gap_ewma == pytest.approx(0.4)
-    est.on_send(1.0, 2, 1.0)
-    assert est.on_ack(1.2, 2) == pytest.approx(0.2)
+    est.on_send(1.0, 2, 1.0, us(1.0))
+    assert est.on_ack(1.2, 2, us(1.0)) == pytest.approx(0.2)
     assert est.rtt_ewma == pytest.approx(0.75 * 0.4 + 0.25 * 0.2)
     assert est.ack_gap_ewma == pytest.approx(0.75 * 0.4 + 0.25 * 0.8)  # gap 1.2 - 0.4
 
@@ -155,8 +162,8 @@ def test_ewma_seeding_and_recurrence():
 def test_alpha_one_tracks_latest_sample():
     est = SourceEstimator(alpha=1.0)
     for seq, (ts, ta) in enumerate(((0.0, 0.3), (1.0, 1.1), (2.0, 2.7)), start=1):
-        est.on_send(ts, seq, ts)
-        est.on_ack(ta, seq)
+        est.on_send(ts, seq, ts, us(ts))
+        est.on_ack(ta, seq, us(ts))
         assert est.rtt_ewma == pytest.approx(ta - ts)
 
 
@@ -164,8 +171,8 @@ def test_constant_samples_converge():
     est = SourceEstimator(alpha=0.25)
     t = 0.0
     for seq in range(1, 60):
-        est.on_send(t, seq, t)
-        est.on_ack(t + 0.2, seq)
+        est.on_send(t, seq, t, us(t))
+        est.on_ack(t + 0.2, seq, us(t))
         t += 1.0
     assert est.rtt_ewma == pytest.approx(0.2)
     assert est.ack_gap_ewma == pytest.approx(1.0, rel=1e-6)
@@ -173,8 +180,8 @@ def test_constant_samples_converge():
 
 def test_epoch_constant_backlog():
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.0)
-    est.on_send(0.0, 2, 0.0)
+    est.on_send(0.0, 1, 0.0, us(0.0))
+    est.on_send(0.0, 2, 0.0, us(0.0))
     stats = est.close_epoch(5.0)
     assert stats.avg_backlog == pytest.approx(2.0)
     assert stats.backlog_now == 2
@@ -189,21 +196,21 @@ def test_epoch_sawtooth_age():
     seq = 0
     # warm one cycle so the age is defined from epoch start
     seq += 1
-    est.on_send(t, seq, t)
-    est.on_ack(t + r, seq)
+    est.on_send(t, seq, t, us(t))
+    est.on_ack(t + r, seq, us(t))
     est.restart_epochs(t + r)
     for k in range(1, 11):
         seq += 1
         send_at = t + r + k * p - r
-        est.on_send(send_at, seq, send_at)
-        est.on_ack(t + r + k * p, seq)
+        est.on_send(send_at, seq, send_at, us(send_at))
+        est.on_ack(t + r + k * p, seq, us(send_at))
     stats = est.close_epoch(t + r + 10 * p)
     assert stats.avg_age == pytest.approx(r + p / 2)
 
 
 def test_epoch_diffs_against_previous():
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.0)
+    est.on_send(0.0, 1, 0.0, us(0.0))
     first = est.close_epoch(1.0)
     assert first.age_diff is None
     second = est.close_epoch(2.0)
@@ -216,12 +223,12 @@ def test_errors():
     with pytest.raises(NoEstimateError):
         est.age_at(1.0)
     with pytest.raises(ProtocolError):
-        est.on_ack(0.5, 3)  # never sent
-    est.on_send(1.0, 1, 1.0)
+        est.on_ack(0.5, 3, us(0.5))  # never sent
+    est.on_send(1.0, 1, 1.0, us(1.0))
     with pytest.raises(ProtocolError):
-        est.on_send(2.0, 3, 2.0)  # skips seq 2
+        est.on_send(2.0, 3, 2.0, us(2.0))  # skips seq 2
     with pytest.raises(ProtocolError):
-        est.on_send(0.5, 2, 0.5)  # clock moved backwards
+        est.on_send(0.5, 2, 0.5, us(0.5))  # clock moved backwards
     with pytest.raises(ValueError):
         est.close_epoch(0.0)  # zero-length epoch
     with pytest.raises(ValueError):
@@ -230,12 +237,12 @@ def test_errors():
 
 def test_fresh_ack_must_echo_the_generation_time():
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.25)
-    est.on_send(0.5, 2, 0.5)
+    est.on_send(0.0, 1, 0.25, us(0.25))
+    est.on_send(0.5, 2, 0.5, us(0.5))
     with pytest.raises(ProtocolError, match="echoes"):
-        est.on_ack(1.0, 2, 250_000)  # update 1's time, not update 2's
+        est.on_ack(1.0, 2, us(0.25))  # update 1's timestamp, not update 2's
     assert (est.highest_acked, est.rtt_ewma, est.backlog) == (0, None, 2)
-    assert est.on_ack(1.0, 1, 250_000) == pytest.approx(0.75)
+    assert est.on_ack(1.0, 1, us(0.25)) == pytest.approx(0.75)
     assert est.on_ack(1.5, 1, 999) is None  # stale: no estimate to guard
 
 
@@ -333,9 +340,9 @@ def test_monotone_counters_property():
     prev_sent = prev_acked = 0
     for ev in events:
         if ev[0] == "send":
-            est.on_send(ev[1], ev[2], ev[3])
+            est.on_send(ev[1], ev[2], ev[3], us(ev[3]))
         else:
-            est.on_ack(ev[1], ev[2])
+            est.on_ack(ev[1], ev[2], ev[3])
         assert est.highest_sent >= prev_sent
         assert est.highest_acked >= prev_acked
         assert est.backlog == est.highest_sent - est.highest_acked >= 0
