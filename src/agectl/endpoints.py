@@ -3,11 +3,12 @@
 A connection starts with an initialization phase: the source sends
 probe updates stop-and-wait (next probe on ACK or timeout) and sets its
 initial rate to the inverse of the mean observed round-trip time.  It
-then runs control epochs: updates are paced periodically at the epoch's
-rate, ACKs feed the estimator as they arrive, and at each epoch
-boundary the source closes the epoch, consults its policy, and adopts
-the next rate.  Epoch boundaries land exactly on send instants (an
-epoch spans a whole number of send periods).
+then runs control epochs of η = ``updates_per_epoch`` sends each under
+every policy: each send falls one period of the current rate after the
+previous one was scheduled, and ACKs feed the estimator as they arrive.
+When an epoch's (η+1)-th send falls due, the source first closes the
+epoch, consults its policy and adopts the next rate; that send then
+opens the next epoch, so epoch boundaries are send instants.
 
 The monitor accepts an update only if it is newer than everything seen
 before; stale updates are discarded *and not acknowledged*, keeping
@@ -70,8 +71,8 @@ def parse_policy(policy: str) -> tuple[str, Optional[float]]:
             rate = float(policy.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad fixed policy rate in {policy!r}") from None
-        if rate <= 0.0:
-            raise ValueError(f"fixed policy rate must be positive, got {rate}")
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise ValueError(f"fixed policy rate must be positive and finite, got {rate}")
         return "fixed", rate
     raise ValueError(f"unknown policy {policy!r}; expected acp_plus, lazy, or fixed:<rate>")
 
@@ -135,7 +136,9 @@ class SourceSession:
 
     Drive it with ``on_start`` once, then ``on_datagram``/``on_timer``;
     every call returns the frames to transmit.  ``next_deadline`` is the
-    time of the next pending timer action (inf while idle in READY).
+    time of the next pending timer action (inf while idle in READY); once
+    epochs begin, the next send, one period of the current rate after the
+    last.  An epoch is η sends under every policy.
     """
 
     def __init__(self, cfg: SourceConfig):
@@ -155,13 +158,10 @@ class SourceSession:
         self._probe_deadline = math.inf
         self.initial_rate: Optional[float] = None  # inverse mean probe RTT
         self.rate = math.nan  # current send rate, set once epochs begin
-        self._epoch_anchor = math.nan
         self._epochs_began = math.nan
         self._first_rate = math.nan  # rate of the first epoch
-        self._send_index = 0
-        self._period = math.nan
-        self._next_send = math.inf
-        self._next_epoch = math.inf
+        self._next_send = math.inf  # scheduled instant of the next paced send
+        self._epoch_sends = 0  # sends in the running epoch
         self._clock = 0.0  # latest event time seen, guards against late timers
         self._rtt_sum = 0.0
 
@@ -184,7 +184,7 @@ class SourceSession:
     def next_deadline(self) -> float:
         if self.state == _INIT:
             return self._probe_deadline
-        return min(self._next_send, self._next_epoch)
+        return self._next_send
 
     # -- init phase -------------------------------------------------------
 
@@ -231,16 +231,8 @@ class SourceSession:
             self.controller = RateController(self.rate, updates_per_epoch=self.cfg.updates_per_epoch)
         self.estimator.restart_epochs(t)
         self.state = _RUN
-        self._epochs_began = t
-        self._anchor_epoch(t)
+        self._epochs_began = self._next_send = t
         return self._process_due(t)
-
-    def _anchor_epoch(self, t: float) -> None:
-        self._epoch_anchor = t
-        self._send_index = 0
-        self._period = 1.0 / self.rate
-        self._next_send = t
-        self._next_epoch = t + self.cfg.updates_per_epoch / self.rate
 
     # -- datagram / timer inputs -------------------------------------------
 
@@ -272,7 +264,7 @@ class SourceSession:
         return []
 
     def on_timer(self, t: float) -> list[bytes]:
-        """Handle a due deadline (probe timeout, send instant, epoch close)."""
+        """Handle a due deadline (probe timeout or send instant)."""
         if self.state == _INIT:
             if t < self._probe_deadline:
                 return []
@@ -289,20 +281,14 @@ class SourceSession:
         # guards keep the estimator clock monotone when a real driver
         # fires a timer after having just processed a later datagram
         frames = []
-        while True:
-            if self._next_epoch <= t and self._next_epoch <= self._next_send:
-                self._close_epoch(max(self._next_epoch, self._clock))
-            elif self._next_send <= t:
-                scheduled = self._next_send
-                frames.append(self._send_update(max(scheduled, self._clock)))
-                self._send_index += 1
-                if self.policy_kind == "lazy":
-                    self._period = 1.0 / self.rate
-                    self._next_send = scheduled + self._period
-                else:
-                    self._next_send = self._epoch_anchor + self._send_index * self._period
-            else:
-                return frames
+        while self._next_send <= t:
+            send_at = max(self._next_send, self._clock)
+            if self._epoch_sends == self.cfg.updates_per_epoch:
+                self._close_epoch(send_at)
+            frames.append(self._send_update(send_at))
+            self._epoch_sends += 1
+            self._next_send += 1.0 / self.rate
+        return frames
 
     def _close_epoch(self, t: float) -> None:
         self._clock = max(self._clock, t)
@@ -327,7 +313,7 @@ class SourceSession:
                 "z_ewma": self.estimator.ack_gap_ewma,
             }
         )
-        self._anchor_epoch(t)
+        self._epoch_sends = 0
 
     # -- summaries ----------------------------------------------------------
 

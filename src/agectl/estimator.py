@@ -60,7 +60,7 @@ class EpochStats:
 class SourceEstimator:
     """Reconstructs the age/backlog sample paths seen from the source."""
 
-    def __init__(self, alpha: float = DEFAULT_ALPHA, start: float = 0.0):
+    def __init__(self, alpha: float = DEFAULT_ALPHA):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
@@ -72,8 +72,8 @@ class SourceEstimator:
         self._pending: dict[int, tuple[float, int]] = {}
         self._acked_gen_ts = 0.0  # generation time of update highest_acked
         self._last_fresh_at: Optional[float] = None
-        self._clock = start
-        self._epoch_start = start
+        self._clock = 0.0
+        self._epoch_start = 0.0
         self._age_area = 0.0
         self._backlog_area = 0.0
         self._prev_epoch: Optional[tuple[float, float]] = None

@@ -226,6 +226,8 @@ def test_sim_rejects_non_finite_json_constants(tmp_path, capsys, constant):
         ("n_sources", True, "n_sources"),
         ("eta", True, "updates_per_epoch"),
         ("probe_count", 1.5, "probe_count"),
+        ("policy", "fixed:nan", "fixed"),
+        ("policy", "fixed:inf", "fixed"),
     ],
 )
 def test_sim_rejects_mistyped_closed_loop_fields(tmp_path, capsys, field, value, needle):

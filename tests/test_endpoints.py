@@ -6,6 +6,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from agectl import wire
 from agectl.endpoints import (
@@ -34,7 +36,7 @@ def test_parse_policy():
     assert parse_policy("acp_plus") == ("acp_plus", None)
     assert parse_policy("lazy") == ("lazy", None)
     assert parse_policy("fixed:7.5") == ("fixed", 7.5)
-    for bad in ("fixed:", "fixed:-1", "tcp", "fixed:abc"):
+    for bad in ("fixed:", "fixed:-1", "tcp", "fixed:abc", "fixed:nan", "fixed:inf", "fixed:1e309"):
         with pytest.raises(ValueError):
             parse_policy(bad)
 
@@ -274,6 +276,78 @@ def test_epoch_spans_and_averages_by_hand():
     assert sess.epoch_averages(1.5) == (0.625, 2.0, 4.0)  # epoch 1 closes at 1.5
     assert all(math.isnan(v) for v in sess.epoch_averages(2.0))
     assert sess.est_avg_age(skip_time=0.5) == 0.625 and sess.est_avg_backlog() == 1.625
+
+
+def test_lazy_pacing_holds_across_epoch_closes():
+    # each send is one period of the rate in force at the previous send,
+    # also where an epoch closes between the two
+    sess = SourceSession(SourceConfig(policy="lazy", probe_count=1, updates_per_epoch=2))
+    sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))
+    frames = sess.begin_epochs(1.0)
+    sends = [(1.0, sess.rate)]  # (instant, rate at that send)
+    for share in (0.2, 0.6, 0.3, 0.5, 0.4, 0.25, 0.55):
+        # the ACK lands before the next send and moves rtt_ewma, and the rate with it
+        t, rate = sends[-1]
+        sess.on_datagram(t + share / rate, ack_for(frames[0]))
+        due = sess.next_deadline()
+        frames = sess.on_timer(due)
+        assert len(frames) == 1
+        sends.append((due, sess.rate))
+    assert sess.epoch_index == 3
+    assert len({rate for _, rate in sends}) == len(sends)
+    for (a, rate), (b, _) in zip(sends, sends[1:]):
+        assert b - a == pytest.approx(1.0 / rate, rel=1e-12)
+
+
+class _SendClock(SimulatedPath):
+    """A simulated path that records the virtual instant of every send."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.send_times = []
+
+    def send(self, payload: bytes) -> None:
+        self.send_times.append(self.now())
+        super().send(payload)
+
+
+_delays = st.one_of(st.floats(0.001, 0.2), st.tuples(st.just("exp"), st.floats(0.001, 0.2)))
+_policies = st.one_of(
+    st.sampled_from(["acp_plus", "lazy"]), st.floats(0.5, 60.0).map(lambda rate: f"fixed:{rate}")
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fwd=_delays,
+    rev=_delays,
+    loss=st.sampled_from([0.0, 0.01, 0.2]),
+    policy=_policies,
+    eta=st.integers(1, 12),
+    probes=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+# epochs begin at 0.01; the 10th send on the anchor grid used to round
+# below the epoch close, so the first epoch sent 11 updates
+@example(fwd=0.005, rev=0.005, loss=0.0, policy="fixed:12.099", eta=10, probes=1, seed=0)
+def test_every_epoch_is_eta_sends(fwd, rev, loss, policy, eta, probes, seed):
+    path = _SendClock(fwd, rev, loss=loss, seed=seed)
+    cfg = SourceConfig(policy=policy, probe_count=probes, updates_per_epoch=eta)
+    try:
+        _, sess = run_source(path, cfg, duration=10.0)
+    except InitializationError:
+        reject()  # every probe lost: no epochs to check
+    sends = path.send_times[probes:]
+    closes = [rec["t"] for rec in sess.trace]
+    assert all(a < b for a, b in zip(sends, sends[1:])), "two sends at one instant"
+    assert len(sends) > eta * len(closes)
+    opened = sends[0]
+    for k, close in enumerate(closes, 1):
+        # epoch k holds sends (k-1)η … kη-1 and closes at send kη, which opens epoch k+1
+        assert sum(opened <= s < close for s in sends) == eta
+        # the path clock may reach a deadline one rounding step late
+        assert close == pytest.approx(sends[k * eta], rel=1e-12)
+        opened = close
 
 
 def test_lazy_policy_tracks_inverse_rtt():
