@@ -5,7 +5,7 @@ probe updates stop-and-wait (next probe on ACK or timeout) and sets its
 initial rate to the inverse of the mean observed round-trip time.  It
 then runs control epochs of η = ``updates_per_epoch`` sends each under
 every policy: each send falls one period of the current rate after the
-previous one was scheduled, and ACKs feed the estimator as they arrive.
+previous send, and ACKs feed the estimator as they arrive.
 When an epoch's (η+1)-th send falls due, the source first closes the
 epoch, consults its policy and adopts the next rate; that send then
 opens the next epoch, so epoch boundaries are send instants.
@@ -277,9 +277,10 @@ class SourceSession:
         return []
 
     def _process_due(self, t: float) -> list[bytes]:
-        # scheduled instants are exact under a simulated clock; the max()
-        # guards keep the estimator clock monotone when a real driver
-        # fires a timer after having just processed a later datagram
+        # scheduled instants are exact under a simulated clock; when a real
+        # driver fires a timer after having just processed a later datagram,
+        # the send goes out at that later instant and the next one is paced
+        # from it, so missed sends are skipped and send instants increase
         frames = []
         while self._next_send <= t:
             send_at = max(self._next_send, self._clock)
@@ -287,7 +288,7 @@ class SourceSession:
                 self._close_epoch(send_at)
             frames.append(self._send_update(send_at))
             self._epoch_sends += 1
-            self._next_send += 1.0 / self.rate
+            self._next_send = send_at + 1.0 / self.rate
         return frames
 
     def _close_epoch(self, t: float) -> None:

@@ -299,6 +299,23 @@ def test_lazy_pacing_holds_across_epoch_closes():
         assert b - a == pytest.approx(1.0 / rate, rel=1e-12)
 
 
+def test_late_timer_skips_missed_sends():
+    # a real clock can handle a datagram long after a send fell due and only
+    # then fire the timer: one send goes out at that instant and pacing
+    # restarts from it, so no burst of sends shares one instant
+    eta = 2
+    sess = SourceSession(SourceConfig(policy="fixed:10", probe_count=1, updates_per_epoch=eta))
+    sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))
+    frames = sess.begin_epochs(1.0)
+    for closes in (0, 1):
+        late = sess.next_deadline() + (2 * eta + 2) / sess.rate
+        sess.on_datagram(late, ack_for(frames[0]))
+        frames = sess.on_timer(late)
+        assert len(frames) == 1 and sess.epoch_index == closes
+        assert sess.next_deadline() == late + 1.0 / sess.rate
+    assert sess.trace[0]["t"] == late
+
+
 class _SendClock(SimulatedPath):
     """A simulated path that records the virtual instant of every send."""
 
