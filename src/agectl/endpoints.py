@@ -452,13 +452,15 @@ class UdpLink:
             raise RuntimeError("no peer known yet; cannot send")
         self.sock.sendto(payload, self.peer)
 
-    def recv(self, timeout: Optional[float]):
-        """Wait up to ``timeout`` for a datagram; returns (bytes, now) or None."""
-        self.sock.settimeout(max(timeout, 0.0) if timeout is not None else None)
+    def recv(self, deadline: float):
+        """Wait until the monotonic instant ``deadline`` (inf: forever) for a
+        datagram; returns (bytes, now), or (None, now) with now >= deadline."""
+        wait = deadline - self.now()  # the socket rounds it up to whole ms
+        self.sock.settimeout(None if math.isinf(wait) else max(wait, 0.0))
         try:
             data, addr = self.sock.recvfrom(65_535)
         except (socket.timeout, BlockingIOError):
-            return None
+            return None, self.now()
         if self.peer is None:
             self.peer = addr
         return data, self.now()
@@ -524,9 +526,9 @@ class SimulatedPath:
         self._order += 1
         heapq.heappush(self._in_flight, (t + self._rev_delay(), False, self._order, reply))
 
-    def recv(self, timeout: Optional[float]):
-        """Advance virtual time until an ACK arrives or the timeout passes."""
-        deadline = math.inf if timeout is None else self._now + max(timeout, 0.0)
+    def recv(self, deadline: float):
+        """Advance virtual time to the next ACK, returning (bytes, now), or
+        else to exactly max(now, ``deadline``), returning (None, now)."""
         in_flight = self._in_flight
         while in_flight and in_flight[0][0] <= deadline:
             t, to_monitor, _, payload = heapq.heappop(in_flight)
@@ -536,8 +538,8 @@ class SimulatedPath:
             self._deliver_to_monitor(t, payload)
         if math.isinf(deadline):
             raise RuntimeError("recv would block forever: no traffic in flight")
-        self._now = deadline
-        return None
+        self._now = max(deadline, self._now)
+        return None, self._now
 
     def close(self) -> None:
         pass
@@ -549,16 +551,14 @@ class SimulatedPath:
 def _drive(link, session: SourceSession, frames, end_time: float = math.inf) -> None:
     """Send ``frames``, then pump one session over a link until it is ready
     to begin epochs or the link clock reaches ``end_time``."""
+    now = link.now()
     while True:
         for frame in frames:
             link.send(frame)
-        now = link.now()
         if session.is_ready or now >= end_time:
             return
-        got = link.recv(min(session.next_deadline(), end_time) - now)
-        frames = (
-            session.on_datagram(got[1], got[0]) if got is not None else session.on_timer(link.now())
-        )
+        data, now = link.recv(min(session.next_deadline(), end_time))
+        frames = session.on_timer(now) if data is None else session.on_datagram(now, data)
 
 
 def run_initialization(link, cfg: SourceConfig) -> float:
@@ -603,12 +603,13 @@ def run_monitor(
     session = MonitorSession()
     if trace_writer is not None:
         session.trace = _TeeList(trace_writer)
-    end = math.inf if duration is None else link.now() + duration
-    while link.now() < end and (max_updates is None or session.accepted < max_updates):
-        got = link.recv(None if duration is None else end - link.now())
-        if got is None:
+    now = link.now()
+    end = math.inf if duration is None else now + duration
+    while now < end and (max_updates is None or session.accepted < max_updates):
+        data, now = link.recv(end)
+        if data is None:
             continue
-        reply = session.on_datagram(got[1], got[0])
+        reply = session.on_datagram(now, data)
         if reply is not None:
             link.send(reply)
     return session

@@ -610,9 +610,7 @@ def run_closed_loop(
     sessions = [SourceSession(cfg) for _ in range(n_sources)]
     monitors = [MonitorSession() for _ in range(n_sources)]
     # each source has one live timer entry, for the deadline it armed last
-    # (None once that entry fired); older entries are dropped by version.  A
-    # deadline another source has armed too is re-armed after every call, so
-    # the two timers run in the order of their sources' latest calls.
+    # (None once that entry fired); older entries are dropped by version
     timer_version = [0] * n_sources
     armed = [None] * n_sources
     ack_size = float(net.ack_bytes)
@@ -623,7 +621,7 @@ def run_closed_loop(
 
     def sync_timer(src: int) -> None:
         deadline = sessions[src].next_deadline()
-        if deadline == armed[src] and armed.count(deadline) == 1:
+        if deadline == armed[src]:
             return
         timer_version[src] += 1
         armed[src] = deadline
@@ -640,6 +638,9 @@ def run_closed_loop(
             frames = list(frames) + session.begin_epochs(t)
         inject_updates(t, src, frames)
         sync_timer(src)
+
+    def on_start(t: float, src: int, _) -> None:
+        after_session_call(t, src, sessions[src].on_start(t))
 
     def on_timer(t: float, src: int, version: int) -> None:
         if version != timer_version[src]:
@@ -665,9 +666,9 @@ def run_closed_loop(
     heads = {0, n_fwd} | {flow.entry for flow in net.cross_traffic}
     specs = tuple(net.forward) + tuple(net.reverse)
     engine = _Engine(specs, substream_seed(seed, "net"), heads, warmup, duration)
-    for src, session in enumerate(sessions):
-        inject_updates(0.0, src, session.on_start(0.0))
-        sync_timer(src)
+    for src in range(n_sources):
+        start = np.random.Generator(np.random.PCG64(substream_seed(seed, f"start/{src}"))).random()
+        engine.push(start * cfg.probe_timeout, on_start, src)
     for i, times in enumerate(cross_times):
         if times:
             engine.push(times[0], on_cross, i, 0)

@@ -1,6 +1,7 @@
 """Simulator correctness: determinism, conservation laws, analytic anchors."""
 
 import dataclasses
+import heapq
 import json
 import math
 import statistics
@@ -452,33 +453,29 @@ def test_closed_loop_matches_hop_by_hop_engine(run):
 
 class _TimerWatch(simkit._Engine):
     """``_Engine`` that notes the instant each stale source timer entry (a
-    newer one was armed since) was armed, and for each live one the instant,
-    its source and when every source's session was last called."""
+    newer one was armed since) was armed, and for each live one the instant
+    and its source."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.now = 0.0
         self.newest = {}  # source -> version of its newest timer entry
         self.stale_armed_at = []
-        self.calls = 0  # session calls made so far (on_timer or on_datagram)
-        self.last_call = {}  # source -> index of its session's latest call
         self.live_runs = []
 
     def push(self, t, handler, a=None, b=None):
         armed_at = self.now
-        name = handler.__name__
-        if name == "on_timer":
+        is_timer = handler.__name__ == "on_timer"
+        if is_timer:
             self.newest[a] = b
 
         def noted(t, a, b):
             self.now = t
-            if name == "on_timer" and b != self.newest[a]:
-                self.stale_armed_at.append(armed_at)
-            elif name in ("on_timer", "ack_arrives"):
-                if name == "on_timer":
-                    self.live_runs.append((t, a, dict(self.last_call)))
-                self.last_call[a] = self.calls
-                self.calls += 1
+            if is_timer:
+                if b == self.newest[a]:
+                    self.live_runs.append((t, a))
+                else:
+                    self.stale_armed_at.append(armed_at)
             handler(t, a, b)
 
         super().push(t, noted, a, b)
@@ -505,11 +502,9 @@ def test_timer_entry_is_armed_once_per_deadline():
     assert [t for t in made[0].stale_armed_at if t >= sessions[0]._epochs_began] == []
 
 
-def test_timers_sharing_a_deadline_run_in_order_of_their_sources_latest_calls():
+def test_no_two_sources_share_a_timer_instant():
     # round trips of about 2 s outlast the 1 s probe timeout, so both sources
-    # probe, begin epochs and send in lockstep and their timers share every
-    # deadline; the timer whose session was called last runs last, as when
-    # every call re-armed the timer (sessions start in source order)
+    # probe on timeouts; their staggered starts keep their timers apart
     made = []
 
     def make_engine(*args):
@@ -519,11 +514,26 @@ def test_timers_sharing_a_deadline_run_in_order_of_their_sources_latest_calls():
     with mock.patch.object(simkit, "_Engine", make_engine):
         run_closed_loop(CL_TANDEM, "fixed:0.3", 2, duration=100.0, seed=1)
     runs = made[0].live_runs
-    ties = [(a, b, calls) for (t, a, calls), (u, b, _) in zip(runs, runs[1:]) if t == u and a != b]
-    assert len(ties) > 20
-    assert any(a == 1 for a, _, _ in ties)  # the later source was called first
-    for a, b, calls in ties:
-        assert (calls.get(a, -1), a) < (calls.get(b, -1), b)
+    assert {src for _, src in runs} == {0, 1}
+    owners = {}
+    for t, src in runs:
+        owners.setdefault(t, set()).add(src)
+    assert all(len(srcs) == 1 for srcs in owners.values())
+
+
+class _LifoTies(simkit._Engine):
+    """``_Engine`` that runs equal-time events last-in first-out."""
+
+    def push(self, t, handler, a=None, b=None):
+        self._order += 1
+        heapq.heappush(self.heap, (t, -self._order, handler, a, b))
+
+
+def test_closed_loop_results_do_not_depend_on_the_tie_rule():
+    fifo = run_closed_loop(CL_TANDEM, "fixed:0.3", 2, duration=100.0, seed=1)
+    with mock.patch.object(simkit, "_Engine", _LifoTies):
+        lifo = run_closed_loop(CL_TANDEM, "fixed:0.3", 2, duration=100.0, seed=1)
+    assert json.dumps(lifo.to_dict()) == json.dumps(fifo.to_dict())
 
 
 def test_closed_loop_reports_the_age_estimate_gap():
