@@ -4,8 +4,10 @@ A connection starts with an initialization phase: the source sends
 probe updates stop-and-wait (next probe on ACK or timeout) and sets its
 initial rate to the inverse of the mean observed round-trip time.  It
 then runs control epochs of η = ``updates_per_epoch`` sends each under
-every policy: each send falls one period of the current rate after the
-previous send, and ACKs feed the estimator as they arrive.
+every policy, and ACKs feed the estimator as they arrive.  A due timer
+sends one update, stamped with the instant of the call; the next falls
+one period of the current rate later on the grid, or one period after a
+call that missed whole periods (skipping those sends, never bursting).
 When an epoch's (η+1)-th send falls due, the source first closes the
 epoch, consults its policy and adopts the next rate; that send then
 opens the next epoch, so epoch boundaries are send instants.
@@ -137,8 +139,8 @@ class SourceSession:
     Drive it with ``on_start`` once, then ``on_datagram``/``on_timer``;
     every call returns the frames to transmit.  ``next_deadline`` is the
     time of the next pending timer action (inf while idle in READY); once
-    epochs begin, the next send, one period of the current rate after the
-    last.  An epoch is η sends under every policy.
+    epochs begin, the next send.  The instant a caller passes is the only
+    clock, and a period lost to rounding there is a ValueError.
     """
 
     def __init__(self, cfg: SourceConfig):
@@ -155,14 +157,12 @@ class SourceSession:
         self.fresh_acks = 0
         self._payload = bytes(cfg.payload_size)
         self._probes_sent = 0
-        self._probe_deadline = math.inf
+        self._deadline = math.inf  # probe timeout, then the next send; inf in READY
         self.initial_rate: Optional[float] = None  # inverse mean probe RTT
         self.rate = math.nan  # current send rate, set once epochs begin
         self._epochs_began = math.nan
         self._first_rate = math.nan  # rate of the first epoch
-        self._next_send = math.inf  # scheduled instant of the next paced send
         self._epoch_sends = 0  # sends in the running epoch
-        self._clock = 0.0  # latest event time seen, guards against late timers
         self._rtt_sum = 0.0
 
     @property
@@ -182,9 +182,7 @@ class SourceSession:
         return spans
 
     def next_deadline(self) -> float:
-        if self.state == _INIT:
-            return self._probe_deadline
-        return self._next_send
+        return self._deadline
 
     # -- init phase -------------------------------------------------------
 
@@ -196,11 +194,10 @@ class SourceSession:
 
     def _send_probe(self, t: float) -> bytes:
         self._probes_sent += 1
-        self._probe_deadline = t + self.cfg.probe_timeout
+        self._deadline = t + self.cfg.probe_timeout
         return self._send_update(t)
 
     def _send_update(self, t: float) -> bytes:
-        self._clock = max(self._clock, t)
         seq = self.estimator.highest_sent + 1
         gen_ts_us = round(t * 1e6)
         self.estimator.on_send(t, seq, t, gen_ts_us)
@@ -219,7 +216,7 @@ class SourceSession:
                 f"mean RTT of {self.fresh_acks} answered probes is zero; no initial rate follows"
             )
         self.initial_rate = 1.0 / mean_rtt
-        self._probe_deadline = math.inf
+        self._deadline = math.inf
         self.state = _READY
 
     def begin_epochs(self, t: float) -> list[bytes]:
@@ -231,7 +228,7 @@ class SourceSession:
             self.controller = RateController(self.rate, updates_per_epoch=self.cfg.updates_per_epoch)
         self.estimator.restart_epochs(t)
         self.state = _RUN
-        self._epochs_began = self._next_send = t
+        self._epochs_began = self._deadline = t
         return self._process_due(t)
 
     # -- datagram / timer inputs -------------------------------------------
@@ -240,7 +237,6 @@ class SourceSession:
         """Consume one inbound datagram (expected: an ACK frame).  A frame
         that does not decode, names an update never sent, or echoes a
         timestamp other than its update's counts as malformed."""
-        self._clock = max(self._clock, t)
         try:
             seq, echo_ts_us = wire.decode_ack(data)
             rtt = self.estimator.on_ack(t, seq, echo_ts_us)
@@ -265,34 +261,30 @@ class SourceSession:
 
     def on_timer(self, t: float) -> list[bytes]:
         """Handle a due deadline (probe timeout or send instant)."""
+        if t < self._deadline:
+            return []
         if self.state == _INIT:
-            if t < self._probe_deadline:
-                return []
             if self._probes_sent < self.cfg.probe_count:
                 return [self._send_probe(t)]
             self._finish_init(t)
             return []
-        if self.state == _RUN:
-            return self._process_due(t)
-        return []
+        return self._process_due(t)  # READY waits on an inf deadline
 
     def _process_due(self, t: float) -> list[bytes]:
-        # scheduled instants are exact under a simulated clock; when a real
-        # driver fires a timer after having just processed a later datagram,
-        # the send goes out at that later instant and the next one is paced
-        # from it, so missed sends are skipped and send instants increase
-        frames = []
-        while self._next_send <= t:
-            send_at = max(self._next_send, self._clock)
-            if self._epoch_sends == self.cfg.updates_per_epoch:
-                self._close_epoch(send_at)
-            frames.append(self._send_update(send_at))
-            self._epoch_sends += 1
-            self._next_send = send_at + 1.0 / self.rate
-        return frames
+        # one send, at the call instant; the next falls one period later on
+        # the grid, or one period after t if the timer missed a whole period
+        if self._epoch_sends == self.cfg.updates_per_epoch:
+            self._close_epoch(t)
+        period = 1.0 / self.rate
+        self._deadline += period
+        if self._deadline <= t:
+            self._deadline = t + period
+            if self._deadline == t:
+                raise ValueError(f"send period of rate {self.rate}/s is lost to rounding at t={t}")
+        self._epoch_sends += 1
+        return [self._send_update(t)]
 
     def _close_epoch(self, t: float) -> None:
-        self._clock = max(self._clock, t)
         stats = self.estimator.close_epoch(t)
         action = None
         if self.policy_kind == "acp_plus" and stats.age_diff is not None:

@@ -316,6 +316,41 @@ def test_late_timer_skips_missed_sends():
     assert sess.trace[0]["t"] == late
 
 
+def _fixed_session_in_epochs(began: float) -> SourceSession:
+    sess = SourceSession(SourceConfig(policy="fixed:10", probe_count=1, updates_per_epoch=2))
+    sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))
+    sess.begin_epochs(began)
+    return sess
+
+
+def test_timer_a_second_late_sends_once_at_the_call_instant():
+    sess = _fixed_session_in_epochs(1.0)
+    late = sess.next_deadline() + 1.0
+    frames = sess.on_timer(late)
+    assert [wire.decode_update(f)[1] for f in frames] == [round(late * 1e6)]
+    assert sess.epoch_index == 0
+    assert sess.next_deadline() == late + 1.0 / sess.rate
+
+
+def test_timer_a_fraction_of_a_period_late_keeps_the_grid():
+    sess = _fixed_session_in_epochs(1.0)
+    due = sess.next_deadline()
+    late = due + 0.3 / sess.rate
+    frames = sess.on_timer(late)
+    assert [wire.decode_update(f)[1] for f in frames] == [round(late * 1e6)]
+    assert sess.next_deadline() == due + 1.0 / sess.rate
+
+
+@pytest.mark.parametrize("policy, ack_at", [("acp_plus", 1e-300), ("fixed:1e17", 0.5)])
+def test_send_period_lost_to_rounding_is_rejected(policy, ack_at):
+    # a period below half an ulp of the clock would put every send at one instant
+    sess = SourceSession(SourceConfig(policy=policy, probe_count=1))
+    sess.on_datagram(ack_at, ack_for(sess.on_start(0.0)[0]))
+    with pytest.raises(ValueError, match="lost to rounding"):
+        sess.begin_epochs(2.0)
+    assert sess.sends == 1 and sess.epoch_index == 0  # the probe only
+
+
 class _SendClock(SimulatedPath):
     """A simulated path that records the virtual instant of every send."""
 
