@@ -19,7 +19,10 @@ that breaks time ties by insertion order holds one entry for its exit.
 A packet carries its arrival handler, so that entry is the walk through
 the next segment or, at the end of the route, the arrival itself; cross
 traffic ends with no entry.  Each source's timer takes one heap entry
-per deadline, not one per endpoint call.
+per deadline, not one per endpoint call.  Source k starts at an offset
+drawn from its own substream, uniform on [0, probe_timeout), so no two
+sources' timers share an instant and no result depends on how the heap
+breaks a tie between them.
 
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.

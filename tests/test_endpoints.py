@@ -316,29 +316,18 @@ def test_late_timer_skips_missed_sends():
     assert sess.trace[0]["t"] == late
 
 
-def _fixed_session_in_epochs(began: float) -> SourceSession:
+@pytest.mark.parametrize("late_periods", [10.0, 0.3])
+def test_late_timer_sends_once_at_the_call_instant(late_periods):
     sess = SourceSession(SourceConfig(policy="fixed:10", probe_count=1, updates_per_epoch=2))
     sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))
-    sess.begin_epochs(began)
-    return sess
-
-
-def test_timer_a_second_late_sends_once_at_the_call_instant():
-    sess = _fixed_session_in_epochs(1.0)
-    late = sess.next_deadline() + 1.0
+    sess.begin_epochs(1.0)
+    due = sess.next_deadline()
+    late = due + late_periods / sess.rate
     frames = sess.on_timer(late)
     assert [wire.decode_update(f)[1] for f in frames] == [round(late * 1e6)]
     assert sess.epoch_index == 0
-    assert sess.next_deadline() == late + 1.0 / sess.rate
-
-
-def test_timer_a_fraction_of_a_period_late_keeps_the_grid():
-    sess = _fixed_session_in_epochs(1.0)
-    due = sess.next_deadline()
-    late = due + 0.3 / sess.rate
-    frames = sess.on_timer(late)
-    assert [wire.decode_update(f)[1] for f in frames] == [round(late * 1e6)]
-    assert sess.next_deadline() == due + 1.0 / sess.rate
+    # whole missed periods are skipped; a fraction of one keeps the grid
+    assert sess.next_deadline() == (late if late_periods >= 1.0 else due) + 1.0 / sess.rate
 
 
 @pytest.mark.parametrize("policy, ack_at", [("acp_plus", 1e-300), ("fixed:1e17", 0.5)])
