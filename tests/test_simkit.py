@@ -515,10 +515,7 @@ def test_no_two_sources_share_a_timer_instant():
         run_closed_loop(CL_TANDEM, "fixed:0.3", 2, duration=100.0, seed=1)
     runs = made[0].live_runs
     assert {src for _, src in runs} == {0, 1}
-    owners = {}
-    for t, src in runs:
-        owners.setdefault(t, set()).add(src)
-    assert all(len(srcs) == 1 for srcs in owners.values())
+    assert len({t for t, _ in runs}) == len(runs)
 
 
 class _LifoTies(simkit._Engine):
