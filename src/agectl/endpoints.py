@@ -25,7 +25,9 @@ must serialize all calls on it.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import itertools
 import math
 import socket
 import time
@@ -45,6 +47,8 @@ __all__ = [
     "InitializationError",
     "UdpLink",
     "SimulatedPath",
+    "DrawStream",
+    "substream_seed",
     "run_initialization",
     "run_source",
     "run_monitor",
@@ -461,7 +465,40 @@ class UdpLink:
         self.sock.close()
 
 
-def _delay_sampler(name: str, spec, rng: np.random.Generator) -> Callable[[], float]:
+def substream_seed(master_seed: int, name: str) -> int:
+    """Stable 64-bit seed for a named substream of a master seed."""
+    digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+_DRAW_BATCH = 4096
+
+
+class DrawStream:
+    """Scalar draws from one PCG64 substream, as built-in floats.
+
+    ``DrawStream(seed)`` draws uniformly on [0, 1) and ``DrawStream(seed,
+    scale)`` exponentially with mean ``scale``; the n-th value of ``draw()``
+    is the n-th of ``Generator(PCG64(seed)).random(n)`` or
+    ``.exponential(scale, n)``.  Values are made ``_DRAW_BATCH`` at a time
+    and read off a list, so one costs no numpy call and no numpy scalar
+    reaches the caller's arithmetic.
+    """
+
+    __slots__ = ("draw",)
+
+    def __init__(self, seed: int, scale: Optional[float] = None):
+        gen = np.random.Generator(np.random.PCG64(seed))
+
+        def fill() -> list:
+            batch = gen.random(_DRAW_BATCH) if scale is None else gen.exponential(scale, _DRAW_BATCH)
+            return batch.tolist()
+
+        # an endless chain of batches, each made when the one before runs out
+        self.draw: Callable[[], float] = itertools.chain.from_iterable(iter(fill, None)).__next__
+
+
+def _delay_sampler(name: str, spec, seed: int) -> Callable[[], float]:
     """Per-direction delay model, constant or ``("exp", mean)``, bound once."""
     kind, value = ("const", spec) if isinstance(spec, (int, float)) else spec
     value = float(value)
@@ -471,7 +508,7 @@ def _delay_sampler(name: str, spec, rng: np.random.Generator) -> Callable[[], fl
         raise ValueError(f"{name} must be non-negative and finite, got {value}")
     if kind == "const":
         return lambda: value
-    return lambda: float(rng.exponential(value))
+    return DrawStream(seed, value).draw
 
 
 class SimulatedPath:
@@ -480,20 +517,23 @@ class SimulatedPath:
     Forward datagrams reach the embedded ``MonitorSession`` after a
     forward delay (processed strictly in arrival order, so random delays
     double as the reordering model); ACKs come back after a reverse
-    delay.  Losses are i.i.d. per direction.  ``recv`` advances the
-    virtual clock, so a blocking driver over this link runs entirely in
-    simulated time.
+    delay.  Losses are i.i.d. per direction.  Each direction's delays and
+    losses draw from their own substreams of ``seed`` (``fwd_delay``,
+    ``rev_delay``, ``fwd_loss``, ``rev_loss``), so changing one
+    direction's model leaves the other direction's draws as they were.
+    ``recv`` advances the virtual clock, so a blocking driver over this
+    link runs entirely in simulated time.
     """
 
     def __init__(self, fwd_delay=0.01, rev_delay=0.01, loss: float = 0.0, seed: int = 0):
         if not 0.0 <= loss < 1.0:
             raise ValueError(f"loss probability must be in [0, 1), got {loss}")
-        rng = np.random.Generator(np.random.PCG64(seed))
         self.monitor = MonitorSession()
-        self._fwd_delay = _delay_sampler("fwd_delay", fwd_delay, rng)
-        self._rev_delay = _delay_sampler("rev_delay", rev_delay, rng)
+        self._fwd_delay = _delay_sampler("fwd_delay", fwd_delay, substream_seed(seed, "fwd_delay"))
+        self._rev_delay = _delay_sampler("rev_delay", rev_delay, substream_seed(seed, "rev_delay"))
         self._loss = loss
-        self._rng = rng
+        self._fwd_loss = DrawStream(substream_seed(seed, "fwd_loss")).draw
+        self._rev_loss = DrawStream(substream_seed(seed, "rev_loss")).draw
         self._now = 0.0
         # (arrival, to_monitor, order, payload): at equal instants an ACK
         # reaches the source before an update reaches the monitor
@@ -504,7 +544,7 @@ class SimulatedPath:
         return self._now
 
     def send(self, payload: bytes) -> None:
-        if self._loss and self._rng.random() < self._loss:
+        if self._loss and self._fwd_loss() < self._loss:
             return
         self._order += 1
         heapq.heappush(self._in_flight, (self._now + self._fwd_delay(), True, self._order, payload))
@@ -513,7 +553,7 @@ class SimulatedPath:
         reply = self.monitor.on_datagram(t, payload)
         if reply is None:
             return
-        if self._loss and self._rng.random() < self._loss:
+        if self._loss and self._rev_loss() < self._loss:
             return
         self._order += 1
         heapq.heappush(self._in_flight, (t + self._rev_delay(), False, self._order, reply))

@@ -22,7 +22,7 @@ traffic ends with no entry.  Each source's timer takes one heap entry
 per deadline, not one per endpoint call.  Source k starts at an offset
 drawn from its own substream, uniform on [0, probe_timeout), so no two
 sources' timers share an instant and no result depends on how the heap
-breaks a tie between them.
+breaks a tie between them; that span must end within the warm-up.
 
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.
@@ -33,7 +33,6 @@ packets only (not cross traffic, not ACKs).
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from dataclasses import asdict, dataclass
@@ -42,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import wire
-from .endpoints import MonitorSession, SourceConfig, SourceSession, age_time_average
+from .endpoints import DrawStream, MonitorSession, SourceConfig, SourceSession, age_time_average, substream_seed
 
 SERVICE_KINDS = ("exp", "det", "link")
 ARRIVAL_KINDS = ("poisson", "periodic")
@@ -51,7 +50,6 @@ DEFAULT_UPDATE_BYTES = 1040  # 16-byte header + 1024-byte payload
 DEFAULT_ACK_BYTES = 64
 DEFAULT_WARMUP_FRAC = 0.10
 
-_EXP_BATCH = 4096
 _SWEEP_BATCHES = 10  # batch means behind each sweep point's interval
 
 
@@ -91,12 +89,6 @@ def _reject_unknown(doc: dict, known: tuple, where: str) -> None:
 def _require_warmup_frac(warmup_frac) -> None:
     if isinstance(warmup_frac, bool) or not (isinstance(warmup_frac, (int, float)) and 0.0 <= warmup_frac < 1.0):
         raise ConfigError(f"warmup_frac must be in [0, 1), got {warmup_frac!r}")
-
-
-def substream_seed(master_seed: int, name: str) -> int:
-    """Stable 64-bit seed for a named substream of a master seed."""
-    digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def jain_index(values) -> float:
@@ -237,25 +229,6 @@ def _parse_cross(flow, where: str) -> CrossTraffic:
         raise ConfigError(f"{where}: {err}") from None
 
 
-class _ExpStream:
-    """Batched unit-exponential draws from an isolated PCG64 substream."""
-
-    __slots__ = ("_gen", "_buf", "_idx")
-
-    def __init__(self, seed: int):
-        self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._buf = self._gen.exponential(1.0, _EXP_BATCH)
-        self._idx = 0
-
-    def draw(self) -> float:
-        i = self._idx
-        if i == _EXP_BATCH:
-            self._buf = self._gen.exponential(1.0, _EXP_BATCH)
-            i = 0
-        self._idx = i + 1
-        return self._buf[i]
-
-
 # Packets move through the node array as tuples
 #   (is_update, size_bytes, route_end, arrive, src, payload)
 # route_end is the index one past the last node of the packet's route, where
@@ -386,7 +359,7 @@ def _service_fn(spec: ServiceSpec, seed: int) -> Callable[[float], float]:
     """Packet size -> service seconds at one node (``exp``: one draw each)."""
     rate = spec.rate
     if spec.kind == "exp":
-        draw = _ExpStream(seed).draw
+        draw = DrawStream(seed, 1.0).draw
         return lambda size: draw() / rate
     if spec.kind == "det":
         period = 1.0 / rate
@@ -606,10 +579,17 @@ def run_closed_loop(
         cfg = SourceConfig(policy=policy)
     elif cfg.policy != policy:
         raise ConfigError(f"cfg.policy {cfg.policy!r} disagrees with policy {policy!r}")
+    warmup = warmup_frac * duration
+    # sources start at offsets in [0, probe_timeout): inside the warm-up, or
+    # inside the run when it has none
+    start_limit, limit_name = (warmup, "warm-up end") if warmup else (duration, "duration")
+    if cfg.probe_timeout > start_limit:
+        raise ConfigError(
+            f"probe_timeout {cfg.probe_timeout} s lets a source start after the {limit_name} at {start_limit} s"
+        )
 
     n_fwd = len(net.forward)
     n_all = n_fwd + len(net.reverse)
-    warmup = warmup_frac * duration
     sessions = [SourceSession(cfg) for _ in range(n_sources)]
     monitors = [MonitorSession() for _ in range(n_sources)]
     # each source has one live timer entry, for the deadline it armed last

@@ -21,6 +21,7 @@ from collections import deque
 import numpy as np
 
 from agectl import simkit
+from agectl.endpoints import DrawStream
 from agectl.simkit import AoiMetrics, age_time_average, substream_seed
 
 
@@ -116,8 +117,8 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
     """(AoiMetrics, gen, dlv) of an open-loop run, by discrete events."""
     n_fwd = len(net.forward)
     warmup = warmup_frac * duration
-    arrival_draw = simkit._ExpStream(substream_seed(seed, "arrivals")) if arrival == "poisson" else None
-    cross_draws = [simkit._ExpStream(substream_seed(seed, f"cross/{i}")) for i in range(len(net.cross_traffic))]
+    arrival_draw = DrawStream(substream_seed(seed, "arrivals"), 1.0) if arrival == "poisson" else None
+    cross_draws = [DrawStream(substream_seed(seed, f"cross/{i}"), 1.0) for i in range(len(net.cross_traffic))]
     update_size = float(net.update_bytes)
 
     gen_log: list[float] = []

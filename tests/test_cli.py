@@ -246,6 +246,27 @@ def test_sim_rejects_mistyped_closed_loop_fields(tmp_path, capsys, field, value,
     assert not out.exists()
 
 
+def test_sim_rejects_a_probe_timeout_past_the_warmup(tmp_path):
+    # 2 sources starting anywhere in [0, 30 s) of a 10 s run used to run
+    # nothing and exit 0 with NaN ages
+    doc = {
+        "mode": "closed_loop",
+        "net": {"forward": [{"service": "exp", "rate": 1.0}], "reverse": [{"service": "exp", "rate": 10.0}]},
+        "policy": "fixed:0.5",
+        "n_sources": 2,
+        "probe_timeout": 30,
+        "duration": 10.0,
+        "seed": 1,
+    }
+    path = tmp_path / "cl.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    proc = run_cli("sim", "--config", str(path), "--out", str(out))
+    assert proc.returncode == EXIT_RUNTIME
+    assert proc.stderr.startswith("error:") and "probe_timeout" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_sim_rejects_fractional_cross_traffic_entry(tmp_path):
     # the open loop used to ignore such a flow, the closed loop to crash on it
     doc = {

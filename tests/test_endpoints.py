@@ -5,12 +5,14 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from agectl import wire
 from agectl.endpoints import (
+    DrawStream,
     InitializationError,
     MonitorSession,
     SimulatedPath,
@@ -22,6 +24,7 @@ from agectl.endpoints import (
     run_initialization,
     run_monitor,
     run_source,
+    substream_seed,
 )
 
 
@@ -453,6 +456,35 @@ def test_simulated_path_deterministic():
 
     assert run(11) == run(11)
     assert run(11) != run(12)
+
+
+@pytest.mark.parametrize("scale", [None, 1.0, 0.005])
+def test_draw_stream_reads_one_generator_call_across_refills(scale):
+    n = 2 * 4096 + 3  # past two buffer refills
+    seed = substream_seed(5, "draws")
+    draw = DrawStream(seed, scale).draw
+    got = [draw() for _ in range(n)]
+    gen = np.random.Generator(np.random.PCG64(seed))
+    want = gen.random(n) if scale is None else gen.exponential(scale, n)
+    assert got == want.tolist()
+    assert all(type(x) is float for x in got)
+
+
+def test_simulated_path_directions_draw_from_their_own_substreams():
+    # the forward delays and losses the monitor sees do not depend on what
+    # the reverse direction draws
+    def monitor_trace(rev_delay):
+        path = SimulatedPath(fwd_delay=("exp", 0.05), rev_delay=rev_delay, loss=0.2, seed=9)
+        for seq in range(1, 301):
+            while path.recv(seq * 0.01)[0] is not None:
+                pass
+            path.send(wire.encode_update(seq, round(path.now() * 1e6)))
+        path.recv(10.0)
+        return path.monitor.trace
+
+    const = monitor_trace(0.02)
+    assert len(const) > 100
+    assert monitor_trace(("exp", 0.02)) == const
 
 
 def test_simulated_path_ack_beats_update_at_equal_instant():

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agectl import analytics, simkit
-from agectl.endpoints import InitializationError, SourceSession
+from agectl.endpoints import InitializationError, SourceConfig, SourceSession
 from agectl.simkit import (
     ARRIVAL_KINDS,
     AoiMetrics,
@@ -306,6 +306,7 @@ CL_TANDEM = QueueNetwork(
     forward=(ServiceSpec("exp", 1.0), ServiceSpec("exp", 1.0)),
     reverse=(ServiceSpec("exp", 16.25), ServiceSpec("exp", 16.25)),
 )
+MM1_CL = QueueNetwork(forward=(ServiceSpec("exp", 1.0),), reverse=(ServiceSpec("exp", 10.0),))
 
 
 def test_closed_loop_needs_reverse_chain():
@@ -531,6 +532,49 @@ def test_closed_loop_results_do_not_depend_on_the_tie_rule():
     with mock.patch.object(simkit, "_Engine", _LifoTies):
         lifo = run_closed_loop(CL_TANDEM, "fixed:0.3", 2, duration=100.0, seed=1)
     assert json.dumps(lifo.to_dict()) == json.dumps(fifo.to_dict())
+
+
+def _floats(value):
+    """Every float inside nested dicts, lists and tuples."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in _floats(item)]
+    return [value] if isinstance(value, float) else []
+
+
+def test_closed_loop_floats_are_builtin_on_exp_service():
+    # exp service times come off a draw stream; no numpy scalar may spread
+    # from them into event times, session fields or the result
+    sessions = []
+
+    class Recorded(SourceSession):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            sessions.append(self)
+
+    with mock.patch.object(simkit, "SourceSession", Recorded):
+        result = run_closed_loop(CL_TANDEM, "acp_plus", 3, duration=2000.0, seed=1)
+    floats = _floats(result.to_dict()) + _floats([s.trace for s in sessions])
+    assert len(sessions) == 3 and all(s.trace for s in sessions)
+    assert len(floats) > 500
+    assert {type(x) for x in floats} == {float}
+
+
+def test_closed_loop_rejects_sources_starting_after_the_warmup():
+    # sources start at offsets in [0, probe_timeout); with 30 s that could be
+    # after the 1 s warm-up, or after the whole 10 s run, which then measured
+    # nothing at all
+    cfg = SourceConfig(policy="fixed:0.5", probe_timeout=30.0)
+    with pytest.raises(ConfigError, match="probe_timeout"):
+        run_closed_loop(MM1_CL, "fixed:0.5", 2, duration=10.0, seed=1, cfg=cfg)
+    # without a warm-up the starts must fall inside the run
+    with pytest.raises(ConfigError, match="probe_timeout"):
+        run_closed_loop(MM1_CL, "fixed:0.5", 2, duration=10.0, seed=1, warmup_frac=0.0, cfg=cfg)
+    # spans that end at the limit are accepted
+    for probe_timeout, warmup_frac in ((1.0, 0.1), (10.0, 0.0)):
+        at_limit = SourceConfig(policy="fixed:0.5", probe_timeout=probe_timeout)
+        run_closed_loop(MM1_CL, "fixed:0.5", 2, duration=10.0, seed=1, warmup_frac=warmup_frac, cfg=at_limit)
 
 
 def test_closed_loop_reports_the_age_estimate_gap():
