@@ -402,21 +402,35 @@ def age_time_average(gen_times, deliver_times, lo: float, hi: float) -> float:
     """Time-average of the freshest-wins age sawtooth over [lo, hi].
 
     ``gen_times``/``deliver_times`` are the accepted age resets in
-    delivery order.  Measurement starts no earlier than the first reset;
-    NaN if the window never sees a defined age.
+    delivery order: equal lengths and non-decreasing delivery times, else
+    ``ValueError``.  Measurement starts no earlier than the first reset;
+    NaN if the window never sees a defined age.  Beside its inputs it
+    holds three float arrays of their length.
     """
     gen = np.asarray(gen_times, dtype=float)
     dlv = np.asarray(deliver_times, dtype=float)
+    if gen.ndim != 1 or gen.shape != dlv.shape:
+        raise ValueError(f"need two equal-length 1-d sequences, got shapes {gen.shape} and {dlv.shape}")
     if len(dlv) == 0:
         return math.nan
+    if np.any(dlv[1:] < dlv[:-1]):
+        raise ValueError("delivery times must not decrease")
     lo = max(lo, float(dlv[0]))
     if hi <= lo:
         return math.nan
     seg_start = np.clip(dlv, lo, hi)
-    seg_end = np.clip(np.append(dlv[1:], hi), lo, hi)
+    seg_end = np.empty_like(seg_start)
+    seg_end[:-1] = dlv[1:]
+    seg_end[-1] = hi
+    np.clip(seg_end, lo, hi, out=seg_end)
     width = seg_end - seg_start
-    area = float(np.sum(width * ((seg_start + seg_end) * 0.5 - gen)))
-    return area / (hi - lo)
+    # the area is width * ((seg_start + seg_end) * 0.5 - gen), the midpoint
+    # built in seg_end's buffer
+    mid = np.add(seg_start, seg_end, out=seg_end)
+    mid *= 0.5
+    mid -= gen
+    width *= mid
+    return float(np.sum(width)) / (hi - lo)
 
 
 # -- links -----------------------------------------------------------------

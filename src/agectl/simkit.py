@@ -11,7 +11,15 @@ perturb the draws of another.
 Open-loop runs need no event loop.  Arrival instants are cumulative sums
 of the arrival draws; each node merges its through traffic with the
 cross flows entering there and applies Lindley's recursion
-``D_k = max(A_k, D_{k-1}) + S_k`` in closed form over whole arrays.
+``D_k = max(A_k, D_{k-1}) + S_k`` in closed form over whole arrays,
+its temporaries in the service times' buffer and the departures in the
+buffer of their running sum.  FCFS departures never decrease, so the
+packets that leave a node by the end of the run are a prefix, taken as
+a view, not through a mask; an update mask and a size array exist only
+once a cross flow has entered.  At its peak a run holds five float
+arrays per update: generation instants, a node's arrivals, service
+times and departures (or, at the end, ``age_time_average``'s three
+beside the generation and delivery instants).
 Closed-loop runs, where the endpoints react to every delivery, apply it
 one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
@@ -333,12 +341,15 @@ class AoiMetrics:
 
 
 def _renewal_times(rate: float, duration: float, seed: Optional[int]) -> np.ndarray:
-    """Instants ``g1, g1+g2, ...`` up to ``duration`` of a renewal process.
+    """Instants ``0, g1, g1+g2, ...`` up to ``duration`` of a renewal process.
 
     The gaps are unit-exponential draws from substream ``seed`` over
     ``rate`` (Poisson), or ``1/rate`` each when ``seed`` is None
     (periodic).  They are added left to right, so every instant is the
-    float an event loop adding one gap per event computes.
+    float an event loop adding one gap per event computes.  Each chunk of
+    gaps is drawn, scaled and summed in one buffer that starts with the
+    last instant of the chunk before; with one chunk, as is usual, the
+    result is a view of that buffer.
     """
     gen = None if seed is None else np.random.Generator(np.random.PCG64(seed))
     expected = rate * duration
@@ -346,12 +357,19 @@ def _renewal_times(rate: float, duration: float, seed: Optional[int]) -> np.ndar
     parts = []
     t = 0.0
     while True:
-        gaps = np.full(chunk, 1.0 / rate) if gen is None else gen.exponential(1.0, chunk) / rate
-        times = np.cumsum(np.concatenate(([t], gaps)))[1:]
-        keep = int(np.searchsorted(times, duration, side="right"))
-        parts.append(times[:keep])
-        if keep < chunk:
-            return np.concatenate(parts)
+        times = np.empty(chunk + 1)
+        times[0] = t
+        gaps = times[1:]
+        if gen is None:
+            gaps.fill(1.0 / rate)
+        else:
+            gen.standard_exponential(out=gaps)
+            gaps /= rate
+        np.cumsum(times, out=times)
+        end = int(np.searchsorted(times, duration, side="right"))
+        parts.append(times[1 if parts else 0 : end])
+        if end <= chunk:
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
         t = times[-1]
 
 
@@ -367,13 +385,53 @@ def _service_fn(spec: ServiceSpec, seed: int) -> Callable[[float], float]:
     return lambda size: 8.0 * size / rate
 
 
-def _service_times(spec: ServiceSpec, sizes: np.ndarray, seed: int) -> np.ndarray:
-    """Service time of each packet, in the order the node serves them."""
+def _service_times(spec: ServiceSpec, count: int, sizes, seed: int) -> np.ndarray:
+    """Service time of each of ``count`` packets, in the order the node
+    serves them, in a new buffer; ``sizes`` is one size for all or an array."""
+    service = np.empty(count)
     if spec.kind == "exp":
-        return np.random.Generator(np.random.PCG64(seed)).exponential(1.0, len(sizes)) / spec.rate
-    if spec.kind == "det":
-        return np.full(len(sizes), 1.0 / spec.rate)
-    return 8.0 * sizes / spec.rate
+        np.random.Generator(np.random.PCG64(seed)).standard_exponential(out=service)
+        service /= spec.rate
+    elif spec.kind == "det":
+        service.fill(1.0 / spec.rate)
+    else:
+        np.multiply(8.0, sizes, out=service)
+        service /= spec.rate
+    return service
+
+
+def _fcfs_node(arrive: np.ndarray, service: np.ndarray, is_update, warmup: float, duration: float):
+    """Departure instants of one FCFS server, and its update figures.
+
+    Lindley's recursion ``D_k = max(A_k, D_{k-1}) + S_k`` in closed form:
+    ``served + maximum.accumulate(arrive - (served - service))`` with
+    ``served = cumsum(service)``.  Its temporaries take ``service``'s
+    buffer and the departures ``served``'s.  Departures never decrease,
+    in floating point too (a running max plus a cumsum of non-negative
+    times), so the updates that leave by ``duration`` are a prefix.
+    ``is_update`` None means every packet is an update.  Returns the
+    departures, how many updates left by ``duration``, their summed time
+    in system, and the summed stays of all updates clipped to [warmup,
+    duration].
+    """
+    served = np.cumsum(service)
+    np.subtract(served, service, out=service)
+    np.subtract(arrive, service, out=service)
+    np.maximum.accumulate(service, out=service)
+    leave = np.add(served, service, out=served)
+    if is_update is None:
+        upd_in, upd_out = arrive, leave
+    else:
+        upd_in, upd_out = arrive[is_update], leave[is_update]
+    left = int(np.searchsorted(upd_out, duration, side="right"))
+    scratch = service[: len(upd_out)]
+    time_sum = float(np.sum(np.subtract(upd_out[:left], upd_in[:left], out=scratch[:left])))
+    # each stay is min(leave, duration) - max(arrive, warmup), at least 0
+    np.maximum(upd_in, warmup, out=scratch)
+    np.subtract(upd_out[:left], scratch[:left], out=scratch[:left])
+    np.subtract(duration, scratch[left:], out=scratch[left:])
+    stay_sum = float(np.sum(np.maximum(scratch, 0.0, out=scratch)))
+    return leave, left, time_sum, stay_sum
 
 
 def _open_loop(
@@ -396,20 +454,23 @@ def _open_loop(
     update_size = float(net.update_bytes)
     fwd_seed = substream_seed(seed, "fwd")
     arrival_seed = substream_seed(seed, "arrivals") if arrival == "poisson" else None
-    gen = np.concatenate(([0.0], _renewal_times(lam, duration, arrival_seed)))
+    gen = _renewal_times(lam, duration, arrival_seed)
     cross = [
-        (flow, _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}")))
+        (flow, _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}"))[1:])
         for i, flow in enumerate(net.cross_traffic)
     ]
 
-    # packets reaching the current node, in the order it serves them
+    # packets reaching the current node, in the order it serves them; until a
+    # cross flow enters, all of them are updates: no mask, one size
     arrive = gen
-    is_update = np.ones(len(gen), dtype=bool)
-    sizes = np.full(len(gen), update_size)
+    is_update, sizes = None, update_size
     backlogs, time_sums, departs = [], [], []
     for i, spec in enumerate(net.forward):
         entering = [(flow, times) for flow, times in cross if flow.entry == i]
         if entering:
+            if is_update is None:
+                is_update = np.ones(len(arrive), dtype=bool)
+                sizes = np.full(len(arrive), update_size)
             # a stable sort keeps through traffic ahead of cross traffic, and
             # flows in index order, at equal instants
             arrive = np.concatenate([arrive] + [times for _, times in entering])
@@ -419,24 +480,23 @@ def _open_loop(
             )
             order = np.argsort(arrive, kind="stable")
             arrive, is_update, sizes = arrive[order], is_update[order], sizes[order]
-        service = _service_times(spec, sizes, substream_seed(fwd_seed, f"service/{i}"))
-        # Lindley's recursion D_k = max(A_k, D_{k-1}) + S_k in closed form
-        served = np.cumsum(service)
-        leave = served + np.maximum.accumulate(arrive - (served - service))
-        upd_in, upd_out = arrive[is_update], leave[is_update]
-        left = upd_out <= duration
-        departs.append(int(np.count_nonzero(left)))
-        time_sums.append(float(np.sum(upd_out[left] - upd_in[left])))
-        stay = np.minimum(upd_out, duration) - np.maximum(upd_in, warmup)
-        backlogs.append(float(np.sum(np.maximum(stay, 0.0))) / window)
-        onward = leave <= duration
-        arrive, is_update, sizes = leave[onward], is_update[onward], sizes[onward]
+        service_seed = substream_seed(fwd_seed, f"service/{i}")
+        # the service times go in unnamed, so their buffer is freed with the node
+        leave, left, time_sum, stay_sum = _fcfs_node(
+            arrive, _service_times(spec, len(arrive), sizes, service_seed), is_update, warmup, duration
+        )
+        departs.append(left)
+        time_sums.append(time_sum)
+        backlogs.append(stay_sum / window)
+        arrive = leave[: int(np.searchsorted(leave, duration, side="right"))]
+        if is_update is not None:
+            is_update, sizes = is_update[: len(arrive)], sizes[: len(arrive)]
 
-    dlv = arrive[is_update]
+    dlv = arrive if is_update is None else arrive[is_update]
     gen = gen[: len(dlv)]  # FCFS: updates leave the chain in the order they entered
-    in_window = dlv >= warmup
-    delivered = int(np.count_nonzero(in_window))
-    avg_sys = float(np.mean(dlv[in_window] - gen[in_window])) if delivered else math.nan
+    first = int(np.searchsorted(dlv, warmup, side="left"))  # deliveries in the window are a suffix
+    delivered = len(dlv) - first
+    avg_sys = float(np.mean(dlv[first:] - gen[first:])) if delivered else math.nan
     capacity = min(
         net.forward[i].effective_rate(update_size) * (1.0 - net.cross_load(i)) for i in range(n_fwd)
     )
@@ -598,7 +658,7 @@ def run_closed_loop(
     armed = [None] * n_sources
     ack_size = float(net.ack_bytes)
     cross_times = [
-        _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}")).tolist()
+        _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}"))[1:].tolist()
         for i, flow in enumerate(net.cross_traffic)
     ]
 

@@ -5,6 +5,7 @@ import heapq
 import json
 import math
 import statistics
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -76,6 +77,24 @@ def test_age_time_average_hand_case():
 def test_age_time_average_empty_window():
     assert math.isnan(age_time_average([], [], 0.0, 1.0))
     assert math.isnan(age_time_average([0.0], [5.0], 0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "gen, dlv, needle",
+    [
+        ([0.0], [1.0, 2.0, 3.0], "equal-length"),
+        ([0.0, 1.0], [1.0, 2.0, 3.0], "equal-length"),
+        ([], [1.0], "equal-length"),
+        ([[0.0]], [[1.0]], "1-d"),
+        ([0.0, 0.5, 1.0], [3.0, 1.5, 2.5], "decrease"),
+    ],
+)
+def test_age_time_average_rejects_garbage(gen, dlv, needle):
+    # each of these once returned a number or an untyped broadcast error
+    with pytest.raises(ValueError, match=needle):
+        age_time_average(gen, dlv, 0.0, 5.0)
+    # equal delivery times are not a decrease
+    assert age_time_average([0.0, 0.5], [1.0, 1.0], 0.0, 2.0) == pytest.approx(1.0)
 
 
 def test_accepted_resets_filters_stale():
@@ -273,6 +292,41 @@ def test_open_loop_matches_event_reference(run):
 
 
 # -- sweeps ----------------------------------------------------------------------
+
+
+def test_open_loop_peak_memory_per_update():
+    # at its peak the open loop holds five float arrays of the updates'
+    # length: generation instants, a node's arrivals, service times and
+    # departures, or age_time_average's three beside its inputs (40 B per
+    # update); before its buffers were reused it held about 14 (117 B)
+    lam, duration = 0.5, 2.5e5
+    run_fixed_rate(TANDEM, lam, duration=1000.0, seed=1)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        run_fixed_rate(TANDEM, lam, duration=duration, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (lam * duration) <= 64.0
+
+
+def test_open_loop_results_are_builtin_with_cross_traffic():
+    # searchsorted and numpy reductions return numpy scalars; none may reach
+    # a result, whether or not a node serves cross traffic
+    net = QueueNetwork(
+        forward=(ServiceSpec("exp", 150.0), ServiceSpec("link", 1e6), ServiceSpec("det", 200.0)),
+        cross_traffic=(CrossTraffic(entry=1, rate_bps=200_000, packet_bytes=1040),),
+    )
+    kinds = {"float": float, "int": int, "bool": bool, "tuple[float, ...]": float, "tuple[int, ...]": int}
+    m = run_fixed_rate(net, 40.0, duration=200.0, seed=1)
+    for field in dataclasses.fields(AoiMetrics):
+        value = getattr(m, field.name)
+        items = value if field.type.startswith("tuple") else (value,)
+        assert len(items) == (3 if field.type.startswith("tuple") else 1)
+        assert {type(x) for x in items} == {kinds[field.type]}, field.name
+    sweep = sweep_lambda(net, [20.0, 40.0, 60.0], duration=200.0, seed=1)
+    assert {type(x) for row in sweep.rows for x in row} == {float}
+    assert type(sweep.best_lambda) is float and type(sweep.best_age) is float
 
 
 def test_sweep_deterministic_and_bowl_shaped():
@@ -559,6 +613,28 @@ def test_closed_loop_floats_are_builtin_on_exp_service():
     assert len(sessions) == 3 and all(s.trace for s in sessions)
     assert len(floats) > 500
     assert {type(x) for x in floats} == {float}
+
+
+@pytest.mark.parametrize(
+    "fwd, rev, rate",
+    [((2.0,), (10.0,), 1.0), ((4.0, 8.0), (16.0, 20.0), 2.5), ((3.0, 5.0, 7.0), (50.0,), 1.7)],
+)
+def test_closed_loop_deterministic_pacing_is_exact(fwd, rev, rate):
+    # fixed:R on det chains slower than every server: nothing queues, each
+    # update takes s_fwd = sum of forward service times to the monitor and
+    # its ACK s_rev more back.  The window (270 s) holds whole periods 1/R,
+    # so the true age averages s_fwd + 1/(2R) and the source's estimate
+    # s_fwd + s_rev + 1/(2R).  The monitor rebuilds each generation instant
+    # from the wire timestamp, rounded to the nearest microsecond, so the
+    # true age (and the gap) can be off by at most half of one.
+    net = QueueNetwork(
+        forward=tuple(ServiceSpec("det", r) for r in fwd), reverse=tuple(ServiceSpec("det", r) for r in rev)
+    )
+    s = run_closed_loop(net, f"fixed:{rate}", 1, duration=300.0, seed=1).sources[0]
+    s_fwd, s_rev = sum(1.0 / r for r in fwd), sum(1.0 / r for r in rev)
+    assert s.est_avg_age == pytest.approx(s_fwd + s_rev + 0.5 / rate, rel=1e-12, abs=0.0)
+    assert s.true_avg_age == pytest.approx(s_fwd + 0.5 / rate, rel=0.0, abs=0.5e-6)
+    assert s.est_minus_true_age == pytest.approx(s_rev, rel=0.0, abs=0.5e-6)
 
 
 def test_closed_loop_rejects_sources_starting_after_the_warmup():
