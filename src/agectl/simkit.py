@@ -15,11 +15,17 @@ cross flows entering there and applies Lindley's recursion
 its temporaries in the service times' buffer and the departures in the
 buffer of their running sum.  FCFS departures never decrease, so the
 packets that leave a node by the end of the run are a prefix, taken as
-a view, not through a mask; an update mask and a size array exist only
-once a cross flow has entered.  At its peak a run holds five float
-arrays per update: generation instants, a node's arrivals, service
-times and departures (or, at the end, ``age_time_average``'s three
-beside the generation and delivery instants).
+a view, not through a mask.  Until a cross flow enters, every packet is
+an update and a run holds at most five float arrays per update:
+generation instants, a node's arrivals, service times and departures
+(or, at the end, ``age_time_average``'s three beside the generation and
+delivery instants).  From the first merge on, a node also holds the
+packets' sizes, and the updates are tracked by their positions in
+service order, one int64 index built at each merge: a node takes the
+updates' departures from its own through that index, and those that
+left by the end of the run are the next node's update arrivals as they
+are.  Beside the merged arrays that makes three 8-byte arrays per
+update: the updates' arrivals, departures and positions.
 Closed-loop runs, where the endpoints react to every delivery, apply it
 one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
@@ -400,29 +406,30 @@ def _service_times(spec: ServiceSpec, count: int, sizes, seed: int) -> np.ndarra
     return service
 
 
-def _fcfs_node(arrive: np.ndarray, service: np.ndarray, is_update, warmup: float, duration: float):
+def _fcfs_node(arrive: np.ndarray, service: np.ndarray, updates, upd_in: np.ndarray, warmup: float, duration: float):
     """Departure instants of one FCFS server, and its update figures.
 
     Lindley's recursion ``D_k = max(A_k, D_{k-1}) + S_k`` in closed form:
-    ``served + maximum.accumulate(arrive - (served - service))`` with
+    ``served + fmax.accumulate(arrive - (served - service))`` with
     ``served = cumsum(service)``.  Its temporaries take ``service``'s
     buffer and the departures ``served``'s.  Departures never decrease,
     in floating point too (a running max plus a cumsum of non-negative
     times), so the updates that leave by ``duration`` are a prefix.
-    ``is_update`` None means every packet is an update.  Returns the
-    departures, how many updates left by ``duration``, their summed time
-    in system, and the summed stays of all updates clipped to [warmup,
-    duration].
+    ``updates`` holds the updates' positions in service order, an
+    increasing integer index, or is None when every packet is an update;
+    ``upd_in`` is their arrival instants.  Returns the departures, the
+    updates' departures, how many updates left by ``duration``, their
+    summed time in system, and the summed stays of all updates clipped to
+    [warmup, duration].
     """
     served = np.cumsum(service)
     np.subtract(served, service, out=service)
     np.subtract(arrive, service, out=service)
-    np.maximum.accumulate(service, out=service)
+    # fmax, faster than maximum, differs from it only on NaN; every value
+    # here is finite, as _require_positive rejects non-finite rates and spans
+    np.fmax.accumulate(service, out=service)
     leave = np.add(served, service, out=served)
-    if is_update is None:
-        upd_in, upd_out = arrive, leave
-    else:
-        upd_in, upd_out = arrive[is_update], leave[is_update]
+    upd_out = leave if updates is None else leave.take(updates)
     left = int(np.searchsorted(upd_out, duration, side="right"))
     scratch = service[: len(upd_out)]
     time_sum = float(np.sum(np.subtract(upd_out[:left], upd_in[:left], out=scratch[:left])))
@@ -431,7 +438,7 @@ def _fcfs_node(arrive: np.ndarray, service: np.ndarray, is_update, warmup: float
     np.subtract(upd_out[:left], scratch[:left], out=scratch[:left])
     np.subtract(duration, scratch[left:], out=scratch[left:])
     stay_sum = float(np.sum(np.maximum(scratch, 0.0, out=scratch)))
-    return leave, left, time_sum, stay_sum
+    return leave, upd_out, left, time_sum, stay_sum
 
 
 def _open_loop(
@@ -460,39 +467,44 @@ def _open_loop(
         for i, flow in enumerate(net.cross_traffic)
     ]
 
-    # packets reaching the current node, in the order it serves them; until a
-    # cross flow enters, all of them are updates: no mask, one size
-    arrive = gen
-    is_update, sizes = None, update_size
+    # packets reaching the current node, in the order it serves them, and the
+    # updates among them; until a cross flow enters all of them are updates:
+    # no index, one size.  The updates reaching the next node are those that
+    # left this one by the end of the run.
+    arrive, upd_in = gen, gen
+    updates, sizes = None, update_size
     backlogs, time_sums, departs = [], [], []
     for i, spec in enumerate(net.forward):
         entering = [(flow, times) for flow, times in cross if flow.entry == i]
         if entering:
-            if is_update is None:
-                is_update = np.ones(len(arrive), dtype=bool)
+            is_update = np.zeros(len(arrive) + sum(len(times) for _, times in entering), dtype=bool)
+            if updates is None:
+                is_update[: len(arrive)] = True
                 sizes = np.full(len(arrive), update_size)
+            else:
+                is_update[updates] = True
             # a stable sort keeps through traffic ahead of cross traffic, and
             # flows in index order, at equal instants
             arrive = np.concatenate([arrive] + [times for _, times in entering])
-            is_update = np.concatenate([is_update] + [np.zeros(len(times), dtype=bool) for _, times in entering])
             sizes = np.concatenate(
                 [sizes] + [np.full(len(times), float(flow.packet_bytes)) for flow, times in entering]
             )
             order = np.argsort(arrive, kind="stable")
-            arrive, is_update, sizes = arrive[order], is_update[order], sizes[order]
+            arrive, sizes = arrive[order], sizes[order]
+            updates = np.flatnonzero(is_update[order])
         service_seed = substream_seed(fwd_seed, f"service/{i}")
         # the service times go in unnamed, so their buffer is freed with the node
-        leave, left, time_sum, stay_sum = _fcfs_node(
-            arrive, _service_times(spec, len(arrive), sizes, service_seed), is_update, warmup, duration
+        leave, upd_out, left, time_sum, stay_sum = _fcfs_node(
+            arrive, _service_times(spec, len(arrive), sizes, service_seed), updates, upd_in, warmup, duration
         )
         departs.append(left)
         time_sums.append(time_sum)
         backlogs.append(stay_sum / window)
-        arrive = leave[: int(np.searchsorted(leave, duration, side="right"))]
-        if is_update is not None:
-            is_update, sizes = is_update[: len(arrive)], sizes[: len(arrive)]
+        arrive, upd_in = leave[: int(np.searchsorted(leave, duration, side="right"))], upd_out[:left]
+        if updates is not None:
+            updates, sizes = updates[: int(np.searchsorted(updates, len(arrive)))], sizes[: len(arrive)]
 
-    dlv = arrive if is_update is None else arrive[is_update]
+    dlv = upd_in
     gen = gen[: len(dlv)]  # FCFS: updates leave the chain in the order they entered
     first = int(np.searchsorted(dlv, warmup, side="left"))  # deliveries in the window are a suffix
     delivered = len(dlv) - first
@@ -540,6 +552,21 @@ class SweepResult:
     rows: tuple[tuple[float, float, float], ...]  # (lambda, avg_age, ci_halfwidth)
 
 
+def _window_ages(gen: np.ndarray, dlv: np.ndarray, edges: np.ndarray) -> list[float]:
+    """``age_time_average`` over each window ``[edges[i], edges[i + 1]]``.
+
+    Each call gets only the resets from the one in force at the window's
+    start to the last one by its end; the others add nothing to the sum
+    but zero-width terms, so only the summation order (round-off)
+    separates a result from the call on the whole arrays.
+    """
+    cut = np.searchsorted(dlv, edges, side="right").tolist()
+    return [
+        age_time_average(gen[max(i - 1, 0) : j], dlv[max(i - 1, 0) : j], lo, hi)
+        for i, j, lo, hi in zip(cut, cut[1:], edges, edges[1:])
+    ]
+
+
 def sweep_lambda(
     net: QueueNetwork,
     grid,
@@ -550,9 +577,12 @@ def sweep_lambda(
 ) -> SweepResult:
     """Open-loop age curve across a rate grid, with the empirical minimizer.
 
-    Each grid point runs on its own derived substream seed, so the curve
-    is reproducible point-by-point regardless of edits elsewhere in the
-    grid.  The half-width column is a 95% batch-means interval.
+    The point at position ``idx`` of the grid runs on substream
+    ``sweep/{idx}``: it is reproducible while its position holds, whatever
+    the other points' rates, but inserting or removing an earlier point
+    re-seeds every later one.  The half-width column is a 95% batch-means
+    interval.  The minimizer is taken over the points with a defined age;
+    if none has one, ``best_lambda`` and ``best_age`` are NaN.
     """
     grid = [float(g) for g in grid]
     if not grid:
@@ -562,14 +592,14 @@ def sweep_lambda(
         point_seed = substream_seed(seed, f"sweep/{idx}")
         metrics, gen, dlv = _open_loop(net, lam, arrival, duration, point_seed, warmup_frac)
         edges = np.linspace(metrics.warmup, duration, _SWEEP_BATCHES + 1)
-        means = [age_time_average(gen, dlv, edges[i], edges[i + 1]) for i in range(_SWEEP_BATCHES)]
-        means = [m for m in means if not math.isnan(m)]
+        means = [m for m in _window_ages(gen, dlv, edges) if not math.isnan(m)]
         if len(means) >= 2:
             half = 1.96 * float(np.std(means, ddof=1)) / math.sqrt(len(means))
         else:
             half = math.nan
         rows.append((lam, metrics.avg_age, half))
-    best = min(rows, key=lambda r: r[1])
+    defined = [row for row in rows if not math.isnan(row[1])]
+    best = min(defined, key=lambda r: r[1]) if defined else (math.nan, math.nan)
     return SweepResult(best_lambda=best[0], best_age=best[1], rows=tuple(rows))
 
 

@@ -310,6 +310,25 @@ def test_open_loop_peak_memory_per_update():
     assert peak / (lam * duration) <= 64.0
 
 
+
+def test_open_loop_peak_memory_per_update_with_cross_traffic():
+    # once cross traffic enters, the open loop also holds the merged packets'
+    # sizes and the updates' int64 positions among them (8 B per update):
+    # about 88 B per update on the net_a forward chain
+    net = QueueNetwork(
+        forward=(ServiceSpec("link", 1e6),) * 6,
+        cross_traffic=(CrossTraffic(entry=0, rate_bps=200_000, packet_bytes=1040),),
+    )
+    lam, duration = 80.0, 3000.0
+    run_fixed_rate(net, lam, duration=30.0, seed=1)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        run_fixed_rate(net, lam, duration=duration, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (lam * duration) <= 96.0
+
 def test_open_loop_results_are_builtin_with_cross_traffic():
     # searchsorted and numpy reductions return numpy scalars; none may reach
     # a result, whether or not a node serves cross traffic
@@ -345,6 +364,43 @@ def test_sweep_empty_grid_rejected():
     with pytest.raises(ConfigError):
         sweep_lambda(MM1, [], duration=100.0)
 
+
+
+def test_sweep_best_point_skips_undefined_ages():
+    # at 0.01 updates/s the one server (mean service 50 s) delivers nothing
+    # in the 45 s window, so that point's age is NaN and must not win
+    net = QueueNetwork(forward=(ServiceSpec("exp", 0.02),))
+    res = sweep_lambda(net, [0.01, 0.02, 0.03], duration=50.0, seed=0)
+    ages = [row[1] for row in res.rows]
+    assert math.isnan(ages[0]) and not any(math.isnan(a) for a in ages[1:])
+    assert (res.best_lambda, res.best_age) == (0.03, min(ages[1:]))
+    # a 100 s service leaves every point of a 50 s run without an age
+    none = sweep_lambda(QueueNetwork(forward=(ServiceSpec("det", 0.01),)), [0.01, 0.02], duration=50.0, seed=0)
+    assert all(math.isnan(row[1]) for row in none.rows)
+    assert math.isnan(none.best_lambda) and math.isnan(none.best_age)
+
+
+def test_window_ages_match_whole_array_calls():
+    # each batch-means window reads only the resets around it, which moves
+    # its sum at round-off only; cross traffic enters at two nodes
+    net = QueueNetwork(
+        forward=(ServiceSpec("exp", 3.0), ServiceSpec("link", 40_000.0), ServiceSpec("det", 4.0)),
+        cross_traffic=(
+            CrossTraffic(entry=1, rate_bps=4000.0, packet_bytes=500),
+            CrossTraffic(entry=2, rate_bps=3000.0, packet_bytes=200),
+        ),
+    )
+    duration = 200.0
+    _, gen, dlv = simkit._open_loop(net, 1.0, "poisson", duration, 1, 0.0)
+    # a window strictly inside the widest gap between two resets holds none
+    gap = int(np.argmax(np.diff(dlv)))
+    quiet = dlv[gap] + np.array([0.25, 0.75]) * (dlv[gap + 1] - dlv[gap])
+    edges = np.sort(np.concatenate([np.linspace(0.0, duration, 11), quiet]))
+    assert edges[0] < dlv[0]  # the first window opens before the first delivery
+    got = simkit._window_ages(gen, dlv, edges)
+    want = [age_time_average(gen, dlv, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert not any(math.isnan(w) for w in want)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 def test_sweep_tandem_argmin_near_analytic():
     lam_star, _ = analytics.optimal_lambda(lambda l: analytics.aoi_tandem(l, 1.0, 1.0), 0.05, 0.95)
