@@ -31,6 +31,7 @@ import itertools
 import math
 import socket
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -366,14 +367,30 @@ class SourceSession:
 
 
 class MonitorSession:
-    """Sans-io monitor endpoint applying the freshest-wins discard rule."""
+    """Sans-io monitor endpoint applying the freshest-wins discard rule.
+
+    Each accepted update is one age reset, kept in three columns in
+    delivery order: ``deliver_times`` (the ``t`` of the call that accepted
+    it) and ``gen_times`` (``gen_ts_us / 1e6``) as ``array("d")``, and
+    ``seqs`` as ``array("Q")``, 24 B per update.  ``trace`` shows them as
+    records and is built on each access.
+    """
 
     def __init__(self):
         self.freshest_seq = 0
-        self.trace: list[dict] = []
+        self.deliver_times = array("d")
+        self.gen_times = array("d")
+        self.seqs = array("Q")
         self.accepted = 0
         self.stale = 0
         self.malformed = 0
+
+    @property
+    def trace(self) -> list[dict]:
+        """One ``{"t", "age_reset", "seq"}`` record per accepted update, in
+        delivery order, where ``age_reset`` is ``t`` less the generation
+        instant.  A new list, built from the columns on each access."""
+        return list(map(_reset_record, self.deliver_times, self.gen_times, self.seqs))
 
     def on_datagram(self, t: float, data: bytes) -> Optional[bytes]:
         """Process one update; returns the ACK frame or None if discarded."""
@@ -388,14 +405,22 @@ class MonitorSession:
             return None
         self.freshest_seq = seq
         self.accepted += 1
-        self.trace.append({"t": t, "age_reset": t - gen_ts_us / 1e6, "seq": seq})
+        self.deliver_times.append(t)
+        self.gen_times.append(gen_ts_us / 1e6)
+        self.seqs.append(seq)
         return wire.encode_ack(seq, gen_ts_us)
 
     def true_avg_age(self, lo: float, hi: float) -> float:
-        """Time-average of the reconstructed true age over [lo, hi]."""
-        dlv = [rec["t"] for rec in self.trace]
-        gen = [rec["t"] - rec["age_reset"] for rec in self.trace]
-        return age_time_average(gen, dlv, lo, hi)
+        """Time-average of the true age over [lo, hi], from the exact
+        generation instants."""
+        # views of the columns, not copies: none may outlive this call, as an
+        # array whose buffer is exported raises BufferError when it grows
+        return age_time_average(np.frombuffer(self.gen_times), np.frombuffer(self.deliver_times), lo, hi)
+
+
+def _reset_record(t: float, gen: float, seq: int) -> dict:
+    """The trace record of one accepted update."""
+    return {"t": t, "age_reset": t - gen, "seq": seq}
 
 
 def age_time_average(gen_times, deliver_times, lo: float, hi: float) -> float:
@@ -644,11 +669,13 @@ def run_monitor(
     max_updates: Optional[int] = None,
     trace_writer: Optional[Callable[[dict], None]] = None,
 ) -> MonitorSession:
-    """Serve a monitor over ``link`` until duration/max_updates/interrupt."""
+    """Serve a monitor over ``link`` until duration/max_updates/interrupt.
+
+    Each accepted update's ``trace`` record goes to ``trace_writer`` before
+    its ACK is sent.
+    """
     require_monitor_limits(duration, max_updates)
     session = MonitorSession()
-    if trace_writer is not None:
-        session.trace = _TeeList(trace_writer)
     now = link.now()
     end = math.inf if duration is None else now + duration
     while now < end and (max_updates is None or session.accepted < max_updates):
@@ -657,6 +684,9 @@ def run_monitor(
             continue
         reply = session.on_datagram(now, data)
         if reply is not None:
+            # an ACK means the update was accepted: its reset is the last one
+            if trace_writer is not None:
+                trace_writer(_reset_record(session.deliver_times[-1], session.gen_times[-1], session.seqs[-1]))
             link.send(reply)
     return session
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
@@ -755,7 +756,7 @@ def run_closed_loop(
         session, monitor = sessions[src], monitors[src]
         est_age, est_backlog, mean_rate = session.epoch_averages(warmup)
         true_age = monitor.true_avg_age(warmup, duration)
-        delivered = sum(1 for rec in monitor.trace if rec["t"] >= warmup)
+        delivered = len(monitor.deliver_times) - bisect_left(monitor.deliver_times, warmup)
         stats.append(
             SourceStats(
                 source=src,

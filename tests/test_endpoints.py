@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from agectl import wire
 from agectl.endpoints import (
@@ -19,6 +20,7 @@ from agectl.endpoints import (
     SourceConfig,
     SourceSession,
     UdpLink,
+    age_time_average,
     lazy_rate,
     parse_policy,
     run_initialization,
@@ -225,6 +227,91 @@ def test_monitor_randomized_orders_match_reference():
             else:
                 assert reply is None
         assert [(rec["t"], rec["seq"]) for rec in mon.trace] == expected_resets
+
+
+def test_true_age_reads_exact_generation_instants():
+    # rebuilt as t - (t - gen), this generation instant is one rounding off
+    t, gen_ts_us = 4066.8508600612836, 1779939759
+    hi = t + 1.0388876791354464
+    mon = MonitorSession()
+    assert mon.on_datagram(t, make_update(1, gen_ts_us)) is not None
+    assert mon.true_avg_age(t, hi) == age_time_average([gen_ts_us / 1e6], [t], t, hi) == 2287.4305449008516
+
+
+def _not_an_update(data: bytes) -> bool:
+    try:
+        wire.decode_update(data)
+    except wire.WireError:
+        return True
+    return False
+
+
+_GAPS = st.just(0.0) | st.floats(0.0, 10.0)
+_TIMESTAMPS = st.integers(0, wire.MAX_TS_US)
+
+
+class MonitorMachine(RuleBasedStateMachine):
+    """Fresh, stale, duplicate, ACK-kind and garbage datagrams at
+    non-decreasing instants, with true-age reads between them, against a
+    list of the fresh updates sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.mon = MonitorSession()
+        self.t = 0.0
+        self.sent = 0
+        self.fresh_sent = []  # (t, gen_ts_us, seq)
+
+    def _send(self, gap: float, frame: bytes):
+        self.t += gap
+        self.sent += 1
+        return self.mon.on_datagram(self.t, frame)
+
+    @rule(gap=_GAPS, step=st.integers(1, 1000), gen_ts_us=_TIMESTAMPS)
+    def fresh(self, gap, step, gen_ts_us):
+        seq = self.mon.freshest_seq + step
+        reply = self._send(gap, make_update(seq, gen_ts_us))
+        assert wire.decode_ack(reply) == (seq, gen_ts_us)
+        self.fresh_sent.append((self.t, gen_ts_us, seq))
+
+    @precondition(lambda self: self.fresh_sent)
+    @rule(gap=_GAPS, data=st.data(), gen_ts_us=_TIMESTAMPS)
+    def stale(self, gap, data, gen_ts_us):
+        seq = data.draw(st.integers(1, self.mon.freshest_seq))
+        assert self._send(gap, make_update(seq, gen_ts_us)) is None
+
+    @precondition(lambda self: self.fresh_sent)
+    @rule(gap=_GAPS)
+    def duplicate(self, gap):
+        _, gen_ts_us, seq = self.fresh_sent[-1]
+        assert self._send(gap, make_update(seq, gen_ts_us)) is None
+
+    @rule(gap=_GAPS, seq=st.integers(0, wire.MAX_SEQ), echo_ts_us=_TIMESTAMPS)
+    def ack_kind(self, gap, seq, echo_ts_us):
+        assert self._send(gap, wire.encode_ack(seq, echo_ts_us)) is None
+
+    @rule(gap=_GAPS, data=st.binary(max_size=40).filter(_not_an_update))
+    def garbage(self, gap, data):
+        assert self._send(gap, data) is None
+
+    @rule(lo=st.floats(0.0, 200.0), span=st.floats(0.0, 200.0))
+    def read_true_age(self, lo, span):
+        gen = [gen_ts_us / 1e6 for _, gen_ts_us, _ in self.fresh_sent]
+        dlv = [t for t, _, _ in self.fresh_sent]
+        got, want = self.mon.true_avg_age(lo, lo + span), age_time_average(gen, dlv, lo, lo + span)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @invariant()
+    def counts_and_trace_agree(self):
+        mon, trace = self.mon, self.mon.trace
+        assert mon.accepted == len(trace)
+        assert all(a["seq"] < b["seq"] for a, b in zip(trace, trace[1:]))
+        assert trace == [{"t": t, "age_reset": t - us / 1e6, "seq": seq} for t, us, seq in self.fresh_sent]
+        assert mon.accepted + mon.stale + mon.malformed == self.sent
+
+
+TestMonitorMachine = MonitorMachine.TestCase
+TestMonitorMachine.settings = settings(max_examples=60, deadline=None)
 
 
 # -- running sources over simulated paths ---------------------------------------------
@@ -532,6 +619,50 @@ def test_run_source_writes_trace_records():
         records[0]
     )
     assert summary["epochs"] == len(records)
+
+
+class _ScriptedLink:
+    """In-memory link that hands the monitor scripted (instant, datagram)
+    pairs and keeps what it sends back."""
+
+    def __init__(self, script):
+        self._script = list(script)
+        self._now = 0.0
+        self.sent = []
+
+    def now(self) -> float:
+        return self._now
+
+    def send(self, payload: bytes) -> None:
+        self.sent.append(payload)
+
+    def recv(self, deadline: float):
+        if self._script and self._script[0][0] <= deadline:
+            self._now, data = self._script.pop(0)
+            return data, self._now
+        self._now = max(deadline, self._now)
+        return None, self._now
+
+
+def test_run_monitor_writes_trace_records():
+    script = [
+        (0.5, make_update(1, 100_000)),
+        (0.75, b"garbage"),
+        (1.25, make_update(4, 1_100_000)),
+        (1.25, make_update(4, 1_100_000)),  # duplicate
+        (2.0, make_update(2, 600_000)),  # stale
+        (2.0, wire.encode_ack(5, 1_900_000)),
+        (3.1, make_update(9, 2_987_654)),
+    ]
+    link = _ScriptedLink(script)
+    records = []
+    session = run_monitor(link, duration=10.0, trace_writer=records.append)
+    assert records == session.trace
+    assert [list(rec) for rec in records] == [["t", "age_reset", "seq"]] * 3
+    assert [(rec["t"], rec["seq"]) for rec in records] == [(0.5, 1), (1.25, 4), (3.1, 9)]
+    assert records[2]["age_reset"] == 3.1 - 2.987654
+    assert [wire.decode_ack(frame) for frame in link.sent] == [(1, 100_000), (4, 1_100_000), (9, 2_987_654)]
+    assert (session.accepted, session.stale, session.malformed) == (3, 2, 2)
 
 
 # -- real UDP loopback ------------------------------------------------------------------
