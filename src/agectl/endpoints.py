@@ -138,6 +138,9 @@ def require_monitor_limits(duration: Optional[float], max_updates: Optional[int]
         raise ValueError(f"max_updates must be >= 1, got {max_updates}")
 
 
+_EPOCH_KEYS = ("epoch", "t", "lambda", "delta_bar", "b_bar", "action", "rtt_ewma", "z_ewma")
+
+
 class SourceSession:
     """Sans-io source endpoint: init probing, pacing, epoch control.
 
@@ -146,15 +149,22 @@ class SourceSession:
     time of the next pending timer action (inf while idle in READY); once
     epochs begin, the next send.  The instant a caller passes is the only
     clock, and a period lost to rounding there is a ValueError.
+
+    Closed epochs are kept in typed columns, about 56 B each: the six
+    floats of each record in one ``array("d")`` with stride 6, and its
+    action label or None in a list.  ``trace`` is built from them on each
+    access; ``trace_writer``, if set, gets each record as its epoch closes.
     """
 
-    def __init__(self, cfg: SourceConfig):
+    def __init__(self, cfg: SourceConfig, trace_writer: Optional[Callable[[dict], None]] = None):
         self.cfg = cfg
         self.policy_kind, self._fixed_rate = parse_policy(cfg.policy)
         self.estimator = SourceEstimator(alpha=cfg.alpha)
         self.controller: Optional[RateController] = None
         self.state = _INIT
-        self.trace: list[dict] = []
+        self.trace_writer = trace_writer
+        self._epoch_floats = array("d")  # t, lambda, delta_bar, b_bar, rtt_ewma, z_ewma per epoch
+        self._actions: list[Optional[str]] = []
         self.epoch_index = 0
         self.stale_acks = 0
         self.malformed = 0
@@ -176,15 +186,31 @@ class SourceSession:
         return self.state == _READY
 
     @property
+    def trace(self) -> list[dict]:
+        """One record per closed epoch, keys in ``_EPOCH_KEYS`` order.  Built
+        from the columns on each access: a new list, holding the same records
+        (keys, key order and values) every time."""
+        return [self._epoch_record(i) for i in range(self.epoch_index)]
+
+    def _epoch_record(self, i: int) -> dict:
+        """The trace record of closed epoch ``i`` (from 0)."""
+        t, rate, avg_age, avg_backlog, rtt_ewma, z_ewma = self._epoch_floats[6 * i : 6 * i + 6]
+        values = (i + 1, t, rate, avg_age, avg_backlog, self._actions[i], rtt_ewma, z_ewma)
+        return dict(zip(_EPOCH_KEYS, values))
+
+    def _closed_epochs(self):
+        """(close, length, avg_age, avg_backlog, rate_at_open) per closed epoch: each
+        opens at the close and rate of the one before, the first where and as epochs began."""
+        cols, opened, rate = self._epoch_floats, self._epochs_began, self._first_rate
+        for i in range(0, len(cols), 6):
+            t = cols[i]
+            yield t, t - opened, cols[i + 2], cols[i + 3], rate
+            opened, rate = t, cols[i + 1]
+
+    @property
     def epoch_spans(self) -> list[tuple[float, float, float, float]]:
-        """(length, avg_age, avg_backlog, rate_at_open) per closed epoch, read
-        off ``trace``: each epoch opens at the previous record's ``t`` and
-        ``lambda``, the first one where and at the rate epochs began."""
-        spans, opened, rate = [], self._epochs_began, self._first_rate
-        for rec in self.trace:
-            spans.append((rec["t"] - opened, rec["delta_bar"], rec["b_bar"], rate))
-            opened, rate = rec["t"], rec["lambda"]
-        return spans
+        """(length, avg_age, avg_backlog, rate_at_open) per closed epoch."""
+        return [(length, age, backlog, rate) for _, length, age, backlog, rate in self._closed_epochs()]
 
     def next_deadline(self) -> float:
         return self._deadline
@@ -298,19 +324,13 @@ class SourceSession:
                 change.backlog_change, self.estimator.ack_gap_ewma, self.estimator.rtt_ewma
             )
             action = change.label()
-        self.epoch_index += 1
-        self.trace.append(
-            {
-                "epoch": self.epoch_index,
-                "t": t,
-                "lambda": self.rate,
-                "delta_bar": stats.avg_age,
-                "b_bar": stats.avg_backlog,
-                "action": action,
-                "rtt_ewma": self.estimator.rtt_ewma,
-                "z_ewma": self.estimator.ack_gap_ewma,
-            }
+        self._epoch_floats.extend(
+            (t, self.rate, stats.avg_age, stats.avg_backlog, self.estimator.rtt_ewma, self.estimator.ack_gap_ewma)
         )
+        self._actions.append(action)
+        self.epoch_index += 1
+        if self.trace_writer is not None:
+            self.trace_writer(self._epoch_record(self.epoch_index - 1))
         self._epoch_sends = 0
 
     # -- summaries ----------------------------------------------------------
@@ -320,8 +340,8 @@ class SourceSession:
         over the closed epochs that close strictly after the instant
         ``after`` (warm-up exclusion); NaNs if there is none."""
         age_area = backlog_area = rate_area = total = 0.0
-        for rec, (length, avg_age, avg_backlog, open_rate) in zip(self.trace, self.epoch_spans):
-            if rec["t"] <= after:
+        for t, length, avg_age, avg_backlog, open_rate in self._closed_epochs():
+            if t <= after:
                 continue
             age_area += avg_age * length
             backlog_area += avg_backlog * length
@@ -349,6 +369,7 @@ class SourceSession:
         return self._rtt_sum / self.fresh_acks if self.fresh_acks else None
 
     def summary(self) -> dict:
+        est_age, est_backlog, _ = self.epoch_averages(self._epochs_began)
         return {
             "policy": self.cfg.policy,
             "lambda_initial": self.initial_rate,
@@ -358,8 +379,8 @@ class SourceSession:
             "fresh_acks": self.fresh_acks,
             "stale_acks": self.stale_acks,
             "malformed": self.malformed,
-            "est_avg_age": self.est_avg_age(),
-            "est_avg_backlog": self.est_avg_backlog(),
+            "est_avg_age": est_age,
+            "est_avg_backlog": est_backlog,
             "avg_rtt": self.avg_rtt,
             "rtt_ewma": self.estimator.rtt_ewma,
             "z_ewma": self.estimator.ack_gap_ewma,
@@ -651,12 +672,10 @@ def run_source(
     """Initialize, then run control epochs for ``duration`` seconds.
 
     Returns (summary, session); per-epoch records go to ``trace_writer``
-    as they are produced and stay available on ``session.trace``.
+    as the epochs close and stay available on ``session.trace``.
     """
     require_duration(duration)
-    session = SourceSession(cfg)
-    if trace_writer is not None:
-        session.trace = _TeeList(trace_writer)
+    session = SourceSession(cfg, trace_writer)
     _drive(link, session, session.on_start(link.now()))
     start = link.now()
     _drive(link, session, session.begin_epochs(start), start + duration)
@@ -690,14 +709,3 @@ def run_monitor(
             link.send(reply)
     return session
 
-
-class _TeeList(list):
-    """List that mirrors appended records to a writer callback."""
-
-    def __init__(self, writer: Callable[[dict], None]):
-        super().__init__()
-        self._writer = writer
-
-    def append(self, item):
-        super().append(item)
-        self._writer(item)

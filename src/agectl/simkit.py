@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -688,8 +689,9 @@ def run_closed_loop(
     timer_version = [0] * n_sources
     armed = [None] * n_sources
     ack_size = float(net.ack_bytes)
+    # 8 B per instant, each read back as a built-in float
     cross_times = [
-        _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}"))[1:].tolist()
+        array("d", _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}"))[1:].tobytes())
         for i, flow in enumerate(net.cross_traffic)
     ]
 

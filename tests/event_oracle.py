@@ -93,13 +93,15 @@ class HopEngine:
 
 
 class _TallyingEngine(HopEngine):
-    """``HopEngine`` that also sums, per node, departed updates and their time there."""
+    """``HopEngine`` that also sums, per node, departed updates and their
+    time there, and keeps their departure instants."""
 
     def __init__(self, specs, seed: int, heads, warmup: float, duration: float):
         super().__init__(specs, seed, heads, warmup, duration)
         self.waiting = [deque() for _ in specs]  # arrival instants of queued updates
         self.time_sum = [0.0] * len(specs)
         self.departs = [0] * len(specs)
+        self.depart_times = [[] for _ in specs]
 
     def enqueue(self, t: float, i: int, pkt) -> None:
         if pkt[0]:
@@ -111,10 +113,12 @@ class _TallyingEngine(HopEngine):
     def update_left(self, t: float, i: int) -> None:
         self.time_sum[i] += t - self.waiting[i].popleft()
         self.departs[i] += 1
+        self.depart_times[i].append(t)
 
 
 def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
-    """(AoiMetrics, gen, dlv) of an open-loop run, by discrete events."""
+    """(AoiMetrics, gen, dlv, departures) of an open-loop run, by discrete
+    events; ``departures`` holds each node's update departure instants."""
     n_fwd = len(net.forward)
     warmup = warmup_frac * duration
     arrival_draw = DrawStream(substream_seed(seed, "arrivals"), 1.0) if arrival == "poisson" else None
@@ -174,4 +178,4 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
         node_time_in_system_sum=tuple(engine.time_sum),
         node_departs=tuple(engine.departs),
     )
-    return metrics, gen, dlv
+    return metrics, gen, dlv, engine.depart_times

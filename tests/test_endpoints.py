@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from agectl import wire
 from agectl.endpoints import (
@@ -248,6 +248,9 @@ def _not_an_update(data: bytes) -> bool:
 
 _GAPS = st.just(0.0) | st.floats(0.0, 10.0)
 _TIMESTAMPS = st.integers(0, wire.MAX_TS_US)
+_policies = st.one_of(
+    st.sampled_from(["acp_plus", "lazy"]), st.floats(0.5, 60.0).map(lambda rate: f"fixed:{rate}")
+)
 
 
 class MonitorMachine(RuleBasedStateMachine):
@@ -312,6 +315,127 @@ class MonitorMachine(RuleBasedStateMachine):
 
 TestMonitorMachine = MonitorMachine.TestCase
 TestMonitorMachine.settings = settings(max_examples=60, deadline=None)
+
+
+def _not_an_ack(data: bytes) -> bool:
+    try:
+        wire.decode_ack(data)
+    except wire.WireError:
+        return True
+    return False
+
+
+# datagrams mostly land within a round trip of the last event, so probing
+# ends and epochs close in most runs
+_ACK_GAPS = st.just(0.0) | st.floats(0.0, 1.0)
+
+
+class SourceMachine(RuleBasedStateMachine):
+    """Timers at arbitrary non-decreasing instants, and fresh, stale,
+    wrong-echo and garbage datagrams, against the sends the source made.
+    A typed error ends the run: no call reaches the session after it."""
+
+    @initialize(
+        policy=_policies,
+        eta=st.integers(1, 4),
+        probes=st.integers(1, 3),
+        timeout=st.floats(0.01, 20.0),
+    )
+    def start(self, policy, eta, probes, timeout):
+        self.cfg = SourceConfig(policy=policy, probe_count=probes, probe_timeout=timeout, updates_per_epoch=eta)
+        self.records = []
+        self.sess = SourceSession(self.cfg, trace_writer=self.records.append)
+        self.t = 0.0
+        self.failed = False
+        self.probes = []  # (t, seq, gen_ts_us) of each probe
+        self.run_sends = []  # (t, seq, gen_ts_us) of each send once epochs began
+        self.counts = {"fresh_acks": 0, "stale_acks": 0, "malformed": 0}
+        self._call(self.sess.on_start)
+
+    def _call(self, method, *args):
+        """Call ``method`` at ``self.t``, then begin epochs once ready, as
+        the drivers do; record the sends."""
+        sess = self.sess
+        if self.failed:
+            return
+        try:
+            frames = method(self.t, *args)
+            sends = self.run_sends if sess.state == "run" else self.probes
+            sends += [(self.t, *wire.decode_update(frame)) for frame in frames]
+            if sess.is_ready:
+                self.run_sends += [(self.t, *wire.decode_update(frame)) for frame in sess.begin_epochs(self.t)]
+        except (ValueError, InitializationError):
+            self.failed = True
+
+    def _sent(self):
+        return self.probes + self.run_sends
+
+    @rule(gap=_GAPS)
+    def timer(self, gap):
+        self.t += gap
+        self._call(self.sess.on_timer)
+
+    @precondition(lambda self: self.sess.state == "run")
+    @rule()
+    def send_due(self):
+        self.t = max(self.t, self.sess.next_deadline())
+        self._call(self.sess.on_timer)
+
+    def _ack(self, gap, frame, outcome):
+        self.t += gap
+        if not self.failed:
+            self.counts[outcome] += 1
+        self._call(self.sess.on_datagram, frame)
+
+    def _unacked(self):
+        """The sends not yet acknowledged, latest first: Hypothesis favours
+        the first, and the latest probe's ACK is what ends probing."""
+        return self._sent()[self.sess.estimator.highest_acked :][::-1]
+
+    @precondition(lambda self: self.sess.estimator.highest_acked < self.sess.sends)
+    @rule(gap=_ACK_GAPS, data=st.data())
+    def fresh(self, gap, data):
+        _, seq, gen_ts_us = data.draw(st.sampled_from(self._unacked()))
+        self._ack(gap, wire.encode_ack(seq, gen_ts_us), "fresh_acks")
+
+    @precondition(lambda self: self.sess.estimator.highest_acked)
+    @rule(gap=_ACK_GAPS, data=st.data(), echo_ts_us=_TIMESTAMPS)
+    def stale(self, gap, data, echo_ts_us):
+        seq = data.draw(st.integers(1, self.sess.estimator.highest_acked))
+        self._ack(gap, wire.encode_ack(seq, echo_ts_us), "stale_acks")
+
+    @precondition(lambda self: self.sess.estimator.highest_acked < self.sess.sends)
+    @rule(gap=_ACK_GAPS, data=st.data(), echo_ts_us=_TIMESTAMPS)
+    def wrong_echo(self, gap, data, echo_ts_us):
+        _, seq, gen_ts_us = data.draw(st.sampled_from(self._unacked()))
+        if echo_ts_us == gen_ts_us:
+            reject()
+        self._ack(gap, wire.encode_ack(seq, echo_ts_us), "malformed")
+
+    @rule(gap=_ACK_GAPS, data=st.binary(max_size=40).filter(_not_an_ack))
+    def garbage(self, gap, data):
+        self._ack(gap, data, "malformed")
+
+    @invariant()
+    def sends_and_epochs_agree(self):
+        sess = self.sess
+        sent = self._sent()
+        assert [seq for _, seq, _ in sent] == list(range(1, len(sent) + 1)) and sess.sends == len(sent)
+        assert all(gen_ts_us == round(t * 1e6) for t, _, gen_ts_us in sent)
+        run_times = [t for t, _, _ in self.run_sends]
+        assert all(a < b for a, b in zip(run_times, run_times[1:]))
+        # epoch k closes at the instant of the k*eta-th send after epochs
+        # began, which opens epoch k+1; a typed error may cut that send off
+        closes = [rec["t"] for rec in sess.trace]
+        opened = run_times[self.cfg.updates_per_epoch :: self.cfg.updates_per_epoch]
+        assert closes == opened or (self.failed and closes[:-1] == opened)
+        assert not math.isnan(sess.next_deadline())
+        assert len(sess.trace) == sess.epoch_index and self.records == sess.trace
+        assert {name: getattr(sess, name) for name in self.counts} == self.counts
+
+
+TestSourceMachine = SourceMachine.TestCase
+TestSourceMachine.settings = settings(max_examples=60, deadline=None)
 
 
 # -- running sources over simulated paths ---------------------------------------------
@@ -443,9 +567,6 @@ class _SendClock(SimulatedPath):
 
 
 _delays = st.one_of(st.floats(0.001, 0.2), st.tuples(st.just("exp"), st.floats(0.001, 0.2)))
-_policies = st.one_of(
-    st.sampled_from(["acp_plus", "lazy"]), st.floats(0.5, 60.0).map(lambda rate: f"fixed:{rate}")
-)
 
 
 @settings(max_examples=60, deadline=None)
@@ -607,18 +728,44 @@ def test_run_monitor_rejects_bad_max_updates(max_updates):
     assert path.now() == 0.0
 
 
+def _spans_from_records(sess):
+    """``epoch_spans`` as computed from a dict per epoch before the columns."""
+    spans, opened, rate = [], sess._epochs_began, sess._first_rate
+    for rec in sess.trace:
+        spans.append((rec["t"] - opened, rec["delta_bar"], rec["b_bar"], rate))
+        opened, rate = rec["t"], rec["lambda"]
+    return spans
+
+
+def _averages_from_records(sess, after):
+    """``epoch_averages`` as computed from a dict per epoch before the columns."""
+    age_area = backlog_area = rate_area = total = 0.0
+    for rec, (length, avg_age, avg_backlog, open_rate) in zip(sess.trace, _spans_from_records(sess)):
+        if rec["t"] <= after:
+            continue
+        age_area += avg_age * length
+        backlog_area += avg_backlog * length
+        rate_area += open_rate * length
+        total += length
+    return age_area / total, backlog_area / total, rate_area / total
+
+
 def test_run_source_writes_trace_records():
-    path = SimulatedPath(fwd_delay=0.02, rev_delay=0.02, seed=4)
-    records = []
-    summary, sess = run_source(
-        path, SourceConfig(policy="fixed:10", probe_count=2), duration=12.0,
-        trace_writer=records.append,
-    )
-    assert records == sess.trace
-    assert {"epoch", "t", "lambda", "delta_bar", "b_bar", "action", "rtt_ewma", "z_ewma"} == set(
-        records[0]
-    )
-    assert summary["epochs"] == len(records)
+    # a lossless fixed-rate link, and a lossy one with stale ACKs and actions
+    for delay, loss, policy in ((0.02, 0.0, "fixed:10"), (("exp", 0.02), 0.01, "acp_plus")):
+        path = SimulatedPath(delay, delay, loss=loss, seed=4)
+        records = []
+        cfg = SourceConfig(policy=policy, probe_count=2)
+        summary, sess = run_source(path, cfg, duration=12.0, trace_writer=records.append)
+        assert records == sess.trace and sess.trace is not sess.trace
+        keys = ["epoch", "t", "lambda", "delta_bar", "b_bar", "action", "rtt_ewma", "z_ewma"]
+        assert [list(rec) for rec in records] == [keys] * len(records)
+        assert {type(value) for rec in records for value in rec.values()} <= {int, float, str, type(None)}
+        assert [rec["epoch"] for rec in records] == list(range(1, len(records) + 1))
+        assert summary["epochs"] == len(records) > 10
+        assert sess.epoch_spans == _spans_from_records(sess)
+        for after in (0.0, records[0]["t"], records[len(records) // 2]["t"], 5.0):
+            assert sess.epoch_averages(after) == _averages_from_records(sess, after)
 
 
 class _ScriptedLink:

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from event_oracle import HopEngine, open_loop_events
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from agectl import analytics, simkit
@@ -268,28 +268,69 @@ def open_loop_runs(draw):
     )
 
 
-def _assert_same_field(name, got, want):
-    if isinstance(want, (bool, int)):
-        assert got == want, name
-    elif isinstance(want, tuple):
+def _assert_same_field(name, got, want, slack=0):
+    """``got`` is ``want``: exactly if a bool, an int or None, else to 1e-9
+    relative; a nonzero ``slack`` lets a number differ by that much more."""
+    if isinstance(want, tuple):
         assert len(got) == len(want), name
         for g, w in zip(got, want):
-            _assert_same_field(name, g, w)
+            _assert_same_field(name, g, w, slack)
+    elif slack:
+        assert math.isinf(slack) or abs(got - want) <= slack + 1e-9 * abs(want), name
+    elif isinstance(want, (bool, int)):
+        assert got == want, name
     elif want is None:
         assert got is None, name
     else:
         assert got == pytest.approx(want, rel=1e-9, abs=0.0, nan_ok=True), name
 
 
+def _edge_departures(departures, warmup, duration) -> int:
+    """Oracle update departures that round-off may put on the other side of
+    an edge in the kernel, moving a count by one: those within the instants'
+    relative tolerance of ``warmup`` at the last node (deliveries), or of
+    ``duration`` at any node."""
+
+    def near(times, edge):
+        return sum(abs(t - edge) <= 1e-9 * t for t in times)
+
+    return near(departures[-1], warmup) + sum(near(times, duration) for times in departures)
+
+
+def _count_slack(run, got, want, edge_departures: int) -> dict:
+    """How far each field counted over the window, or computed from such a
+    count, may move when ``edge_departures`` departures change sides: one
+    update each, or one stay in [0, duration] each."""
+    k, window = edge_departures, want.duration - want.warmup
+    fewest = min(got.delivered, want.delivered)
+    return {
+        "delivered": k,
+        "node_departs": k,
+        "throughput_updates": k / window,
+        "throughput_bps": k * 8.0 * run[0].update_bytes / window,
+        "node_time_in_system_sum": k * want.duration,
+        # a mean over n stays moves by at most one stay over n per change
+        "avg_system_time": k * want.duration / fewest if fewest else math.inf,
+    }
+
+
 @settings(max_examples=60, deadline=None)
 @given(open_loop_runs())
+# the kernel puts a departure at exactly the warm-up end, 10.0, and the
+# oracle at 9.999999999999998: 16 deliveries in the window against 15
+@example((QueueNetwork(forward=(ServiceSpec("det", 1.5),)), 1.5, "periodic", 20.0, 0, 0.5))
 def test_open_loop_matches_event_reference(run):
     got, gen, dlv = simkit._open_loop(*run)
-    want, want_gen, want_dlv = open_loop_events(*run)
+    want, want_gen, want_dlv, departures = open_loop_events(*run)
+    k = _edge_departures(departures, want.warmup, want.duration)
+    slack = _count_slack(run, got, want, k) if k else {}
     for field in dataclasses.fields(AoiMetrics):
-        _assert_same_field(field.name, getattr(got, field.name), getattr(want, field.name))
-    assert np.array_equal(gen, want_gen)
-    assert dlv == pytest.approx(want_dlv, rel=1e-9, abs=0.0)
+        _assert_same_field(field.name, getattr(got, field.name), getattr(want, field.name), slack.get(field.name, 0))
+    # a departure at the run's end may likewise leave or stay in the kernel
+    assert abs(len(gen) - len(want_gen)) <= k
+    n = min(len(gen), len(want_gen))
+    assert np.array_equal(gen[:n], want_gen[:n])
+    assert dlv[:n] == pytest.approx(want_dlv[:n], rel=1e-9, abs=0.0)
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -332,9 +373,11 @@ def test_open_loop_peak_memory_per_update_with_cross_traffic():
 
 
 def test_closed_loop_peak_memory_per_fresh_ack():
-    # each monitor keeps an accepted update in three typed columns, 24 B;
-    # with a dict per update the run held about 336 B per fresh ACK, and
-    # about 91 B without
+    # each monitor keeps an accepted update in three typed columns, 24 B,
+    # each source a closed epoch in typed columns, about 56 B, and each cross
+    # flow an instant in an array, 8 B; with a dict per update the run held
+    # about 336 B per fresh ACK, with a dict per epoch about 91 B, and about
+    # 48 B with neither
     net = QueueNetwork.from_dict(load_config("net_a")[0]["net"])
     run_closed_loop(net, "acp_plus", 6, duration=10.0, seed=1)  # imports and caches outside the trace
     tracemalloc.start()
@@ -343,7 +386,7 @@ def test_closed_loop_peak_memory_per_fresh_ack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / sum(s.fresh_acks for s in result.sources) <= 128.0
+    assert peak / sum(s.fresh_acks for s in result.sources) <= 64.0
 
 
 def test_open_loop_results_are_builtin_with_cross_traffic():
