@@ -159,6 +159,7 @@ class SourceSession:
     def __init__(self, cfg: SourceConfig, trace_writer: Optional[Callable[[dict], None]] = None):
         self.cfg = cfg
         self.policy_kind, self._fixed_rate = parse_policy(cfg.policy)
+        self._updates_per_epoch = cfg.updates_per_epoch
         self.estimator = SourceEstimator(alpha=cfg.alpha)
         self.controller: Optional[RateController] = None
         self.state = _INIT
@@ -256,7 +257,7 @@ class SourceSession:
             raise RuntimeError(f"cannot begin epochs in state {self.state}")
         self.rate = self._first_rate = self._fixed_rate if self.policy_kind == "fixed" else self.initial_rate
         if self.policy_kind == "acp_plus":
-            self.controller = RateController(self.rate, updates_per_epoch=self.cfg.updates_per_epoch)
+            self.controller = RateController(self.rate, updates_per_epoch=self._updates_per_epoch)
         self.estimator.restart_epochs(t)
         self.state = _RUN
         self._epochs_began = self._deadline = t
@@ -304,14 +305,15 @@ class SourceSession:
     def _process_due(self, t: float) -> list[bytes]:
         # one send, at the call instant; the next falls one period later on
         # the grid, or one period after t if the timer missed a whole period
-        if self._epoch_sends == self.cfg.updates_per_epoch:
+        if self._epoch_sends == self._updates_per_epoch:
             self._close_epoch(t)
         period = 1.0 / self.rate
-        self._deadline += period
-        if self._deadline <= t:
-            self._deadline = t + period
-            if self._deadline == t:
+        deadline = self._deadline + period
+        if deadline <= t:
+            deadline = t + period
+            if deadline == t:
                 raise ValueError(f"send period of rate {self.rate}/s is lost to rounding at t={t}")
+        self._deadline = deadline
         self._epoch_sends += 1
         return [self._send_update(t)]
 
@@ -621,16 +623,17 @@ class SimulatedPath:
     def recv(self, deadline: float):
         """Advance virtual time to the next ACK, returning (bytes, now), or
         else to exactly max(now, ``deadline``), returning (None, now)."""
-        in_flight = self._in_flight
+        in_flight, heappop = self._in_flight, heapq.heappop
         while in_flight and in_flight[0][0] <= deadline:
-            t, to_monitor, _, payload = heapq.heappop(in_flight)
+            t, to_monitor, _, payload = heappop(in_flight)
             self._now = t
             if not to_monitor:
                 return payload, t
             self._deliver_to_monitor(t, payload)
         if math.isinf(deadline):
             raise RuntimeError("recv would block forever: no traffic in flight")
-        self._now = max(deadline, self._now)
+        if deadline >= self._now:
+            self._now = deadline
         return None, self._now
 
     def close(self) -> None:
@@ -643,14 +646,16 @@ class SimulatedPath:
 def _drive(link, session: SourceSession, frames, end_time: float = math.inf) -> None:
     """Send ``frames``, then pump one session over a link until it is ready
     to begin epochs or the link clock reaches ``end_time``."""
+    send, recv, on_timer, on_datagram = link.send, link.recv, session.on_timer, session.on_datagram
     now = link.now()
     while True:
         for frame in frames:
-            link.send(frame)
-        if session.is_ready or now >= end_time:
+            send(frame)
+        if session.state == _READY or now >= end_time:
             return
-        data, now = link.recv(min(session.next_deadline(), end_time))
-        frames = session.on_timer(now) if data is None else session.on_datagram(now, data)
+        deadline = session.next_deadline()
+        data, now = recv(end_time if end_time < deadline else deadline)
+        frames = on_timer(now) if data is None else on_datagram(now, data)
 
 
 def run_initialization(link, cfg: SourceConfig) -> float:

@@ -96,9 +96,20 @@ class SourceEstimator:
     def on_send(self, t: float, seq: int, gen_ts: float, gen_ts_us: int) -> None:
         """Record the transmission of update ``seq`` generated at ``gen_ts``,
         whose frame carries the timestamp ``gen_ts_us``."""
-        if seq != self.highest_sent + 1:
-            raise ProtocolError(f"non-monotone send seq {seq}, expected {self.highest_sent + 1}")
-        self._advance(t)
+        sent = self.highest_sent
+        if seq != sent + 1:
+            raise ProtocolError(f"non-monotone send seq {seq}, expected {sent + 1}")
+        # _advance(t), inlined on the per-packet calls
+        clock = self._clock
+        if t < clock:
+            raise ProtocolError(f"clock moved backwards: {t} < {clock}")
+        dt = t - clock
+        if dt > 0.0:
+            acked = self.highest_acked
+            self._backlog_area += dt * (sent - acked)
+            if acked > 0:
+                self._age_area += dt * ((clock + t) * 0.5 - self._acked_gen_ts)
+        self._clock = t
         self.highest_sent = seq
         self._pending[seq] = (gen_ts, gen_ts_us)
 
@@ -108,18 +119,32 @@ class SourceEstimator:
 
         A fresh ACK whose ``echo_ts_us`` is not the ``gen_ts_us`` update
         ``seq`` was sent with raises ProtocolError and changes nothing."""
-        if seq < 1 or seq > self.highest_sent:
-            raise ProtocolError(f"ACK for unknown seq {seq} (highest sent {self.highest_sent})")
-        if seq <= self.highest_acked:
+        sent, acked = self.highest_sent, self.highest_acked
+        if seq < 1 or seq > sent:
+            raise ProtocolError(f"ACK for unknown seq {seq} (highest sent {sent})")
+        if seq <= acked:
             return None
-        gen_ts, gen_ts_us = self._pending[seq]
+        pending = self._pending
+        gen_ts, gen_ts_us = pending[seq]
         if echo_ts_us != gen_ts_us:
             raise ProtocolError(f"ACK for seq {seq} echoes {echo_ts_us}, update carried {gen_ts_us}")
-        self._advance(t)
+        # _advance(t), inlined on the per-packet calls
+        clock = self._clock
+        if t < clock:
+            raise ProtocolError(f"clock moved backwards: {t} < {clock}")
+        dt = t - clock
+        if dt > 0.0:
+            self._backlog_area += dt * (sent - acked)
+            if acked > 0:
+                self._age_area += dt * ((clock + t) * 0.5 - self._acked_gen_ts)
+        self._clock = t
         rtt = t - gen_ts
         # everything at or below seq is now implicitly acknowledged
-        for s in range(self.highest_acked + 1, seq + 1):
-            self._pending.pop(s, None)
+        if seq == acked + 1:
+            del pending[seq]
+        else:
+            for s in range(acked + 1, seq + 1):
+                pending.pop(s, None)
         self.highest_acked = seq
         self._acked_gen_ts = gen_ts
         if self.rtt_ewma is None:

@@ -23,6 +23,9 @@ datagram; no fragmentation handling.  ``encode_update(seq, gen_ts_us,
 payload=b"")`` and ``encode_ack(seq, echo_ts_us)`` return a frame;
 ``decode_update(frame)`` returns ``(seq, gen_ts_us)``, the payload being
 ``frame[HEADER_LEN:]``, and ``decode_ack(frame)`` returns ``(seq, echo_ts_us)``.
+A decoder accepts a frame by its length and its first four bytes read as
+one word; only a frame that fails that check is taken apart field by
+field, to raise the error that names what is wrong with it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ KIND_ACK = 1
 
 HEADER = struct.Struct("!2sBBIQ")
 HEADER_LEN = HEADER.size  # 16
+# the same 16 bytes with magic, version and kind read as one big-endian word
+_FRAME = struct.Struct("!IIQ")
+_UPDATE_WORD = int.from_bytes(MAGIC + bytes((VERSION, KIND_UPDATE)), "big")
+_ACK_WORD = int.from_bytes(MAGIC + bytes((VERSION, KIND_ACK)), "big")
 
 MAX_PAYLOAD = 65_000
 MAX_SEQ = 2**32 - 1
@@ -85,37 +92,50 @@ def encode_update(seq: int, gen_ts_us: int, payload: bytes = b"") -> bytes:
     """Serialize an update frame; raises EncodeError on oversize payload."""
     if len(payload) > MAX_PAYLOAD:
         raise EncodeError(f"payload {len(payload)} exceeds {MAX_PAYLOAD} bytes")
-    _check_fields(seq, gen_ts_us)
-    return HEADER.pack(MAGIC, VERSION, KIND_UPDATE, seq, gen_ts_us) + payload
+    try:
+        return _FRAME.pack(_UPDATE_WORD, seq, gen_ts_us) + payload
+    except struct.error:
+        _check_fields(seq, gen_ts_us)  # names an out-of-range field
+        raise
 
 
 def encode_ack(seq: int, echo_ts_us: int) -> bytes:
     """Serialize a fixed-size ACK frame."""
-    _check_fields(seq, echo_ts_us)
-    return HEADER.pack(MAGIC, VERSION, KIND_ACK, seq, echo_ts_us)
+    try:
+        return _FRAME.pack(_ACK_WORD, seq, echo_ts_us)
+    except struct.error:
+        _check_fields(seq, echo_ts_us)
+        raise
 
 
-def _decode_header(b: bytes, want_kind: int) -> tuple[int, int]:
+def _rejected(b: bytes, want_kind: int) -> DecodeError:
+    """The error of a frame the one-word check turned away, found by the
+    full check order: length, magic, version, kind, then an ACK's length."""
     if len(b) < HEADER_LEN:
-        raise ShortBufferError(f"frame is {len(b)} bytes, need at least {HEADER_LEN}")
-    magic, version, kind, seq, ts_us = HEADER.unpack_from(b)
+        return ShortBufferError(f"frame is {len(b)} bytes, need at least {HEADER_LEN}")
+    magic, version, kind, _, _ = HEADER.unpack_from(b)
     if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
+        return BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
-        raise BadVersionError(f"unsupported version {version}")
+        return BadVersionError(f"unsupported version {version}")
     if kind != want_kind:
-        raise BadKindError(f"expected kind {want_kind}, got {kind}")
-    return seq, ts_us
+        return BadKindError(f"expected kind {want_kind}, got {kind}")
+    return LengthMismatchError(f"ACK frame is {len(b)} bytes, expected {HEADER_LEN}")
 
 
 def decode_update(b: bytes) -> tuple[int, int]:
     """Parse an update frame into ``(seq, gen_ts_us)``; the payload is ``b[HEADER_LEN:]``, uncopied."""
-    return _decode_header(b, KIND_UPDATE)
+    if len(b) >= HEADER_LEN:
+        word, seq, ts_us = _FRAME.unpack_from(b)
+        if word == _UPDATE_WORD:
+            return seq, ts_us
+    raise _rejected(b, KIND_UPDATE)
 
 
 def decode_ack(b: bytes) -> tuple[int, int]:
     """Parse an ACK frame into ``(seq, echo_ts_us)``; rejects trailing bytes."""
-    seq_ts = _decode_header(b, KIND_ACK)
-    if len(b) != HEADER_LEN:
-        raise LengthMismatchError(f"ACK frame is {len(b)} bytes, expected {HEADER_LEN}")
-    return seq_ts
+    if len(b) == HEADER_LEN:
+        word, seq, ts_us = _FRAME.unpack(b)
+        if word == _ACK_WORD:
+            return seq, ts_us
+    raise _rejected(b, KIND_ACK)

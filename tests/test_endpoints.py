@@ -433,6 +433,12 @@ class SourceMachine(RuleBasedStateMachine):
         assert len(sess.trace) == sess.epoch_index and self.records == sess.trace
         assert {name: getattr(sess, name) for name in self.counts} == self.counts
 
+    @invariant()
+    def pending_holds_exactly_the_unacknowledged_sends(self):
+        # an in-order ACK and an ACK after losses clear their entries apart
+        est = self.sess.estimator
+        assert list(est._pending) == list(range(est.highest_acked + 1, est.highest_sent + 1))
+
 
 TestSourceMachine = SourceMachine.TestCase
 TestSourceMachine.settings = settings(max_examples=60, deadline=None)

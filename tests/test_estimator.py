@@ -229,6 +229,8 @@ def test_errors():
         est.on_send(2.0, 3, 2.0, us(2.0))  # skips seq 2
     with pytest.raises(ProtocolError):
         est.on_send(0.5, 2, 0.5, us(0.5))  # clock moved backwards
+    with pytest.raises(ProtocolError, match="backwards"):
+        est.on_ack(0.5, 1, us(1.0))  # a fresh ACK, before the send
     with pytest.raises(ValueError):
         est.close_epoch(0.0)  # zero-length epoch
     with pytest.raises(ValueError):
@@ -331,6 +333,82 @@ def test_epoch_integral_against_dense_numerical_oracle():
         age_sum += float(np.sum(ts[has_age] - gen_by_seq[acked[has_age]]))
     assert stats.avg_age == pytest.approx(age_sum * step / end, rel=1e-6)
     assert stats.avg_backlog == pytest.approx(backlog_sum * step / end, rel=1e-6)
+
+
+class ReferenceIntegrator:
+    """The estimator's areas, integrated one event at a time with the float
+    expressions it documents: ``dt * backlog`` and ``dt * (midpoint - gen)``
+    over each piece between events, summed in event order."""
+
+    def __init__(self):
+        self.clock = self.epoch_start = 0.0
+        self.sent = self.acked = 0
+        self.acked_gen = 0.0
+        self.age_area = self.backlog_area = 0.0
+        self.gen = {}
+
+    def advance(self, t):
+        dt = t - self.clock
+        if dt > 0.0:
+            self.backlog_area += dt * (self.sent - self.acked)
+            if self.acked > 0:
+                self.age_area += dt * ((self.clock + t) * 0.5 - self.acked_gen)
+        self.clock = t
+
+    def send(self, t, seq):
+        self.advance(t)
+        self.sent = seq
+        self.gen[seq] = t
+
+    def ack(self, t, seq):
+        if seq <= self.acked:
+            return  # stale: no integration step
+        self.advance(t)
+        self.acked, self.acked_gen = seq, self.gen[seq]
+
+    def close(self, t):
+        self.advance(t)
+        duration = t - self.epoch_start
+        out = self.age_area / duration, self.backlog_area / duration
+        self.age_area = self.backlog_area = 0.0
+        self.epoch_start = t
+        return out
+
+
+def test_integration_is_bit_exact_against_reference():
+    # sends, in-order ACKs, ACKs after losses, stale ACKs and epoch closes at
+    # random, often at one instant; every average must match to the bit
+    rng = random.Random(0xB17)
+    closes = 0
+    for trial in range(300):
+        est, ref = SourceEstimator(), ReferenceIntegrator()
+        t = 0.0
+        for _ in range(rng.randrange(5, 80)):
+            t += rng.choice((0.0, rng.expovariate(3.0), rng.random() * 1e-9))
+            sent, acked = est.highest_sent, est.highest_acked
+            move = rng.random()
+            if move < 0.4 or sent == 0:
+                est.on_send(t, sent + 1, t, us(t))
+                ref.send(t, sent + 1)
+                continue
+            if move < 0.65 and acked < sent:
+                seq = acked + 1  # in order
+            elif move < 0.8 and acked < sent:
+                seq = rng.randrange(acked + 1, sent + 1)  # the ones below it were lost
+            elif move < 0.9:
+                seq = rng.randrange(1, sent + 1)  # stale unless above highest_acked
+            else:
+                if t > est._epoch_start:
+                    stats = est.close_epoch(t)
+                    assert (stats.avg_age, stats.avg_backlog) == ref.close(t)
+                    closes += 1
+                continue
+            est.on_ack(t, seq, us(ref.gen[seq]))
+            ref.ack(t, seq)
+        t += rng.expovariate(3.0)
+        stats = est.close_epoch(t)
+        assert (stats.avg_age, stats.avg_backlog) == ref.close(t)
+    assert closes > 100
 
 
 def test_monotone_counters_property():

@@ -729,6 +729,12 @@ def test_closed_loop_floats_are_builtin_on_exp_service():
     assert len(sessions) == 3 and all(s.trace for s in sessions)
     assert len(floats) > 500
     assert {type(x) for x in floats} == {float}
+    # the trace's array("d") columns turn a numpy scalar into a float, so
+    # check the fields it is built from directly
+    for s in sessions:
+        est = s.estimator
+        fields = (s.rate, est.rtt_ewma, est.ack_gap_ewma, est._age_area, est._backlog_area)
+        assert [type(x) for x in fields] == [float] * len(fields)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Codec round-trips, layout contract, and malformed-input handling."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -121,3 +122,80 @@ def test_random_frames_bulk_round_trip():
         assert wire.decode_update(frame) == (seq, ts) and frame[wire.HEADER_LEN:] == payload
         seq, ts = rng.getrandbits(32), rng.getrandbits(64)
         assert wire.decode_ack(wire.encode_ack(seq, ts)) == (seq, ts)
+
+
+# -- the one-word header check against the full field-by-field check --------------
+
+
+def reference_decode(b: bytes, want_kind: int) -> tuple[int, int]:
+    """Decode by the documented check order: length, magic, version, kind,
+    then (ACKs only) no trailing bytes."""
+    if len(b) < 16:
+        raise wire.ShortBufferError(f"frame is {len(b)} bytes, need at least 16")
+    magic, version, kind, seq, ts_us = struct.unpack_from("!2sBBIQ", b)
+    if magic != b"\xacP":
+        raise wire.BadMagicError(f"bad magic {magic!r}")
+    if version != 1:
+        raise wire.BadVersionError(f"unsupported version {version}")
+    if kind != want_kind:
+        raise wire.BadKindError(f"expected kind {want_kind}, got {kind}")
+    if want_kind == wire.KIND_ACK and len(b) != 16:
+        raise wire.LengthMismatchError(f"ACK frame is {len(b)} bytes, expected 16")
+    return seq, ts_us
+
+
+def _outcome(decode, frame):
+    """The value ``decode`` returns, or the class and message of its DecodeError."""
+    try:
+        return decode(frame)
+    except wire.DecodeError as err:
+        return type(err), str(err)
+
+
+def _mutated(kind, seq, ts_us, tail, index, value):
+    """A well-formed header of ``kind`` with ``tail`` after it and the byte at
+    ``index`` (within the header) set to ``value``."""
+    frame = bytearray(struct.pack("!2sBBIQ", b"\xacP", 1, kind, seq, ts_us) + tail)
+    frame[index] = value
+    return bytes(frame)
+
+
+_FRAMES = st.binary(max_size=40) | st.builds(
+    _mutated,
+    st.sampled_from((wire.KIND_UPDATE, wire.KIND_ACK)),
+    st.integers(0, wire.MAX_SEQ),
+    st.integers(0, wire.MAX_TS_US),
+    st.just(b"") | st.binary(max_size=8),
+    st.integers(0, 15),
+    st.integers(0, 255) | st.sampled_from((0xAC, 0x50, 1, 0)),
+)
+
+
+@given(frame=_FRAMES)
+@settings(max_examples=500)
+def test_decoders_agree_with_the_full_check(frame):
+    for decode, kind in ((wire.decode_update, wire.KIND_UPDATE), (wire.decode_ack, wire.KIND_ACK)):
+        assert _outcome(decode, frame) == _outcome(lambda b: reference_decode(b, kind), frame)
+
+
+@pytest.mark.parametrize(
+    "seq, ts_us, message",
+    [
+        (2**32, 0, "seq 4294967296 out of u32 range"),
+        (-1, 0, "seq -1 out of u32 range"),
+        (0, 2**64, "timestamp 18446744073709551616 out of u64 range"),
+        (-1, 2**64, "seq -1 out of u32 range"),  # seq is checked first
+    ],
+)
+def test_encoders_name_the_out_of_range_field(seq, ts_us, message):
+    for encode in (lambda: wire.encode_update(seq, ts_us, b"x"), lambda: wire.encode_ack(seq, ts_us)):
+        with pytest.raises(wire.EncodeError) as err:
+            encode()
+        assert str(err.value) == message
+
+
+def test_non_integer_fields_raise_struct_error():
+    with pytest.raises(struct.error):
+        wire.encode_update(1.5, 0)
+    with pytest.raises(struct.error):
+        wire.encode_ack(1, 2.0)
