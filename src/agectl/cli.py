@@ -19,6 +19,7 @@ simulation outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -83,15 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser("source", help="send updates to a monitor under a rate policy")
+    defaults = SourceConfig()
     p.add_argument("--peer", required=True, metavar="HOST:PORT")
-    p.add_argument("--policy", default="acp_plus", help="acp_plus, lazy, or fixed:<rate>")
-    p.add_argument("--payload-size", type=int, default=1024)
+    p.add_argument("--policy", default=defaults.policy, help="acp_plus, lazy, or fixed:<rate>")
+    p.add_argument("--payload-size", type=int, default=defaults.payload_size)
     p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--trace", type=Path, default=None, help="JSONL per-epoch trace path")
-    p.add_argument("--probes", type=int, default=10, help="initialization probe count")
-    p.add_argument("--probe-timeout", type=float, default=1.0)
-    p.add_argument("--eta", type=int, default=10, help="updates per control epoch")
-    p.add_argument("--alpha", type=float, default=0.25, help="EWMA weight")
+    p.add_argument("--probes", type=int, default=defaults.probe_count, help="initialization probe count")
+    p.add_argument("--probe-timeout", type=float, default=defaults.probe_timeout)
+    p.add_argument("--eta", type=int, default=defaults.updates_per_epoch, help="updates per control epoch")
+    p.add_argument("--alpha", type=float, default=defaults.alpha, help="EWMA weight")
     p.set_defaults(func=cmd_source)
 
     p = sub.add_parser("sim", help="run a simulation config")
@@ -229,21 +231,10 @@ def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _jsonl_writer(path: Path):
-    handle = path.open("w")
-
-    def write(record: dict) -> None:
-        handle.write(json.dumps(record) + "\n")
-        handle.flush()
-
-    return handle, write
-
-
 def _seed(args, doc: dict) -> int:
     """The run seed: ``--seed`` if given, else the config's, else 0."""
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise simkit.ConfigError(f"seed must be an integer, got {seed!r}")
+    simkit._require_int("seed", seed)
     return seed
 
 
@@ -259,6 +250,23 @@ def _require(doc: dict, key: str, kinds, where: str = "config"):
 # -- endpoint commands ---------------------------------------------------------
 
 
+def _serve(link, trace: Path | None, drive):
+    """Return ``drive(trace_writer)``, the writer appending JSONL records to
+    ``trace`` (None without one), or None on Ctrl-C: no summary follows.
+    The trace and ``link`` are closed however the run ends, also when the
+    trace cannot be opened."""
+    with contextlib.closing(link), (contextlib.nullcontext() if trace is None else trace.open("w")) as handle:
+
+        def write(record: dict) -> None:
+            handle.write(json.dumps(record) + "\n")
+            handle.flush()
+
+        try:
+            return drive(None if handle is None else write)
+        except KeyboardInterrupt:
+            return None
+
+
 def cmd_monitor(args) -> int:
     host, port = parse_addr(args.bind)
     try:
@@ -266,23 +274,13 @@ def cmd_monitor(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from None
     link = UdpLink.listen(host, port)
-    handle = write = None
-    if args.trace is not None:
-        handle, write = _jsonl_writer(args.trace)
     print(f"monitor listening on {host}:{port}", file=sys.stderr)
-    try:
-        session = run_monitor(link, duration=args.duration, max_updates=args.max_updates, trace_writer=write)
-    except KeyboardInterrupt:
-        return EXIT_OK
-    finally:
-        if handle is not None:
-            handle.close()
-        link.close()
-    print(
-        json.dumps(
-            {"accepted": session.accepted, "stale": session.stale, "malformed": session.malformed}
-        )
+    session = _serve(
+        link, args.trace, lambda write: run_monitor(link, args.duration, args.max_updates, trace_writer=write)
     )
+    if session is not None:
+        counts = {"accepted": session.accepted, "stale": session.stale, "malformed": session.malformed}
+        print(json.dumps(counts))
     return EXIT_OK
 
 
@@ -301,18 +299,9 @@ def cmd_source(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from None
     link = UdpLink.connect(host, port)
-    handle = write = None
-    if args.trace is not None:
-        handle, write = _jsonl_writer(args.trace)
-    try:
-        summary, _session = run_source(link, cfg, args.duration, trace_writer=write)
-    except KeyboardInterrupt:
-        return EXIT_OK
-    finally:
-        if handle is not None:
-            handle.close()
-        link.close()
-    print(json.dumps(summary, sort_keys=True))
+    ran = _serve(link, args.trace, lambda write: run_source(link, cfg, args.duration, trace_writer=write))
+    if ran is not None:
+        print(json.dumps(ran[0], sort_keys=True))
     return EXIT_OK
 
 
@@ -380,33 +369,28 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_analyze_mm1(args) -> int:
-    if (args.lam is None) == (args.sweep is None):
-        raise UsageError("analyze mm1 needs exactly one of --lambda or --sweep")
-    if args.lam is not None:
-        print(analytics.aoi_mm1(args.lam, args.mu))
-        return EXIT_OK
-    return _emit_curve(lambda lam: analytics.aoi_mm1(lam, args.mu), parse_grid(args.sweep), args.out)
+    return _age_value_or_curve(args, "mm1", lambda lam: analytics.aoi_mm1(lam, args.mu))
 
 
 def cmd_analyze_tandem(args) -> int:
+    return _age_value_or_curve(args, "tandem", lambda lam: analytics.aoi_tandem(lam, args.mu1, args.mu2))
+
+
+def _age_value_or_curve(args, analysis: str, age_fn) -> int:
+    """Print ``age_fn`` at ``--lambda``, or write its ``--sweep`` curve as CSV
+    to ``--out`` (default stdout)."""
     if (args.lam is None) == (args.sweep is None):
-        raise UsageError("analyze tandem needs exactly one of --lambda or --sweep")
+        raise UsageError(f"analyze {analysis} needs exactly one of --lambda or --sweep")
     if args.lam is not None:
-        print(analytics.aoi_tandem(args.lam, args.mu1, args.mu2))
+        print(age_fn(args.lam))
         return EXIT_OK
-    return _emit_curve(
-        lambda lam: analytics.aoi_tandem(lam, args.mu1, args.mu2), parse_grid(args.sweep), args.out
-    )
-
-
-def _emit_curve(age_fn, grid, out) -> int:
-    rows = analytics.age_curve(age_fn, grid)
+    rows = analytics.age_curve(age_fn, parse_grid(args.sweep))
     lines = ["lambda,avg_age"] + [f"{lam!r},{age!r}" for lam, age in rows]
     text = "\n".join(lines) + "\n"
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        args.out.write_text(text)
     return EXIT_OK
 
 

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import wire
-from .controller import RateController, lazy_rate
+from .controller import DEFAULT_UPDATES_PER_EPOCH, RateController, lazy_rate
 from .estimator import DEFAULT_ALPHA, ProtocolError, SourceEstimator
 
 __all__ = [
@@ -97,7 +97,7 @@ class SourceConfig:
     payload_size: int = 1024
     probe_count: int = 10
     probe_timeout: float = 1.0
-    updates_per_epoch: int = 10
+    updates_per_epoch: int = DEFAULT_UPDATES_PER_EPOCH
     alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
@@ -361,9 +361,10 @@ class SourceSession:
         """
         return self.epoch_averages(self._epochs_began + skip_time)[0]
 
-    def est_avg_backlog(self, skip_time: float = 0.0) -> float:
-        """Epoch-weighted mean of the estimated backlog over closed epochs."""
-        return self.epoch_averages(self._epochs_began + skip_time)[1]
+    @property
+    def lambda_final(self) -> Optional[float]:
+        """The send rate in force once epochs began; None before."""
+        return self.rate if self.state == _RUN else None
 
     @property
     def avg_rtt(self) -> Optional[float]:
@@ -375,7 +376,7 @@ class SourceSession:
         return {
             "policy": self.cfg.policy,
             "lambda_initial": self.initial_rate,
-            "lambda_final": self.rate if self.state == _RUN else None,
+            "lambda_final": self.lambda_final,
             "epochs": self.epoch_index,
             "sends": self.sends,
             "fresh_acks": self.fresh_acks,
@@ -396,10 +397,12 @@ class MonitorSession:
     delivery order: ``deliver_times`` (the ``t`` of the call that accepted
     it) and ``gen_times`` (``gen_ts_us / 1e6``) as ``array("d")``, and
     ``seqs`` as ``array("Q")``, 24 B per update.  ``trace`` shows them as
-    records and is built on each access.
+    records and is built on each access; ``trace_writer``, if set, gets each
+    record as its update is accepted, before the ACK is returned.
     """
 
-    def __init__(self):
+    def __init__(self, trace_writer: Optional[Callable[[dict], None]] = None):
+        self.trace_writer = trace_writer
         self.freshest_seq = 0
         self.deliver_times = array("d")
         self.gen_times = array("d")
@@ -428,9 +431,12 @@ class MonitorSession:
             return None
         self.freshest_seq = seq
         self.accepted += 1
+        gen = gen_ts_us / 1e6
         self.deliver_times.append(t)
-        self.gen_times.append(gen_ts_us / 1e6)
+        self.gen_times.append(gen)
         self.seqs.append(seq)
+        if self.trace_writer is not None:
+            self.trace_writer(_reset_record(t, gen, seq))
         return wire.encode_ack(seq, gen_ts_us)
 
     def true_avg_age(self, lo: float, hi: float) -> float:
@@ -699,7 +705,7 @@ def run_monitor(
     its ACK is sent.
     """
     require_monitor_limits(duration, max_updates)
-    session = MonitorSession()
+    session = MonitorSession(trace_writer)
     now = link.now()
     end = math.inf if duration is None else now + duration
     while now < end and (max_updates is None or session.accepted < max_updates):
@@ -708,9 +714,6 @@ def run_monitor(
             continue
         reply = session.on_datagram(now, data)
         if reply is not None:
-            # an ACK means the update was accepted: its reset is the last one
-            if trace_writer is not None:
-                trace_writer(_reset_record(session.deliver_times[-1], session.gen_times[-1], session.seqs[-1]))
             link.send(reply)
     return session
 

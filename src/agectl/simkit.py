@@ -684,10 +684,14 @@ def run_closed_loop(
     n_all = n_fwd + len(net.reverse)
     sessions = [SourceSession(cfg) for _ in range(n_sources)]
     monitors = [MonitorSession() for _ in range(n_sources)]
-    # each source has one live timer entry, for the deadline it armed last
-    # (None once that entry fired); older entries are dropped by version
-    timer_version = [0] * n_sources
-    armed = [None] * n_sources
+    # (instant, phase) of each source's live timer entry, (None, None) once
+    # it ran; an entry runs only if both match.  Within a phase a source's
+    # deadlines never fall (a probe leaves no earlier than the one before,
+    # send instants strictly increase, READY's inf is never pushed), so an
+    # entry left behind fires before the armed instant.  But probe timeouts
+    # left pending by the ACK that ends probing can fall on a later send's
+    # instant: their phase tells them apart.
+    armed = [(None, None)] * n_sources
     ack_size = float(net.ack_bytes)
     # 8 B per instant, each read back as a built-in float
     cross_times = [
@@ -695,34 +699,25 @@ def run_closed_loop(
         for i, flow in enumerate(net.cross_traffic)
     ]
 
-    def sync_timer(src: int) -> None:
-        deadline = sessions[src].next_deadline()
-        if deadline == armed[src]:
-            return
-        timer_version[src] += 1
-        armed[src] = deadline
-        if deadline <= duration:
-            engine.push(deadline, on_timer, src, timer_version[src])
-
-    def inject_updates(t: float, src: int, frames) -> None:
-        for frame in frames:
-            engine.enqueue(t, 0, (True, float(len(frame)), n_fwd, update_arrives, src, frame))
-
     def after_session_call(t: float, src: int, frames) -> None:
         session = sessions[src]
         if session.is_ready:
             frames = list(frames) + session.begin_epochs(t)
-        inject_updates(t, src, frames)
-        sync_timer(src)
+        for frame in frames:
+            engine.enqueue(t, 0, (True, float(len(frame)), n_fwd, update_arrives, src, frame))
+        deadline, phase = session.next_deadline(), session.state
+        if deadline != armed[src][0]:
+            armed[src] = (deadline, phase)
+            if deadline <= duration:
+                engine.push(deadline, on_timer, src, phase)
 
     def on_start(t: float, src: int, _) -> None:
         after_session_call(t, src, sessions[src].on_start(t))
 
-    def on_timer(t: float, src: int, version: int) -> None:
-        if version != timer_version[src]:
-            return
-        armed[src] = None
-        after_session_call(t, src, sessions[src].on_timer(t))
+    def on_timer(t: float, src: int, phase: str) -> None:
+        if (t, phase) == armed[src]:
+            armed[src] = (None, None)
+            after_session_call(t, src, sessions[src].on_timer(t))
 
     def on_cross(t: float, flow_idx: int, k: int) -> None:
         flow = net.cross_traffic[flow_idx]
@@ -767,7 +762,7 @@ def run_closed_loop(
                 true_avg_age=true_age,
                 est_minus_true_age=est_age - true_age,
                 mean_rate=mean_rate,
-                lambda_final=session.rate if session.epoch_index else None,
+                lambda_final=session.lambda_final,
                 epochs=session.epoch_index,
                 delivered=delivered,
                 throughput_updates=delivered / window,

@@ -6,10 +6,12 @@ import socket
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
 from agectl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, UsageError, main, parse_addr, parse_grid
+from agectl.endpoints import UdpLink
 
 CLI = [sys.executable, "-m", "agectl.cli"]
 
@@ -120,6 +122,16 @@ def test_monitor_bad_max_updates_is_usage_error(capsys, max_updates):
 def test_source_bad_alpha_is_usage_error(capsys):
     assert main(["source", "--peer", "127.0.0.1:9", "--alpha", "5"]) == EXIT_USAGE
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["monitor", "--bind"], ["source", "--peer"]])
+def test_endpoint_closes_its_socket_when_the_trace_cannot_be_opened(tmp_path, capsys, command):
+    trace = tmp_path / "missing" / "t.jsonl"
+    with mock.patch.object(UdpLink, "close", autospec=True, side_effect=UdpLink.close) as close:
+        code = main([*command, f"127.0.0.1:{free_port()}", "--trace", str(trace), "--duration", "1"])
+    assert code == EXIT_RUNTIME
+    assert close.call_count == 1
+    assert str(trace) in capsys.readouterr().err
 
 
 # -- sim command ----------------------------------------------------------------------

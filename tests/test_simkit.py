@@ -532,6 +532,22 @@ def test_closed_loop_acp_runs_epochs():
     assert all(b >= 0 for b in r.forward_backlogs + r.reverse_backlogs)
 
 
+def test_closed_loop_lambda_final_once_sends_began():
+    # the source sends at its fixed rate but closes no epoch in 20 s: the
+    # closed loop reports the rate in force, as the session's summary does
+    net = QueueNetwork(forward=(ServiceSpec("det", 1.0),), reverse=(ServiceSpec("det", 10.0),))
+    sessions = []
+
+    def make_session(cfg):
+        sessions.append(SourceSession(cfg))
+        return sessions[-1]
+
+    with mock.patch.object(simkit, "SourceSession", make_session):
+        s = run_closed_loop(net, "fixed:0.5", 1, duration=20.0, seed=0).sources[0]
+    assert (s.epochs, sessions[0].sends) == (0, 15)
+    assert s.lambda_final == sessions[0].summary()["lambda_final"] == 0.5
+
+
 def test_closed_loop_source_isolation():
     # sources are independent connections: their per-source metrics exist
     r = run_closed_loop(CL_TANDEM, "acp_plus", 3, duration=2000.0, seed=4)
@@ -623,30 +639,35 @@ def test_closed_loop_matches_hop_by_hop_engine(run):
 
 
 class _TimerWatch(simkit._Engine):
-    """``_Engine`` that notes the instant each stale source timer entry (a
-    newer one was armed since) was armed, and for each live one the instant
-    and its source."""
+    """``_Engine`` that notes, for each stale source timer entry (a newer one
+    was pushed for its source since), the instant it was armed and its own
+    instant and source, and for each live one its instant and source.
+    ``running_live`` says whether the entry running now is a live timer."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.now = 0.0
-        self.newest = {}  # source -> version of its newest timer entry
+        self.newest = {}  # source -> push order of its newest timer entry
         self.stale_armed_at = []
+        self.stale_runs = []
         self.live_runs = []
+        self.running_live = False
 
     def push(self, t, handler, a=None, b=None):
         armed_at = self.now
+        entry = self._order + 1  # the order the push below gives this entry
         is_timer = handler.__name__ == "on_timer"
         if is_timer:
-            self.newest[a] = b
+            self.newest[a] = entry
 
         def noted(t, a, b):
             self.now = t
-            if is_timer:
-                if b == self.newest[a]:
-                    self.live_runs.append((t, a))
-                else:
-                    self.stale_armed_at.append(armed_at)
+            self.running_live = is_timer and entry == self.newest[a]
+            if self.running_live:
+                self.live_runs.append((t, a))
+            elif is_timer:
+                self.stale_armed_at.append(armed_at)
+                self.stale_runs.append((t, a))
             handler(t, a, b)
 
         super().push(t, noted, a, b)
@@ -687,6 +708,27 @@ def test_no_two_sources_share_a_timer_instant():
     runs = made[0].live_runs
     assert {src for _, src in runs} == {0, 1}
     assert len({t for t, _ in runs}) == len(runs)
+
+
+def test_a_probe_timeout_left_behind_never_runs_a_send():
+    # probing ends on an ACK before the last probe's timeout, and a later send
+    # falls on that timeout's instant: only the newest entry may run the send
+    net = QueueNetwork(forward=(ServiceSpec("det", 4.0),), reverse=(ServiceSpec("det", 4.0),))
+    made, live_calls = [], []
+
+    def make_engine(*args):
+        made.append(_TimerWatch(*args))
+        return made[-1]
+
+    class Watched(SourceSession):
+        def on_timer(self, t):
+            live_calls.append(made[0].running_live)
+            return super().on_timer(t)
+
+    with mock.patch.object(simkit, "_Engine", make_engine), mock.patch.object(simkit, "SourceSession", Watched):
+        run_closed_loop(net, "fixed:4.0", 1, duration=20.0, seed=0)
+    assert set(made[0].stale_runs) & set(made[0].live_runs)  # the input has such a send
+    assert len(live_calls) > 40 and all(live_calls)
 
 
 class _LifoTies(simkit._Engine):
