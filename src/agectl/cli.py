@@ -346,6 +346,11 @@ def cmd_sim(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.duration is not None:
+        try:
+            require_duration(args.duration)
+        except ValueError as err:
+            raise UsageError(str(err)) from None
     doc, raw = load_config(args.config)
     simkit._reject_unknown(doc, CONFIG_KEYS, "config")
     started = _now_iso()

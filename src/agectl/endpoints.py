@@ -2,9 +2,10 @@
 
 A connection starts with an initialization phase: the source sends
 probe updates stop-and-wait (next probe on ACK or timeout) and sets its
-initial rate to the inverse of the mean observed round-trip time.  It
-then runs control epochs of η = ``updates_per_epoch`` sends each under
-every policy, and ACKs feed the estimator as they arrive.  A due timer
+initial rate to the inverse of the mean observed round-trip time.  The
+first control epoch begins at the instant probing ends, with its first
+send; epochs of η = ``updates_per_epoch`` sends each follow under every
+policy, and ACKs feed the estimator as they arrive.  A due timer
 sends one update, stamped with the instant of the call; the next falls
 one period of the current rate later on the grid, or one period after a
 call that missed whole periods (skipping those sends, never bursting).
@@ -50,7 +51,6 @@ __all__ = [
     "SimulatedPath",
     "DrawStream",
     "substream_seed",
-    "run_initialization",
     "run_source",
     "run_monitor",
     "require_duration",
@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 _INIT = "init"
-_READY = "ready"
 _RUN = "run"
 
 
@@ -145,10 +144,11 @@ class SourceSession:
     """Sans-io source endpoint: init probing, pacing, epoch control.
 
     Drive it with ``on_start`` once, then ``on_datagram``/``on_timer``;
-    every call returns the frames to transmit.  ``next_deadline`` is the
-    time of the next pending timer action (inf while idle in READY); once
-    epochs begin, the next send.  The instant a caller passes is the only
-    clock, and a period lost to rounding there is a ValueError.
+    every call returns the frames to transmit.  The call that ends probing
+    also begins the first epoch and returns its first send.
+    ``next_deadline`` is the time of the next pending timer action: the
+    probe timeout, then the next send.  The instant a caller passes is the
+    only clock, and a period lost to rounding there is a ValueError.
 
     Closed epochs are kept in typed columns, about 56 B each: the six
     floats of each record in one ``array("d")`` with stride 6, and its
@@ -166,25 +166,26 @@ class SourceSession:
         self.trace_writer = trace_writer
         self._epoch_floats = array("d")  # t, lambda, delta_bar, b_bar, rtt_ewma, z_ewma per epoch
         self._actions: list[Optional[str]] = []
-        self.epoch_index = 0
         self.stale_acks = 0
         self.malformed = 0
-        self.sends = 0
         self.fresh_acks = 0
         self._payload = bytes(cfg.payload_size)
-        self._probes_sent = 0
-        self._deadline = math.inf  # probe timeout, then the next send; inf in READY
+        self._deadline = math.inf  # probe timeout, then the next send
         self.initial_rate: Optional[float] = None  # inverse mean probe RTT
         self.rate = math.nan  # current send rate, set once epochs begin
-        self._epochs_began = math.nan
-        self._first_rate = math.nan  # rate of the first epoch
+        self._epochs_began = math.inf  # not yet
         self._epoch_sends = 0  # sends in the running epoch
         self._rtt_sum = 0.0
 
     @property
-    def is_ready(self) -> bool:
-        """True once probing finished and epochs have not started yet."""
-        return self.state == _READY
+    def sends(self) -> int:
+        """Updates sent so far, probes included."""
+        return self.estimator.highest_sent
+
+    @property
+    def epoch_index(self) -> int:
+        """Epochs closed so far."""
+        return len(self._actions)
 
     @property
     def trace(self) -> list[dict]:
@@ -200,9 +201,9 @@ class SourceSession:
         return dict(zip(_EPOCH_KEYS, values))
 
     def _closed_epochs(self):
-        """(close, length, avg_age, avg_backlog, rate_at_open) per closed epoch: each
-        opens at the close and rate of the one before, the first where and as epochs began."""
-        cols, opened, rate = self._epoch_floats, self._epochs_began, self._first_rate
+        """(close, length, avg_age, avg_backlog, rate_at_open) per closed epoch: each opens at
+        the close and rate of the one before, the first where epochs began at the first rate."""
+        cols, opened, rate = self._epoch_floats, self._epochs_began, self._fixed_rate or self.initial_rate
         for i in range(0, len(cols), 6):
             t = cols[i]
             yield t, t - opened, cols[i + 2], cols[i + 3], rate
@@ -220,12 +221,11 @@ class SourceSession:
 
     def on_start(self, t: float) -> list[bytes]:
         """Begin the initialization phase; returns the first probe."""
-        if self.state != _INIT or self._probes_sent:
+        if self.sends:
             raise RuntimeError("session already started")
         return [self._send_probe(t)]
 
     def _send_probe(self, t: float) -> bytes:
-        self._probes_sent += 1
         self._deadline = t + self.cfg.probe_timeout
         return self._send_update(t)
 
@@ -233,10 +233,10 @@ class SourceSession:
         seq = self.estimator.highest_sent + 1
         gen_ts_us = round(t * 1e6)
         self.estimator.on_send(t, seq, t, gen_ts_us)
-        self.sends += 1
         return wire.encode_update(seq, gen_ts_us, self._payload)
 
-    def _finish_init(self, t: float) -> None:
+    def _finish_init(self, t: float) -> list[bytes]:
+        """End probing at ``t`` and begin the first epoch there; returns its first send."""
         # every fresh ACK so far answered a probe
         if not self.fresh_acks:
             raise InitializationError(
@@ -248,14 +248,7 @@ class SourceSession:
                 f"mean RTT of {self.fresh_acks} answered probes is zero; no initial rate follows"
             )
         self.initial_rate = 1.0 / mean_rtt
-        self._deadline = math.inf
-        self.state = _READY
-
-    def begin_epochs(self, t: float) -> list[bytes]:
-        """Leave READY: start the first control epoch at ``t``."""
-        if self.state != _READY:
-            raise RuntimeError(f"cannot begin epochs in state {self.state}")
-        self.rate = self._first_rate = self._fixed_rate if self.policy_kind == "fixed" else self.initial_rate
+        self.rate = self._fixed_rate or self.initial_rate  # the first rate; _fixed_rate is None unless fixed
         if self.policy_kind == "acp_plus":
             self.controller = RateController(self.rate, updates_per_epoch=self._updates_per_epoch)
         self.estimator.restart_epochs(t)
@@ -283,9 +276,9 @@ class SourceSession:
         if self.state == _INIT:
             if seq == self.estimator.highest_sent:
                 # current probe answered: next probe, or done probing
-                if self._probes_sent < self.cfg.probe_count:
+                if seq < self.cfg.probe_count:
                     return [self._send_probe(t)]
-                self._finish_init(t)
+                return self._finish_init(t)
             return []
         if self.policy_kind == "lazy":
             self.rate = lazy_rate(self.estimator.rtt_ewma)
@@ -296,11 +289,10 @@ class SourceSession:
         if t < self._deadline:
             return []
         if self.state == _INIT:
-            if self._probes_sent < self.cfg.probe_count:
+            if self.sends < self.cfg.probe_count:
                 return [self._send_probe(t)]
-            self._finish_init(t)
-            return []
-        return self._process_due(t)  # READY waits on an inf deadline
+            return self._finish_init(t)
+        return self._process_due(t)
 
     def _process_due(self, t: float) -> list[bytes]:
         # one send, at the call instant; the next falls one period later on
@@ -330,9 +322,8 @@ class SourceSession:
             (t, self.rate, stats.avg_age, stats.avg_backlog, self.estimator.rtt_ewma, self.estimator.ack_gap_ewma)
         )
         self._actions.append(action)
-        self.epoch_index += 1
         if self.trace_writer is not None:
-            self.trace_writer(self._epoch_record(self.epoch_index - 1))
+            self.trace_writer(self._epoch_record(len(self._actions) - 1))
         self._epoch_sends = 0
 
     # -- summaries ----------------------------------------------------------
@@ -407,9 +398,13 @@ class MonitorSession:
         self.deliver_times = array("d")
         self.gen_times = array("d")
         self.seqs = array("Q")
-        self.accepted = 0
         self.stale = 0
         self.malformed = 0
+
+    @property
+    def accepted(self) -> int:
+        """Updates accepted so far."""
+        return len(self.seqs)
 
     @property
     def trace(self) -> list[dict]:
@@ -430,7 +425,6 @@ class MonitorSession:
             self.stale += 1
             return None
         self.freshest_seq = seq
-        self.accepted += 1
         gen = gen_ts_us / 1e6
         self.deliver_times.append(t)
         self.gen_times.append(gen)
@@ -642,36 +636,8 @@ class SimulatedPath:
             self._now = deadline
         return None, self._now
 
-    def close(self) -> None:
-        pass
-
 
 # -- blocking drivers --------------------------------------------------------
-
-
-def _drive(link, session: SourceSession, frames, end_time: float = math.inf) -> None:
-    """Send ``frames``, then pump one session over a link until it is ready
-    to begin epochs or the link clock reaches ``end_time``."""
-    send, recv, on_timer, on_datagram = link.send, link.recv, session.on_timer, session.on_datagram
-    now = link.now()
-    while True:
-        for frame in frames:
-            send(frame)
-        if session.state == _READY or now >= end_time:
-            return
-        deadline = session.next_deadline()
-        data, now = recv(end_time if end_time < deadline else deadline)
-        frames = on_timer(now) if data is None else on_datagram(now, data)
-
-
-def run_initialization(link, cfg: SourceConfig) -> float:
-    """Run only the probing phase over ``link``; returns the initial rate.
-
-    Raises InitializationError if every probe times out.
-    """
-    session = SourceSession(cfg)
-    _drive(link, session, session.on_start(link.now()))
-    return session.initial_rate
 
 
 def run_source(
@@ -680,17 +646,27 @@ def run_source(
     duration: float,
     trace_writer: Optional[Callable[[dict], None]] = None,
 ) -> tuple[dict, SourceSession]:
-    """Initialize, then run control epochs for ``duration`` seconds.
+    """Probe, then run control epochs for ``duration`` seconds from the
+    instant probing ends.
 
     Returns (summary, session); per-epoch records go to ``trace_writer``
     as the epochs close and stay available on ``session.trace``.
     """
     require_duration(duration)
     session = SourceSession(cfg, trace_writer)
-    _drive(link, session, session.on_start(link.now()))
-    start = link.now()
-    _drive(link, session, session.begin_epochs(start), start + duration)
-    return session.summary(), session
+    send, recv, on_timer, on_datagram = link.send, link.recv, session.on_timer, session.on_datagram
+    now = link.now()
+    frames = session.on_start(now)
+    while True:
+        # send first: a send at the end instant still goes out
+        for frame in frames:
+            send(frame)
+        end = session._epochs_began + duration  # inf while probing
+        if now >= end:
+            return session.summary(), session
+        deadline = session.next_deadline()
+        data, now = recv(end if end < deadline else deadline)
+        frames = on_timer(now) if data is None else on_datagram(now, data)
 
 
 def run_monitor(

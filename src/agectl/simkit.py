@@ -112,8 +112,8 @@ def jain_index(values) -> float:
     xs = [float(v) for v in values]
     if not xs:
         raise ValueError("jain_index needs at least one value")
-    if any(v < 0.0 for v in xs):
-        raise ValueError("jain_index values must be non-negative")
+    if not all(0.0 <= v < math.inf for v in xs):
+        raise ValueError("jain_index values must be non-negative and finite")
     square_sum = sum(v * v for v in xs)
     if square_sum == 0.0:
         raise ValueError("jain_index undefined for all-zero values")
@@ -264,7 +264,11 @@ class _Engine:
     packet entered.  That entry is the packet's ``arrive`` handler at the
     end of its route (none for cross traffic) and ``enqueue`` for the
     next segment otherwise.  Each update's stay at a node, clipped to
-    [warmup, duration], adds to that node's backlog area."""
+    [warmup, duration], adds to that node's backlog area.
+
+    On ``det`` chains with commensurate periods a timer can tie with an ACK
+    or another packet's exit; results there are reproducible only because
+    ties break in insertion order."""
 
     def __init__(self, specs, seed: int, heads, warmup: float, duration: float):
         n = len(specs)
@@ -685,12 +689,12 @@ def run_closed_loop(
     sessions = [SourceSession(cfg) for _ in range(n_sources)]
     monitors = [MonitorSession() for _ in range(n_sources)]
     # (instant, phase) of each source's live timer entry, (None, None) once
-    # it ran; an entry runs only if both match.  Within a phase a source's
-    # deadlines never fall (a probe leaves no earlier than the one before,
-    # send instants strictly increase, READY's inf is never pushed), so an
-    # entry left behind fires before the armed instant.  But probe timeouts
-    # left pending by the ACK that ends probing can fall on a later send's
-    # instant: their phase tells them apart.
+    # it ran; an entry runs only if both match.  The phase is the session's
+    # state, init or run.  Within a phase a source's deadlines never fall (a
+    # probe leaves no earlier than the one before, send instants strictly
+    # increase), so an entry left behind fires before the armed instant.  But
+    # probe timeouts left pending by the ACK that ends probing can fall on a
+    # later send's instant: their phase tells them apart.
     armed = [(None, None)] * n_sources
     ack_size = float(net.ack_bytes)
     # 8 B per instant, each read back as a built-in float
@@ -701,8 +705,6 @@ def run_closed_loop(
 
     def after_session_call(t: float, src: int, frames) -> None:
         session = sessions[src]
-        if session.is_ready:
-            frames = list(frames) + session.begin_epochs(t)
         for frame in frames:
             engine.enqueue(t, 0, (True, float(len(frame)), n_fwd, update_arrives, src, frame))
         deadline, phase = session.next_deadline(), session.state
@@ -787,10 +789,7 @@ def run_closed_loop(
 
 
 def _maybe_jain(values) -> Optional[float]:
-    vals = [v for v in values if not math.isnan(v)]
-    if len(vals) != len(values) or not vals:
-        return None
     try:
-        return jain_index(vals)
+        return jain_index(values)
     except ValueError:
         return None

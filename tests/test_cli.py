@@ -105,10 +105,17 @@ def test_monitor_bad_address_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("duration", ["nan", "inf", "-5", "0"])
-@pytest.mark.parametrize("command", [["monitor", "--bind"], ["source", "--peer"]])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["monitor", "--bind", "127.0.0.1:9"],
+        ["source", "--peer", "127.0.0.1:9"],
+        ["sweep", "--config", "tandem", "--grid", "0.1:0.5:0.1", "--out", "missing/sweep.csv"],
+    ],
+)
 def test_endpoint_bad_duration_is_usage_error(capsys, command, duration):
-    # checked before a socket is opened
-    assert main([*command, "127.0.0.1:9", f"--duration={duration}"]) == EXIT_USAGE
+    # checked before a socket is opened or a config is loaded
+    assert main([*command, f"--duration={duration}"]) == EXIT_USAGE
     assert "duration" in capsys.readouterr().err
 
 

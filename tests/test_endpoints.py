@@ -23,7 +23,6 @@ from agectl.endpoints import (
     age_time_average,
     lazy_rate,
     parse_policy,
-    run_initialization,
     run_monitor,
     run_source,
     substream_seed,
@@ -89,7 +88,7 @@ def test_init_rate_constant_rtt():
         assert len(frames) == 1
         t += 0.2
         frames = sess.on_datagram(t, ack_for(frames[0]))
-    assert sess.is_ready
+    assert sess.state == "run"
     assert sess.initial_rate == pytest.approx(5.0)
 
 
@@ -100,7 +99,7 @@ def test_init_rate_mean_of_two():
     frames = sess.on_start(0.0)
     frames = sess.on_datagram(0.1, ack_for(frames[0]))
     frames = sess.on_datagram(0.1 + 0.3, ack_for(frames[0]))
-    assert sess.is_ready
+    assert sess.state == "run"
     assert sess.initial_rate == pytest.approx(5.0)
 
 
@@ -113,7 +112,7 @@ def test_init_timeouts_excluded_from_mean():
     assert len(second) == 1
     third = sess.on_datagram(1.4, ack_for(second[0]))
     sess.on_timer(1.4 + 1.0)
-    assert sess.is_ready
+    assert sess.state == "run"
     assert sess.initial_rate == pytest.approx(1.0 / 0.4)
     assert wire.decode_update(first[0])[0] == 1
 
@@ -136,7 +135,7 @@ def test_init_over_exponential_link_across_seeds():
     rates = []
     for seed in range(100):
         path = SimulatedPath(fwd_delay=("exp", 0.2), rev_delay=0.0, seed=seed)
-        rates.append(run_initialization(path, cfg))
+        rates.append(run_source(path, cfg, 1e-3)[0]["lambda_initial"])
     assert all(2.0 <= r <= 15.0 for r in rates)
     assert sum(1 for r in rates if 3.0 <= r <= 10.0) >= 90
     assert 4.5 <= sum(rates) / len(rates) <= 6.5
@@ -150,7 +149,7 @@ def test_late_probe_ack_still_counts_for_the_mean():
     # probe 1's ACK arrives late, then probe 2's
     sess.on_datagram(0.7, ack_for(first[0]))
     sess.on_datagram(0.8, ack_for(second[0]))
-    assert sess.is_ready
+    assert sess.state == "run"
     assert sess.initial_rate == pytest.approx(2.0 / (0.7 + 0.3))
 
 
@@ -161,15 +160,13 @@ def test_ack_with_a_wrong_echo_is_malformed():
     sess.on_start(0.0)
     assert sess.on_datagram(0.1, wire.encode_ack(1, 123456789)) == []
     assert (sess.malformed, sess.fresh_acks, sess.stale_acks) == (1, 0, 0)
-    assert not sess.is_ready and sess.initial_rate is None
+    assert sess.state == "init" and sess.initial_rate is None
     assert sess.estimator.highest_acked == 0 and sess.estimator.rtt_ewma is None
     sess.on_datagram(0.2, wire.encode_ack(1, 0))
-    assert sess.is_ready and sess.initial_rate == pytest.approx(5.0)
+    assert sess.state == "run" and sess.initial_rate == pytest.approx(5.0)
 
 
 def test_zero_mean_probe_rtt_is_an_initialization_error():
-    with pytest.raises(InitializationError, match="zero"):
-        run_initialization(SimulatedPath(0.0, 0.0), SourceConfig())
     with pytest.raises(InitializationError, match="zero"):
         run_source(SimulatedPath(0.0, 0.0), SourceConfig(), duration=1.0)
 
@@ -359,8 +356,8 @@ class SourceMachine(RuleBasedStateMachine):
         self._call(self.sess.on_start)
 
     def _call(self, method, *args):
-        """Call ``method`` at ``self.t``, then begin epochs once ready, as
-        the drivers do; record the sends."""
+        """Call ``method`` at ``self.t`` and record the sends: the call that
+        ends probing also makes the first send of the first epoch."""
         sess = self.sess
         if self.failed:
             return
@@ -368,8 +365,6 @@ class SourceMachine(RuleBasedStateMachine):
             frames = method(self.t, *args)
             sends = self.run_sends if sess.state == "run" else self.probes
             sends += [(self.t, *wire.decode_update(frame)) for frame in frames]
-            if sess.is_ready:
-                self.run_sends += [(self.t, *wire.decode_update(frame)) for frame in sess.begin_epochs(self.t)]
         except (ValueError, InitializationError):
             self.failed = True
 
@@ -466,10 +461,9 @@ def test_pacing_gaps_are_exact_within_epoch():
     cfg = SourceConfig(policy="fixed:4", probe_count=1)
     sess = SourceSession(cfg)
     frames = sess.on_start(0.0)
-    sess.on_datagram(0.25, ack_for(frames[0]))
-    send_times = []
-    frames = sess.begin_epochs(1.0)
-    send_times += [1.0] * len(frames)
+    frames = sess.on_datagram(0.25, ack_for(frames[0]))  # probing ends: the first epoch opens
+    assert [wire.decode_update(f) for f in frames] == [(2, 250_000)]  # its first send, at the ACK
+    send_times = [0.25]
     for _ in range(25):
         deadline = sess.next_deadline()
         got = sess.on_timer(deadline)
@@ -479,28 +473,27 @@ def test_pacing_gaps_are_exact_within_epoch():
 
 
 def test_epoch_spans_and_averages_by_hand():
-    # fixed:4 with 2 updates per epoch: epochs of 0.5 s opening at 1.0, 1.5;
-    # the probe (gen 0.0) is answered at 0.5, so the initial rate is 2/s
+    # fixed:4 with 2 updates per epoch: the probe (gen 0.0) is answered at
+    # 0.5, so the initial rate is 2/s and epochs of 0.5 s open at 0.5, 1.0
     sess = SourceSession(SourceConfig(policy="fixed:4", probe_count=1, updates_per_epoch=2))
     probe = sess.on_start(0.0)[0]
-    sess.on_datagram(0.5, ack_for(probe))
+    sent = sess.on_datagram(0.5, ack_for(probe))  # seq 2 at 0.5
     assert sess.initial_rate == 2.0 and sess.epoch_spans == []
-    sent = sess.begin_epochs(1.0)  # seq 2 at 1.0
-    sent += sess.on_timer(1.25)  # seq 3
-    sess.on_datagram(1.375, ack_for(sent[0]))  # age resets to 0.375
-    sent += sess.on_timer(1.5)  # epoch 1 closes, then seq 4
-    sent += sess.on_timer(1.75)  # seq 5
-    sess.on_datagram(1.875, ack_for(sent[2]))  # seq 4: age resets to 0.375
-    sess.on_timer(2.0)  # epoch 2 closes
-    # epoch 1: age t over [1, 1.375], t - 1 over [1.375, 1.5] -> area 0.5;
-    # backlog 1, 2, 1 over 0.25, 0.125, 0.125 -> area 0.625
-    # epoch 2: age t - 1 over [1.5, 1.875], t - 1.5 after -> area 0.3125;
+    sess.on_datagram(0.625, ack_for(sent[0]))  # age resets to 0.125
+    sent += sess.on_timer(0.75)  # seq 3
+    sent += sess.on_timer(1.0)  # epoch 1 closes, then seq 4
+    sent += sess.on_timer(1.25)  # seq 5
+    sess.on_datagram(1.375, ack_for(sent[2]))  # seq 4: age resets to 0.375
+    sess.on_timer(1.5)  # epoch 2 closes
+    # epoch 1: age t over [0.5, 0.625], t - 0.5 after -> area 0.1875;
+    # backlog 1, 0, 1 over 0.125, 0.125, 0.25 -> area 0.375
+    # epoch 2: age t - 0.5 over [1, 1.375], t - 1 after -> area 0.3125;
     # backlog 2, 3, 1 over 0.25, 0.125, 0.125 -> area 1.0
     # both open at the fixed rate, not at the initial rate
-    assert sess.epoch_spans == [(0.5, 1.0, 1.25, 4.0), (0.5, 0.625, 2.0, 4.0)]
-    assert sess.epoch_averages(1.0) == (0.8125, 1.625, 4.0)
-    assert sess.epoch_averages(1.5) == (0.625, 2.0, 4.0)  # epoch 1 closes at 1.5
-    assert all(math.isnan(v) for v in sess.epoch_averages(2.0))
+    assert sess.epoch_spans == [(0.5, 0.375, 0.75, 4.0), (0.5, 0.625, 2.0, 4.0)]
+    assert sess.epoch_averages(0.5) == (0.5, 1.375, 4.0)
+    assert sess.epoch_averages(1.0) == (0.625, 2.0, 4.0)  # epoch 1 closes at 1.0
+    assert all(math.isnan(v) for v in sess.epoch_averages(1.5))
     assert sess.est_avg_age(skip_time=0.5) == 0.625
 
 
@@ -508,9 +501,8 @@ def test_lazy_pacing_holds_across_epoch_closes():
     # each send is one period of the rate in force at the previous send,
     # also where an epoch closes between the two
     sess = SourceSession(SourceConfig(policy="lazy", probe_count=1, updates_per_epoch=2))
-    sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))
-    frames = sess.begin_epochs(1.0)
-    sends = [(1.0, sess.rate)]  # (instant, rate at that send)
+    frames = sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))  # epochs open at 0.5
+    sends = [(0.5, sess.rate)]  # (instant, rate at that send)
     for share in (0.2, 0.6, 0.3, 0.5, 0.4, 0.25, 0.55):
         # the ACK lands before the next send and moves rtt_ewma, and the rate with it
         t, rate = sends[-1]
@@ -531,8 +523,7 @@ def test_late_timer_skips_missed_sends():
     # restarts from it, so no burst of sends shares one instant
     eta = 2
     sess = SourceSession(SourceConfig(policy="fixed:10", probe_count=1, updates_per_epoch=eta))
-    sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))
-    frames = sess.begin_epochs(1.0)
+    frames = sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))  # epochs open at 0.5
     for closes in (0, 1):
         late = sess.next_deadline() + (2 * eta + 2) / sess.rate
         sess.on_datagram(late, ack_for(frames[0]))
@@ -545,8 +536,7 @@ def test_late_timer_skips_missed_sends():
 @pytest.mark.parametrize("late_periods", [10.0, 0.3])
 def test_late_timer_sends_once_at_the_call_instant(late_periods):
     sess = SourceSession(SourceConfig(policy="fixed:10", probe_count=1, updates_per_epoch=2))
-    sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))
-    sess.begin_epochs(1.0)
+    sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))  # epochs open at 0.5
     due = sess.next_deadline()
     late = due + late_periods / sess.rate
     frames = sess.on_timer(late)
@@ -558,12 +548,14 @@ def test_late_timer_sends_once_at_the_call_instant(late_periods):
 
 @pytest.mark.parametrize("policy, ack_at", [("acp_plus", 1e-300), ("fixed:1e17", 0.5)])
 def test_send_period_lost_to_rounding_is_rejected(policy, ack_at):
-    # a period below half an ulp of the clock would put every send at one instant
-    sess = SourceSession(SourceConfig(policy=policy, probe_count=1))
+    # a period below half an ulp of the clock would put every send at one
+    # instant: probe 1 answered at ack_at sets the rate, probe 2 times out
+    # and epochs open at its timeout (1.0 and 1.5), where the period is lost
+    sess = SourceSession(SourceConfig(policy=policy, probe_count=2))
     sess.on_datagram(ack_at, ack_for(sess.on_start(0.0)[0]))
     with pytest.raises(ValueError, match="lost to rounding"):
-        sess.begin_epochs(2.0)
-    assert sess.sends == 1 and sess.epoch_index == 0  # the probe only
+        sess.on_timer(ack_at + 1.0)
+    assert sess.sends == 2 and sess.epoch_index == 0  # the probes only
 
 
 class _SendClock(SimulatedPath):
@@ -742,7 +734,8 @@ def test_run_monitor_rejects_bad_max_updates(max_updates):
 
 def _spans_from_records(sess):
     """``epoch_spans`` as computed from a dict per epoch before the columns."""
-    spans, opened, rate = [], sess._epochs_began, sess._first_rate
+    first_rate = sess._fixed_rate if sess.policy_kind == "fixed" else sess.initial_rate
+    spans, opened, rate = [], sess._epochs_began, first_rate
     for rec in sess.trace:
         spans.append((rec["t"] - opened, rec["delta_bar"], rec["b_bar"], rate))
         opened, rate = rec["t"], rec["lambda"]

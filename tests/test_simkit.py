@@ -62,6 +62,9 @@ def test_jain_errors():
         jain_index([0.0, 0.0])
     with pytest.raises(ValueError):
         jain_index([1.0, -1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            jain_index([bad, 1.0])
 
 
 # -- metric helpers --------------------------------------------------------------
@@ -740,6 +743,8 @@ class _LifoTies(simkit._Engine):
 
 
 def test_closed_loop_results_do_not_depend_on_the_tie_rule():
+    # random service only: on det chains with commensurate periods a timer
+    # can tie with an ACK or an exit, and there the insertion order decides
     fifo = run_closed_loop(CL_TANDEM, "fixed:0.3", 2, duration=100.0, seed=1)
     with mock.patch.object(simkit, "_Engine", _LifoTies):
         lifo = run_closed_loop(CL_TANDEM, "fixed:0.3", 2, duration=100.0, seed=1)
