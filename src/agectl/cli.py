@@ -196,7 +196,7 @@ def load_config(name_or_path: str) -> tuple[dict, bytes]:
         raw = bundle.read_bytes()
     try:
         doc = json.loads(raw, parse_constant=_reject_constant)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:  # bad bytes, nesting too deep
         raise simkit.ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise simkit.ConfigError("config root must be a JSON object")

@@ -30,17 +30,19 @@ import hashlib
 import heapq
 import itertools
 import math
-import socket
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from . import wire
 from .controller import DEFAULT_UPDATES_PER_EPOCH, RateController, lazy_rate
 from .estimator import DEFAULT_ALPHA, ProtocolError, SourceEstimator
+
+if TYPE_CHECKING:
+    import socket
 
 __all__ = [
     "SourceConfig",
@@ -485,7 +487,8 @@ def age_time_average(gen_times, deliver_times, lo: float, hi: float) -> float:
 
 
 class UdpLink:
-    """Blocking datagram link over a UDP socket with a single peer."""
+    """Blocking datagram link over a UDP socket with a single peer; ``socket``
+    is imported only when a link is opened, so simulation never loads it."""
 
     def __init__(self, sock: socket.socket, peer=None):
         self.sock = sock
@@ -493,11 +496,15 @@ class UdpLink:
 
     @classmethod
     def connect(cls, host: str, port: int) -> "UdpLink":
+        import socket
+
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         return cls(sock, peer=(host, port))
 
     @classmethod
     def listen(cls, host: str, port: int) -> "UdpLink":
+        import socket
+
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind((host, port))
         return cls(sock)
@@ -517,7 +524,7 @@ class UdpLink:
         self.sock.settimeout(None if math.isinf(wait) else max(wait, 0.0))
         try:
             data, addr = self.sock.recvfrom(65_535)
-        except (socket.timeout, BlockingIOError):
+        except (TimeoutError, BlockingIOError):  # socket.timeout is TimeoutError
             return None, self.now()
         if self.peer is None:
             self.peer = addr

@@ -30,6 +30,9 @@ Closed-loop runs, where the endpoints react to every delivery, apply it
 one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
 that breaks time ties by insertion order holds one entry for its exit.
+The walk reads ``det`` and ``link`` service times from a table per packet
+size, filled from ``_service_fn`` when the size first enters; only
+``exp`` nodes draw, once per visit.
 A packet carries its arrival handler, so that entry is the walk through
 the next segment or, at the end of the route, the arrival itself; cross
 traffic ends with no entry.  Each source's timer takes one heap entry
@@ -266,6 +269,12 @@ class _Engine:
     next segment otherwise.  Each update's stay at a node, clipped to
     [warmup, duration], adds to that node's backlog area.
 
+    ``_service`` holds each node's ``_service_fn``, the one definition of
+    a service time.  ``_times`` maps a packet size to the service time at
+    every node, filled from those functions when the size first enters,
+    with None at ``exp`` nodes: only they call their function, drawing
+    once per visit in visit order from their own substream.
+
     On ``det`` chains with commensurate periods a timer can tie with an ACK
     or another packet's exit; results there are reproducible only because
     ties break in insertion order."""
@@ -273,6 +282,8 @@ class _Engine:
     def __init__(self, specs, seed: int, heads, warmup: float, duration: float):
         n = len(specs)
         self._service = [_service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
+        self._draws = [s.kind == "exp" for s in specs]  # nodes that draw once per visit
+        self._times: dict = {}  # packet size -> service time per node, None where it draws
         self._segment_end = [min((h for h in heads if h > i), default=n) for i in range(n)]
         self._free = [0.0] * n  # when each server finishes its last packet
         self._warmup = warmup
@@ -289,10 +300,16 @@ class _Engine:
         is_update, size, route_end, arrive, src, payload = pkt
         end = self._segment_end[i]
         free, area, service = self._free, self.area, self._service
+        times = self._times.get(size)
+        if times is None:
+            times = self._times[size] = [None if draws else fn(size) for fn, draws in zip(service, self._draws)]
         warmup, duration = self._warmup, self._duration
         for j in range(i, end):
             busy = free[j]
-            leave = free[j] = (busy if busy > t else t) + service[j](size)
+            serve = times[j]
+            if serve is None:
+                serve = service[j](size)
+            leave = free[j] = (busy if busy > t else t) + serve
             if is_update:
                 stay = (leave if leave < duration else duration) - (t if t > warmup else warmup)
                 if stay > 0.0:

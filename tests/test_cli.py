@@ -10,8 +10,9 @@ from unittest import mock
 
 import pytest
 
-from agectl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, UsageError, main, parse_addr, parse_grid
+from agectl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, UsageError, load_config, main, parse_addr, parse_grid
 from agectl.endpoints import UdpLink
+from agectl.simkit import ConfigError
 
 CLI = [sys.executable, "-m", "agectl.cli"]
 
@@ -44,6 +45,14 @@ def test_parse_grid():
     assert parse_grid("1e-13:5e-13:1e-13") == [1e-13, 2e-13, 3e-13, 4e-13, 5e-13]
     assert parse_grid("8.933:169.433:0.9")[-1] == 169.133
     assert parse_grid("3.6135:760.0935:3.94")[-1] == 760.0935
+
+
+def test_simulation_imports_load_no_socket():
+    # only an opened UdpLink needs socket; sim, sweep and analyze never do
+    code = "import sys, agectl.cli, agectl.simkit; print('socket' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 # -- analytics commands ------------------------------------------------------------
@@ -219,6 +228,32 @@ def test_sim_schema_violation_names_field(tmp_path, capsys):
 
 def test_sim_missing_config_is_usage_error(capsys):
     assert main(["sim", "--config", "no_such_config", "--out", "/tmp/x.json"]) == EXIT_USAGE
+
+
+BAD_JSON = {
+    "not-utf8": b'{"mode": "\xff"}',
+    "too-deep": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JSON))
+def test_load_config_rejects_undecodable_json(tmp_path, case):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(BAD_JSON[case])
+    with pytest.raises(ConfigError, match="^config is not valid JSON: "):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("case", sorted(BAD_JSON))
+def test_sim_reports_undecodable_json_in_one_line(tmp_path, case):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(BAD_JSON[case])
+    out = tmp_path / "x.json"
+    proc = run_cli("sim", "--config", str(path), "--out", str(out))
+    assert proc.returncode == EXIT_RUNTIME
+    assert proc.stderr.startswith("error: config is not valid JSON: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

@@ -1,7 +1,8 @@
-"""Golden digests of source and monitor traces.
+"""Golden digests of source and monitor traces and of engine backlog areas.
 
 Each case hashes the JSON (keys sorted) of every source session's epoch
-trace and every monitor's reset trace, so a change meant to keep outputs
+trace and every monitor's reset trace, and for closed-loop runs the
+engine's per-node forward backlogs, so a change meant to keep outputs
 byte-identical is checked here and not by hand.  The inputs draw only
 PCG64 uniforms (start offsets, losses) and compute in built-in floats:
 no exponential draws and no numpy reductions, so the digests do not
@@ -67,6 +68,22 @@ def test_closed_loop_traces_match_golden_digest(case):
         run_closed_loop(*CLOSED_LOOP_CASES[case])
     assert monitors and all(m.trace for m in monitors)
     assert _digest(sources, monitors) == CLOSED_LOOP_DIGESTS[case]
+
+
+# the engine sums each node's backlog area in built-in floats, one stay at a time
+BACKLOG_DIGESTS = {
+    "det4-4-fixed4": "d9efddac023a9cdc358dfeda4713fa3abd98a0a7bd390ebd4ed6444c9bfe6e30",
+    "det1-10-fixed0.5": "ee8834340ce5fe921e33a59f328ec8e0ca76c100e9733019015f7527f3237ec2",
+    "sixhop-acp_plus": "b0e6e107dd74873cbf4ecc120b87214f45f3358dc5b2d6192a37f719e6df290b",
+    "sixhop-lazy": "bd3449f45e52d991c6b8f31b4283b9e59b3964d332e5de2744141baa91aae9b2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_LOOP_CASES))
+def test_closed_loop_backlogs_match_golden_digest(case):
+    backlogs = run_closed_loop(*CLOSED_LOOP_CASES[case]).forward_backlogs
+    assert all(b > 0.0 for b in backlogs)
+    assert hashlib.sha256(json.dumps(backlogs).encode()).hexdigest() == BACKLOG_DIGESTS[case]
 
 
 RUN_SOURCE_DIGESTS = {

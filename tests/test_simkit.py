@@ -237,6 +237,33 @@ def test_segment_exit_takes_its_order_on_entry():
     assert seen == [("exit", 2.0), ("handler", 2.0)]
 
 
+def test_segment_walk_matches_lindley_per_hop_across_sizes():
+    # link 8000 b/s serves 1000 B in 1 s and 500 B in 0.5 s, so a 500 B
+    # packet that reused the 1000 B service times would leave late; the exp
+    # node must draw once per visit, in visit order, from its own substream
+    specs = (ServiceSpec("link", 8000.0), ServiceSpec("det", 2.0), ServiceSpec("exp", 1.0))
+    seed, warmup, duration = 5, 2.0, 14.0
+    arrivals = [(0.75 * k, 1000.0 if k % 2 == 0 else 500.0) for k in range(16)]
+
+    exits = []
+    engine = simkit._Engine(specs, seed, (0,), warmup, duration)
+    for k, (t, size) in enumerate(arrivals):
+        engine.enqueue(t, 0, (True, size, len(specs), lambda t, k, _: exits.append((k, t)), k, None))
+    engine.run()
+
+    service = [simkit._service_fn(spec, substream_seed(seed, f"service/{i}")) for i, spec in enumerate(specs)]
+    free, area, want = [0.0] * len(specs), [0.0] * len(specs), []
+    for k, (t, size) in enumerate(arrivals):
+        for j in range(len(specs)):
+            leave = free[j] = max(t, free[j]) + service[j](size)
+            area[j] += max(0.0, min(leave, duration) - max(t, warmup))
+            t = leave
+        want.append((k, t))
+    assert 0 < len(exits) < len(want)  # the run ends with packets inside
+    assert exits == want[: len(exits)]
+    assert engine.window_backlogs() == tuple(a / (duration - warmup) for a in area)
+
+
 def test_link_service_scales_with_bytes():
     # 1040-byte updates over 1 Mbps: 8.32 ms per hop, deterministic
     net = QueueNetwork(forward=(ServiceSpec("link", 1_000_000.0),))
