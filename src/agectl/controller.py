@@ -13,8 +13,8 @@ a flat epoch never triggers the congestion branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 DEFAULT_UPDATES_PER_EPOCH = 10
 RATE_SHRINK_LIMIT = 0.75
@@ -29,8 +29,7 @@ class Action(Enum):
     MDEC = "MDEC"
 
 
-@dataclass(frozen=True)
-class TargetChange:
+class TargetChange(NamedTuple):
     """Chosen action and the backlog change it targets for the next epoch."""
 
     kind: Action
@@ -39,6 +38,11 @@ class TargetChange:
 
     def label(self) -> str:
         return f"MDEC({self.mdec_level})" if self.kind is Action.MDEC else self.kind.value
+
+
+# the additive targets, built once: a TargetChange cannot be mutated
+_DEC = TargetChange(Action.DEC, -1.0)
+_INC = TargetChange(Action.INC, +1.0)
 
 
 class RateController:
@@ -83,25 +87,25 @@ class RateController:
                 self.mdec_level = min(self.mdec_level + 1, MDEC_LEVEL_CAP)
                 change = self._mdec(backlog_now)
             else:
-                change = TargetChange(Action.DEC, -1.0)
+                change = _DEC
             self.escalating = True
             return change
         if backlog_up or age_up:
             # mixed signs: probe upward and disarm the multiplicative path
             self.escalating = False
             self.mdec_level = 0
-            return TargetChange(Action.INC, +1.0)
+            return _INC
         # both falling: keep draining; ride an armed multiplicative sequence,
         # otherwise decrease additively and disarm
         if self.escalating and self.mdec_level > 0:
             return self._mdec(backlog_now)
         self.escalating = False
         self.mdec_level = 0
-        return TargetChange(Action.DEC, -1.0)
+        return _DEC
 
     def _mdec(self, backlog_now: float) -> TargetChange:
         change = -(1.0 - 2.0 ** -self.mdec_level) * backlog_now
-        return TargetChange(Action.MDEC, change, mdec_level=self.mdec_level)
+        return TargetChange(Action.MDEC, change, self.mdec_level)
 
     def update_rate(self, backlog_change: float, ack_gap_ewma: float, rtt_ewma: float) -> float:
         """Convert a target backlog change into the next epoch's rate.

@@ -139,9 +139,6 @@ def require_monitor_limits(duration: Optional[float], max_updates: Optional[int]
         raise ValueError(f"max_updates must be >= 1, got {max_updates}")
 
 
-_EPOCH_KEYS = ("epoch", "t", "lambda", "delta_bar", "b_bar", "action", "rtt_ewma", "z_ewma")
-
-
 class SourceSession:
     """Sans-io source endpoint: init probing, pacing, epoch control.
 
@@ -191,16 +188,25 @@ class SourceSession:
 
     @property
     def trace(self) -> list[dict]:
-        """One record per closed epoch, keys in ``_EPOCH_KEYS`` order.  Built
-        from the columns on each access: a new list, holding the same records
-        (keys, key order and values) every time."""
+        """One record per closed epoch, keys in the order epoch, t, lambda,
+        delta_bar, b_bar, action, rtt_ewma, z_ewma.  Built from the columns on
+        each access: a new list, holding the same records (keys, key order and
+        values) every time."""
         return [self._epoch_record(i) for i in range(self.epoch_index)]
 
     def _epoch_record(self, i: int) -> dict:
         """The trace record of closed epoch ``i`` (from 0)."""
-        t, rate, avg_age, avg_backlog, rtt_ewma, z_ewma = self._epoch_floats[6 * i : 6 * i + 6]
-        values = (i + 1, t, rate, avg_age, avg_backlog, self._actions[i], rtt_ewma, z_ewma)
-        return dict(zip(_EPOCH_KEYS, values))
+        cols, j = self._epoch_floats, 6 * i
+        return {
+            "epoch": i + 1,
+            "t": cols[j],
+            "lambda": cols[j + 1],
+            "delta_bar": cols[j + 2],
+            "b_bar": cols[j + 3],
+            "action": self._actions[i],
+            "rtt_ewma": cols[j + 4],
+            "z_ewma": cols[j + 5],
+        }
 
     def _closed_epochs(self):
         """(close, length, avg_age, avg_backlog, rate_at_open) per closed epoch: each opens at
@@ -312,17 +318,14 @@ class SourceSession:
         return [self._send_update(t)]
 
     def _close_epoch(self, t: float) -> None:
-        stats = self.estimator.close_epoch(t)
+        est = self.estimator
+        avg_age, avg_backlog, age_diff, backlog_diff, backlog_now = est.close_epoch(t)
         action = None
-        if self.policy_kind == "acp_plus" and stats.age_diff is not None:
-            change = self.controller.decide(stats.backlog_diff, stats.age_diff, stats.backlog_now)
-            self.rate = self.controller.update_rate(
-                change.backlog_change, self.estimator.ack_gap_ewma, self.estimator.rtt_ewma
-            )
+        if self.policy_kind == "acp_plus" and age_diff is not None:
+            change = self.controller.decide(backlog_diff, age_diff, backlog_now)
+            self.rate = self.controller.update_rate(change.backlog_change, est.ack_gap_ewma, est.rtt_ewma)
             action = change.label()
-        self._epoch_floats.extend(
-            (t, self.rate, stats.avg_age, stats.avg_backlog, self.estimator.rtt_ewma, self.estimator.ack_gap_ewma)
-        )
+        self._epoch_floats.extend((t, self.rate, avg_age, avg_backlog, est.rtt_ewma, est.ack_gap_ewma))
         self._actions.append(action)
         if self.trace_writer is not None:
             self.trace_writer(self._epoch_record(len(self._actions) - 1))
@@ -618,15 +621,6 @@ class SimulatedPath:
         self._order += 1
         heapq.heappush(self._in_flight, (self._now + self._fwd_delay(), True, self._order, payload))
 
-    def _deliver_to_monitor(self, t: float, payload: bytes) -> None:
-        reply = self.monitor.on_datagram(t, payload)
-        if reply is None:
-            return
-        if self._loss and self._rev_loss() < self._loss:
-            return
-        self._order += 1
-        heapq.heappush(self._in_flight, (t + self._rev_delay(), False, self._order, reply))
-
     def recv(self, deadline: float):
         """Advance virtual time to the next ACK, returning (bytes, now), or
         else to exactly max(now, ``deadline``), returning (None, now)."""
@@ -636,7 +630,10 @@ class SimulatedPath:
             self._now = t
             if not to_monitor:
                 return payload, t
-            self._deliver_to_monitor(t, payload)
+            reply = self.monitor.on_datagram(t, payload)
+            if reply is not None and not (self._loss and self._rev_loss() < self._loss):
+                self._order += 1
+                heapq.heappush(in_flight, (t + self._rev_delay(), False, self._order, reply))
         if math.isinf(deadline):
             raise RuntimeError("recv would block forever: no traffic in flight")
         if deadline >= self._now:
@@ -671,7 +668,7 @@ def run_source(
         end = session._epochs_began + duration  # inf while probing
         if now >= end:
             return session.summary(), session
-        deadline = session.next_deadline()
+        deadline = session._deadline
         data, now = recv(end if end < deadline else deadline)
         frames = on_timer(now) if data is None else on_datagram(now, data)
 

@@ -27,8 +27,7 @@ non-decreasing clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 DEFAULT_ALPHA = 0.25
 
@@ -41,8 +40,7 @@ class NoEstimateError(Exception):
     """Age queried before any fresh ACK established an estimate."""
 
 
-@dataclass(frozen=True)
-class EpochStats:
+class EpochStats(NamedTuple):
     """Per-epoch time averages and their change versus the prior epoch.
 
     ``age_diff``/``backlog_diff`` are None when this is the first epoch
@@ -181,13 +179,7 @@ class SourceEstimator:
         self._age_area = 0.0
         self._backlog_area = 0.0
         self._epoch_start = t
-        return EpochStats(
-            avg_age=avg_age,
-            avg_backlog=avg_backlog,
-            age_diff=age_diff,
-            backlog_diff=backlog_diff,
-            backlog_now=self.backlog,
-        )
+        return EpochStats(avg_age, avg_backlog, age_diff, backlog_diff, self.backlog)
 
     def restart_epochs(self, t: float) -> None:
         """Discard accumulated epoch state and begin epoch accounting at ``t``.

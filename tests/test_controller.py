@@ -1,5 +1,7 @@
-"""Decision-table conformance, clamping, and epoch-length arithmetic."""
+"""Decision-table conformance, clamping, epoch-length arithmetic, and the
+per-epoch record types."""
 
+import inspect
 import random
 
 import pytest
@@ -8,8 +10,10 @@ from agectl.controller import (
     Action,
     MDEC_LEVEL_CAP,
     RateController,
+    TargetChange,
     lazy_rate,
 )
+from agectl.estimator import EpochStats, SourceEstimator
 
 
 def reference_decision(backlog_diff, age_diff, backlog_now, flag, gamma):
@@ -109,6 +113,45 @@ def test_mdec_level_cap():
     ctl = RateController(10.0, escalating=True, mdec_level=MDEC_LEVEL_CAP)
     change = ctl.decide(1.0, 1.0, 4.0)
     assert change.mdec_level == MDEC_LEVEL_CAP
+
+
+def test_record_types_keep_their_fields_defaults_and_immutability():
+    fields = {
+        TargetChange: ["kind", "backlog_change", "mdec_level"],
+        EpochStats: ["avg_age", "avg_backlog", "age_diff", "backlog_diff", "backlog_now"],
+    }
+    for cls, names in fields.items():
+        params = inspect.signature(cls).parameters
+        assert list(params) == names
+        defaults = {name: p.default for name, p in params.items() if p.default is not inspect.Parameter.empty}
+        assert defaults == ({"mdec_level": 0} if cls is TargetChange else {})
+    est = SourceEstimator()
+    est.on_send(0.0, 1, 0.0, 0)
+    est.on_ack(0.5, 1, 0)
+    stats = est.close_epoch(1.0)
+    # the age runs from 0.5 to 1.0 over the epoch's second half; one update in flight over its first
+    assert stats == EpochStats(avg_age=0.375, avg_backlog=0.5, age_diff=None, backlog_diff=None, backlog_now=0)
+    change = TargetChange(Action.MDEC, -2.0, mdec_level=1)
+    for record, name in ((stats, "avg_age"), (stats, "backlog_now"), (change, "kind"), (change, "backlog_change")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
+def test_decide_returns_equal_additive_targets_and_labels():
+    ctl = RateController(10.0)
+    dec = ctl.decide(-0.5, -0.5, 4.0)
+    inc = ctl.decide(0.5, -0.5, 4.0)
+    assert dec == TargetChange(Action.DEC, -1.0) and dec.mdec_level == 0
+    assert inc == TargetChange(Action.INC, 1.0) and inc.mdec_level == 0
+    # a caller cannot corrupt the target a later decision returns
+    with pytest.raises(AttributeError):
+        dec.backlog_change = 5.0
+    assert ctl.decide(-0.5, -0.5, 4.0) == TargetChange(Action.DEC, -1.0)
+    ctl.decide(0.5, 0.5, 4.0)  # DEC, arms escalation
+    mdec = ctl.decide(0.5, 0.5, 4.0)
+    assert mdec == TargetChange(Action.MDEC, -2.0, 1)
+    assert [c.label() for c in (inc, dec, mdec)] == ["INC", "DEC", "MDEC(1)"]
+    assert TargetChange(Action.MDEC, -1.0, mdec_level=MDEC_LEVEL_CAP).label() == f"MDEC({MDEC_LEVEL_CAP})"
 
 
 def test_update_rate_hand_values():
