@@ -1,4 +1,4 @@
-"""Closed-form age-of-information for M/M/1 and two-queue tandem systems.
+"""Closed-form age-of-information for M/M/1, D/M/1 and two-queue tandem systems.
 
 Updates arrive Poisson(lam) and pass through one or two FCFS servers
 with exponential service; the monitor tracks the freshest delivered
@@ -100,6 +100,27 @@ def aoi_tandem_alt(lam: float, mu1: float, mu2: float) -> float:
         + lam / (mu2**2 * (mu2 - lam))
         + lam**2 / (mu1 * mu2 * (mu1 + mu2 - lam))
     )
+
+
+def aoi_dm1(lam: float, mu: float) -> float:
+    """Mean age for periodic updates (one every 1/lam) into one exponential
+    server (D/M/1); requires 0 < lam < mu.
+
+    From Kaul, Yates and Gruteser (INFOCOM 2012):
+    ``(1/mu) (1/(2 rho) + 1/(1 - beta))`` with ``rho = lam/mu`` and beta
+    the root in [0, 1) of ``beta = exp(-(1 - beta)/rho)``.  Newton's method
+    finds it from 0: ``beta - exp(-(1 - beta)/rho)`` is concave and
+    increasing below the root, so the iterates rise to it and stop there.
+    """
+    _check_stable(lam, mu)
+    rho = lam / mu
+    beta = 0.0
+    while True:
+        e = math.exp(-(1.0 - beta) / rho)
+        nxt = beta - (beta - e) / (1.0 - e / rho)
+        if not nxt > beta:
+            return (1.0 / (2.0 * rho) + 1.0 / (1.0 - beta)) / mu
+        beta = nxt
 
 
 def mean_system_time_mm1(lam: float, mu: float) -> float:

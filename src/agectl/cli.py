@@ -227,6 +227,23 @@ def write_manifest(out_path: Path, command: str, raw_config: bytes, seed, starte
     return manifest_path
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float in it, nested in dicts, lists and
+    tuples too, replaced by None: JSON has no NaN or infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def _dumps(doc, **kwargs) -> str:
+    """Strict JSON of ``doc``, an undefined figure written as ``null``."""
+    return json.dumps(_finite_or_null(doc), allow_nan=False, **kwargs)
+
+
 def _now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -301,7 +318,7 @@ def cmd_source(args) -> int:
     link = UdpLink.connect(host, port)
     ran = _serve(link, args.trace, lambda write: run_source(link, cfg, args.duration, trace_writer=write))
     if ran is not None:
-        print(json.dumps(ran[0], sort_keys=True))
+        print(_dumps(ran[0], sort_keys=True))
     return EXIT_OK
 
 
@@ -339,7 +356,7 @@ def cmd_sim(args) -> int:
     else:
         raise simkit.ConfigError(f"mode must be 'fixed_rate' or 'closed_loop', got {mode!r}")
 
-    args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    args.out.write_text(_dumps(payload, indent=2, sort_keys=True) + "\n")
     manifest_path = write_manifest(args.out, "sim", raw, seed, started)
     print(f"wrote {args.out} (manifest {manifest_path})", file=sys.stderr)
     return EXIT_OK

@@ -29,17 +29,21 @@ update: the updates' arrivals, departures and positions.
 Closed-loop runs, where the endpoints react to every delivery, apply it
 one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
-that breaks time ties by insertion order holds one entry for its exit.
-The walk reads ``det`` and ``link`` service times from a table per packet
-size, filled from ``_service_fn`` when the size first enters; only
-``exp`` nodes draw, once per visit.
-A packet carries its arrival handler, so that entry is the walk through
-the next segment or, at the end of the route, the arrival itself; cross
-traffic ends with no entry.  Each source's timer takes one heap entry
-per deadline, not one per endpoint call.  Source k starts at an offset
-drawn from its own substream, uniform on [0, probe_timeout), so no two
-sources' timers share an instant and no result depends on how the heap
-breaks a tie between them; that span must end within the warm-up.
+that breaks time ties by insertion order holds one entry for its exit
+into the next segment.  The walk reads ``det`` and ``link`` service
+times from a table per packet size, filled from ``_service_fn`` when the
+size first enters; only ``exp`` nodes draw, once per visit.
+A packet carries its arrival handler.  An update that ends its route by
+the end of the run arrives within the walk: its monitor runs at the exit
+instant and its ACK is walked through the reverse chain there, so a
+round trip takes two heap entries, the send timer and the ACK's arrival
+at the source.  Cross traffic ends with no entry.  Each source's timer
+takes one heap entry per deadline, not one per endpoint call; a session
+call on an ACK that returns no frames leaves the deadline as it was, so
+nothing is re-armed after it.  Source k starts at an offset drawn from
+its own substream, uniform on [0, probe_timeout), so no two sources'
+timers share an instant and no result depends on how the heap breaks a
+tie between them; that span must end within the warm-up.
 
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.
@@ -251,8 +255,8 @@ def _parse_cross(flow, where: str) -> CrossTraffic:
 # Packets move through the node array as tuples
 #   (is_update, size_bytes, route_end, arrive, src, payload)
 # route_end is the index one past the last node of the packet's route, where
-# the engine schedules ``arrive(t, src, payload)``; cross traffic has no
-# ``arrive`` (and no payload) and leaves the network silently.
+# the engine calls (updates) or schedules (ACKs) ``arrive(t, src, payload)``;
+# cross traffic has no ``arrive`` (and no payload) and leaves silently.
 
 
 class _Engine:
@@ -262,12 +266,23 @@ class _Engine:
     in time order, ties in insertion order.  Packets enter only at
     ``heads`` and every route ends at a head or at the array's end, so
     FCFS keeps entry order from one head to the next: ``enqueue`` walks a
-    packet through that segment by Lindley's recursion and pushes one
-    entry for its exit, ordered among equal-time events by when the
-    packet entered.  That entry is the packet's ``arrive`` handler at the
-    end of its route (none for cross traffic) and ``enqueue`` for the
-    next segment otherwise.  Each update's stay at a node, clipped to
-    [warmup, duration], adds to that node's backlog area.
+    packet through that segment by Lindley's recursion.  If the route
+    goes on, it pushes one entry for the exit, ``enqueue`` for the next
+    segment, ordered among equal-time events by when the packet entered.
+    At the end of the route an update exiting by ``duration`` calls its
+    ``arrive`` at once, ahead of the clock; a later one never arrives.
+    Any other packet pushes its ``arrive`` (cross traffic has none).
+    Each update's stay at a node, clipped to [warmup, duration], adds to
+    that node's backlog area.
+
+    The arrival rule: an update's ``arrive`` may enqueue only at a head
+    that nothing else enters.  The calls then reach that head in the
+    order the updates left their last segment, which is the order their
+    exits would have run from the heap, so each monitor and the nodes
+    behind that head see what they would if each arrival were an entry
+    of its own; only the insertion order of the entries pushed from
+    there moves (the tie rule below).  In ``run_closed_loop`` updates
+    arrive at the reverse chain's head, which only ACKs enter.
 
     ``_service`` holds each node's ``_service_fn``, the one definition of
     a service time.  ``_times`` maps a packet size to the service time at
@@ -275,9 +290,11 @@ class _Engine:
     with None at ``exp`` nodes: only they call their function, drawing
     once per visit in visit order from their own substream.
 
-    On ``det`` chains with commensurate periods a timer can tie with an ACK
-    or another packet's exit; results there are reproducible only because
-    ties break in insertion order."""
+    The tie rule: on ``det`` chains with commensurate periods a timer can
+    tie with an ACK or another packet's exit; results there are
+    reproducible only because ties break in insertion order.  An ACK's
+    entry is pushed when its update enters the last forward segment, so
+    the ACK runs after any entry pushed before that."""
 
     def __init__(self, specs, seed: int, heads, warmup: float, duration: float):
         n = len(specs)
@@ -317,6 +334,9 @@ class _Engine:
             t = leave
         if end < route_end:
             self.push(t, self.enqueue, end, pkt)
+        elif is_update:
+            if t <= duration:
+                arrive(t, src, payload)
         elif arrive is not None:
             self.push(t, arrive, src, payload)
 
@@ -721,14 +741,16 @@ def run_closed_loop(
     ]
 
     def after_session_call(t: float, src: int, frames) -> None:
+        # the timer goes in before the frames' ACKs, so a send still runs
+        # before an ACK that ties with it
         session = sessions[src]
-        for frame in frames:
-            engine.enqueue(t, 0, (True, float(len(frame)), n_fwd, update_arrives, src, frame))
-        deadline, phase = session.next_deadline(), session.state
+        deadline, phase = session._deadline, session.state
         if deadline != armed[src][0]:
             armed[src] = (deadline, phase)
             if deadline <= duration:
                 engine.push(deadline, on_timer, src, phase)
+        for frame in frames:
+            engine.enqueue(t, 0, (True, float(len(frame)), n_fwd, update_arrives, src, frame))
 
     def on_start(t: float, src: int, _) -> None:
         after_session_call(t, src, sessions[src].on_start(t))
@@ -751,7 +773,10 @@ def run_closed_loop(
             engine.enqueue(t, n_fwd, (False, ack_size, n_all, ack_arrives, src, reply))
 
     def ack_arrives(t: float, src: int, frame: bytes) -> None:
-        after_session_call(t, src, sessions[src].on_datagram(t, frame))
+        # a call that returns no frames leaves the session's deadline as it was
+        frames = sessions[src].on_datagram(t, frame)
+        if frames:
+            after_session_call(t, src, frames)
 
     heads = {0, n_fwd} | {flow.entry for flow in net.cross_traffic}
     specs = tuple(net.forward) + tuple(net.reverse)

@@ -9,6 +9,7 @@ from agectl.analytics import (
     StabilityError,
     TandemParams,
     age_curve,
+    aoi_dm1,
     aoi_mm1,
     aoi_tandem,
     aoi_tandem_alt,
@@ -111,6 +112,38 @@ def test_alt_variant_differs_and_is_asymmetric():
     assert aoi_tandem_alt(lam, mu1, mu2) != pytest.approx(aoi_tandem_alt(lam, mu2, mu1))
 
 
+def _dm1_by_bisection(lam: float, mu: float) -> float:
+    """The D/M/1 age with beta found by bisection: below the root in [0, 1)
+    ``beta < exp(-(1 - beta)/rho)``, between it and 1 the reverse."""
+    rho = lam / mu
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if mid < math.exp(-(1.0 - mid) / rho):
+            lo = mid
+        else:
+            hi = mid
+    return (1.0 / (2.0 * rho) + 1.0 / (1.0 - lo)) / mu
+
+
+@pytest.mark.parametrize("rho", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
+def test_dm1_matches_a_bisection_root(rho):
+    assert aoi_dm1(rho, 1.0) == pytest.approx(_dm1_by_bisection(rho, 1.0), rel=1e-12)
+
+
+def test_dm1_limits_and_scaling():
+    # light load: nothing waits, so the age is half a period plus a service
+    assert aoi_dm1(1e-3, 1.0) == pytest.approx(0.5e3 + 1.0, rel=1e-12)
+    # periodic arrivals wait less than Poisson ones at every load
+    assert all(aoi_dm1(lam, 1.0) < aoi_mm1(lam, 1.0) for lam in (0.05, 0.3, 0.6, 0.9, 0.99))
+    # homogeneous of degree -1 under rate scaling
+    assert aoi_dm1(37.0, 100.0) * 100.0 == pytest.approx(aoi_dm1(0.37, 1.0), rel=1e-12)
+    # the optimum: 2.253 at lambda = 0.517 for mu = 1
+    lam_star, age_star = optimal_lambda(lambda l: aoi_dm1(l, 1.0), 0.05, 0.95)
+    assert lam_star == pytest.approx(0.5169, abs=1e-3)
+    assert age_star == pytest.approx(2.2526, abs=1e-4)
+
+
 def test_domain_errors():
     with pytest.raises(StabilityError):
         aoi_mm1(1.0, 1.0)
@@ -125,6 +158,9 @@ def test_domain_errors():
             aoi_mm1(lam, mu)
     with pytest.raises(StabilityError):
         aoi_tandem(0.5, 1.0, math.nan)
+    for lam, mu in ((1.0, 1.0), (0.0, 1.0), (0.5, math.inf), (math.nan, 1.0)):
+        with pytest.raises(StabilityError):
+            aoi_dm1(lam, mu)
     with pytest.raises(StabilityError):
         optimal_lambda(lambda l: aoi_mm1(l, 1.0), 0.5, 1.5)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, manifests, determinism."""
 
 import json
+import math
 import signal
 import socket
 import subprocess
@@ -11,7 +12,8 @@ from unittest import mock
 import pytest
 
 from agectl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, UsageError, load_config, main, parse_addr, parse_grid
-from agectl.endpoints import UdpLink
+from agectl import wire
+from agectl.endpoints import SourceConfig, SourceSession, UdpLink
 from agectl.simkit import ConfigError
 
 CLI = [sys.executable, "-m", "agectl.cli"]
@@ -268,6 +270,49 @@ def test_sim_rejects_non_finite_json_constants(tmp_path, capsys, constant):
     assert main(["sim", "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
     assert constant in capsys.readouterr().err
     assert not out.exists()
+
+
+def _strict_json(text: str):
+    """Parse ``text`` as JSON that may hold no NaN or infinity."""
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_sim_writes_undefined_figures_as_null(tmp_path, capsys):
+    # fixed:0.5 over det 1/s closes no epoch in 20 s, so the source has no
+    # estimate; the output must still be JSON, as load_config reads it
+    doc = {
+        "mode": "closed_loop",
+        "net": {"forward": [{"service": "det", "rate": 1.0}], "reverse": [{"service": "det", "rate": 10.0}]},
+        "policy": "fixed:0.5",
+        "duration": 20.0,
+        "seed": 0,
+    }
+    path, out = tmp_path / "cl.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sim", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    source = _strict_json(out.read_text())["result"]["sources"][0]
+    for key in ("est_avg_age", "est_avg_backlog", "est_minus_true_age", "mean_rate"):
+        assert source[key] is None, key
+    assert source["true_avg_age"] > 0.0
+    assert load_config(str(out))[0]["result"]["sources"][0]["est_avg_age"] is None
+
+
+def test_source_summary_writes_undefined_figures_as_null(capsys):
+    # probing ends on the first ACK and no epoch closes: no estimate yet
+    session = SourceSession(SourceConfig(policy="fixed:4", probe_count=1))
+    seq, gen_ts_us = wire.decode_update(session.on_start(0.0)[0])
+    session.on_datagram(0.25, wire.encode_ack(seq, gen_ts_us))
+    summary = session.summary()
+    assert math.isnan(summary["est_avg_age"])
+    with mock.patch("agectl.cli.UdpLink.connect"), mock.patch("agectl.cli.run_source", return_value=(summary, session)):
+        assert main(["source", "--peer", "127.0.0.1:9", "--duration", "1"]) == EXIT_OK
+    printed = _strict_json(capsys.readouterr().out)
+    assert printed["est_avg_age"] is None and printed["est_avg_backlog"] is None
+    assert printed["lambda_final"] == 4.0
 
 
 @pytest.mark.parametrize(

@@ -358,16 +358,22 @@ class SourceMachine(RuleBasedStateMachine):
 
     def _call(self, method, *args):
         """Call ``method`` at ``self.t`` and record the sends: the call that
-        ends probing also makes the first send of the first epoch."""
+        ends probing also makes the first send of the first epoch.  A call
+        that returns no frames must leave the deadline and the state as they
+        were (the closed-loop simulator re-arms no timer after it)."""
         sess = self.sess
         if self.failed:
             return
+        before = (sess.next_deadline(), sess.state)
         try:
             frames = method(self.t, *args)
             sends = self.run_sends if sess.state == "run" else self.probes
             sends += [(self.t, *wire.decode_update(frame)) for frame in frames]
         except (ValueError, InitializationError):
             self.failed = True
+            return
+        if not frames:
+            assert (sess.next_deadline(), sess.state) == before, method.__name__
 
     def _sent(self):
         return self.probes + self.run_sends

@@ -38,6 +38,10 @@ CLOSED_LOOP_CASES = {
     "det1-10-fixed0.5": (_chain("det", [1.0], [10.0]), "fixed:0.5", 1, 20.0, 0),
     "sixhop-acp_plus": (_chain("link", [1e6] * 6, [1e6] * 6), "acp_plus", 3, 60.0, 1),
     "sixhop-lazy": (_chain("link", [1e6] * 6, [1e6] * 6), "lazy", 3, 60.0, 1),
+    # one source's send timer ties with the other's ACK, and insertion order
+    # decides: an ACK's entry is pushed as its update enters the last
+    # forward segment, so it runs after a timer pushed before that
+    "det4-10-fixed4-2src": (_chain("det", [4.0], [10.0]), "fixed:4.0", 2, 30.0, 0),
 }
 
 CLOSED_LOOP_DIGESTS = {
@@ -45,6 +49,7 @@ CLOSED_LOOP_DIGESTS = {
     "det1-10-fixed0.5": "52ab3030c06624335c02c851887a73f2d184fff67c3806602e7964f2f00907dc",
     "sixhop-acp_plus": "225f36da7cb1732fdbcc00419abfa982c9edcf6dfae41e794ff10e8a25912ba9",
     "sixhop-lazy": "19cba2abb78c9144d5b52fe750345f3da33fbdf3bdfdcec2f767789c0d78aa1b",
+    "det4-10-fixed4-2src": "46d58257d93d800ea30630e01cc4d714234606c1e47d2d9d9a3dfd857b71cbf9",
 }
 
 
@@ -76,6 +81,7 @@ BACKLOG_DIGESTS = {
     "det1-10-fixed0.5": "ee8834340ce5fe921e33a59f328ec8e0ca76c100e9733019015f7527f3237ec2",
     "sixhop-acp_plus": "b0e6e107dd74873cbf4ecc120b87214f45f3358dc5b2d6192a37f719e6df290b",
     "sixhop-lazy": "bd3449f45e52d991c6b8f31b4283b9e59b3964d332e5de2744141baa91aae9b2",
+    "det4-10-fixed4-2src": "9469483dec44b451e8989c462ebc4d5e8f052b6ae80cb55e5ad0c63bd87da9f4",
 }
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from agectl import analytics, simkit
 from agectl.cli import load_config
-from agectl.endpoints import InitializationError, SourceConfig, SourceSession
+from agectl.endpoints import InitializationError, MonitorSession, SourceConfig, SourceSession
 from agectl.simkit import (
     ARRIVAL_KINDS,
     AoiMetrics,
@@ -146,6 +146,38 @@ def test_tandem_matches_analytic():
     assert m.avg_age == pytest.approx(analytics.aoi_tandem(lam, 1.0, 1.0), rel=0.02)
 
 
+# Standard deviation over seeds 0-31 of one run's relative error against
+# aoi_dm1 (mu = 1): open loop 1e5 s, closed loop 4e4 s.  The mean of 8 runs
+# must fall within 4 of its standard errors, sd/sqrt(8).  A spread from
+# fewer seeds misleads: closed-loop runs of 2e4 s at rho = 0.7 on seeds 0-3
+# read -3.15%, -3.1 standard errors by their own spread but -2.4 by that of
+# seeds 0-31.
+DM1_RUN_SD = {
+    ("periodic", 0.3): 0.0021,
+    ("periodic", 0.5): 0.0047,
+    ("periodic", 0.7): 0.0117,
+    ("periodic", 0.9): 0.0417,
+    ("closed", 0.5): 0.0089,
+    ("closed", 0.7): 0.0163,
+}
+DM1_NET = QueueNetwork(forward=(ServiceSpec("exp", 1.0),), reverse=(ServiceSpec("det", 1000.0),))
+
+
+def _dm1_age(kind: str, lam: float, seed: int) -> float:
+    if kind == "periodic":
+        return run_fixed_rate(DM1_NET, lam, "periodic", duration=1e5, seed=seed).avg_age
+    return run_closed_loop(DM1_NET, f"fixed:{lam}", 1, duration=4e4, seed=seed).sources[0].true_avg_age
+
+
+@pytest.mark.parametrize("kind, lam", sorted(DM1_RUN_SD))
+def test_periodic_updates_match_dm1_analytic(kind, lam):
+    # periodic sends into one exp server, open loop or paced by fixed:R
+    # (the ACK path takes 1 ms and shares no server with the updates)
+    want = analytics.aoi_dm1(lam, 1.0)
+    errors = [_dm1_age(kind, lam, seed) / want - 1.0 for seed in range(8)]
+    assert abs(statistics.mean(errors)) <= 4.0 * DM1_RUN_SD[kind, lam] / math.sqrt(8)
+
+
 def test_deterministic_replay_byte_identical():
     net = QueueNetwork(
         forward=(ServiceSpec("exp", 1.0), ServiceSpec("exp", 2.0)),
@@ -262,6 +294,39 @@ def test_segment_walk_matches_lindley_per_hop_across_sizes():
     assert 0 < len(exits) < len(want)  # the run ends with packets inside
     assert exits == want[: len(exits)]
     assert engine.window_backlogs() == tuple(a / (duration - warmup) for a in area)
+
+
+def test_an_update_reaches_its_monitor_only_by_the_end_of_the_run():
+    # det 1/s forward, 10/s reverse, fixed:0.5 after one probe: nothing
+    # queues, so each update reaches the monitor 1 s after it is sent; the
+    # probe's ACK, 1.1 s after the start, makes the first send, and the
+    # sends follow every 2 s.  The run's last update arrives within the
+    # segment walk: at the run's end it is delivered, just after it not.
+    net = QueueNetwork(forward=(ServiceSpec("det", 1.0),), reverse=(ServiceSpec("det", 10.0),))
+    cfg = SourceConfig(policy="fixed:0.5", probe_count=1, probe_timeout=2.0)
+    # the source's start offset, drawn as run_closed_loop draws it
+    start = np.random.Generator(np.random.PCG64(substream_seed(0, "start/0"))).random() * cfg.probe_timeout
+    sent, t = [start], start + 1.0 + 0.1
+    for _ in range(6):
+        sent.append(t)
+        t += 2.0
+    want = [s + 1.0 for s in sent]
+
+    def deliveries(duration):
+        monitors = []
+
+        class Recorded(MonitorSession):
+            def __init__(self):
+                super().__init__()
+                monitors.append(self)
+
+        with mock.patch.object(simkit, "MonitorSession", Recorded):
+            run_closed_loop(net, cfg.policy, 1, duration=duration, seed=0, warmup_frac=0.0, cfg=cfg)
+        return list(monitors[0].deliver_times)
+
+    last = want[-1]
+    assert deliveries(last) == want
+    assert deliveries(math.nextafter(last, 0.0)) == want[:-1]
 
 
 def test_link_service_scales_with_bytes():
