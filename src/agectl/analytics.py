@@ -1,4 +1,4 @@
-"""Closed-form age-of-information for M/M/1, D/M/1 and two-queue tandem systems.
+"""Closed-form age-of-information for M/M/1, D/M/1, M/D/1 and two-queue tandem systems.
 
 Updates arrive Poisson(lam) and pass through one or two FCFS servers
 with exponential service; the monitor tracks the freshest delivered
@@ -121,6 +121,14 @@ def aoi_dm1(lam: float, mu: float) -> float:
         if not nxt > beta:
             return (1.0 / (2.0 * rho) + 1.0 / (1.0 - beta)) / mu
         beta = nxt
+
+
+def aoi_md1(lam: float, mu: float) -> float:
+    """Mean age for Poisson updates into one server of fixed service time 1/mu
+    (M/D/1), from Kaul, Yates and Gruteser (INFOCOM 2012); requires 0 < lam < mu."""
+    _check_stable(lam, mu)
+    rho = lam / mu
+    return (0.5 / (1.0 - rho) + 0.5 + (1.0 - rho) * math.exp(rho) / rho) / mu
 
 
 def mean_system_time_mm1(lam: float, mu: float) -> float:

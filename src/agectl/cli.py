@@ -168,8 +168,8 @@ def parse_grid(text: str) -> list[float]:
         raise UsageError(f"grid values must be numbers, got {text!r}") from None
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise UsageError(f"grid values must be finite, got {text!r}")
-    if step <= 0 or hi < lo:
-        raise UsageError(f"grid needs lo <= hi and step > 0, got {text!r}")
+    if lo <= 0 or step <= 0 or hi < lo:
+        raise UsageError(f"grid needs 0 < lo <= hi and step > 0 (rates are positive), got {text!r}")
     if lo + step == lo or hi + step == hi:
         raise UsageError(f"grid step is lost to rounding at its ends, got {text!r}")
     span = (hi - lo) / step

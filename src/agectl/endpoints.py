@@ -476,14 +476,17 @@ def age_time_average(gen_times, deliver_times, lo: float, hi: float) -> float:
     seg_end[:-1] = dlv[1:]
     seg_end[-1] = hi
     np.clip(seg_end, lo, hi, out=seg_end)
-    width = seg_end - seg_start
-    # the area is width * ((seg_start + seg_end) * 0.5 - gen), the midpoint
-    # built in seg_end's buffer
-    mid = np.add(seg_start, seg_end, out=seg_end)
+    return float(np.sum(age_areas(gen, seg_start, seg_end, out=seg_end))) / (hi - lo)
+
+
+def age_areas(gen, start, end, out=None):
+    """Age areas ``(end - start) * ((start + end) * 0.5 - gen)`` of resets in force on [start, end]; midpoint in out."""
+    width = end - start
+    mid = np.add(start, end, out=out)
     mid *= 0.5
     mid -= gen
     width *= mid
-    return float(np.sum(width)) / (hi - lo)
+    return width
 
 
 # -- links -----------------------------------------------------------------

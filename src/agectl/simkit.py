@@ -15,17 +15,20 @@ cross flows entering there and applies Lindley's recursion
 its temporaries in the service times' buffer and the departures in the
 buffer of their running sum.  FCFS departures never decrease, so the
 packets that leave a node by the end of the run are a prefix, taken as
-a view, not through a mask.  Until a cross flow enters, every packet is
-an update and a run holds at most five float arrays per update:
-generation instants, a node's arrivals, service times and departures
-(or, at the end, ``age_time_average``'s three beside the generation and
-delivery instants).  From the first merge on, a node also holds the
-packets' sizes, and the updates are tracked by their positions in
-service order, one int64 index built at each merge: a node takes the
-updates' departures from its own through that index, and those that
-left by the end of the run are the next node's update arrivals as they
-are.  Beside the merged arrays that makes three 8-byte arrays per
-update: the updates' arrivals, departures and positions.
+a view, not through a mask.  A ``det`` or ``link`` node that no cross
+flow enters, with the spec of the node before it, reads its running sum
+as a prefix of that node's, which puts its departures in its service
+times' buffer instead.  Until a cross flow enters, every packet is an
+update and a run holds at most five float arrays per update: generation
+instants, a node's arrivals, service times, departures and a kept sum
+or a scratch (or, at the end, ``age_time_average``'s three beside the
+generation and delivery instants).  From the first merge on, a node also
+holds the packets' sizes, and the updates are tracked by their positions
+in service order, one int64 index built at each merge: a node takes the
+updates' departures from its own through that index, and those that left
+by the end of the run are the next node's update arrivals as they are.
+Beside the merged arrays that makes three 8-byte arrays per update: the
+updates' arrivals, departures and positions.
 Closed-loop runs, where the endpoints react to every delivery, apply it
 one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
@@ -48,7 +51,8 @@ tie between them; that span must end within the warm-up.
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.
 Metrics are computed from the delivery log after the run, excluding a
-configurable warm-up window.  Per-node backlog figures count update
+configurable warm-up window; a sweep point's batch-means windows share
+one pass over the age areas.  Per-node backlog figures count update
 packets only (not cross traffic, not ACKs).
 """
 
@@ -65,6 +69,7 @@ import numpy as np
 
 from . import wire
 from .endpoints import DrawStream, MonitorSession, SourceConfig, SourceSession, age_time_average, substream_seed
+from .endpoints import age_areas
 
 SERVICE_KINDS = ("exp", "det", "link")
 ARRIVAL_KINDS = ("poisson", "periodic")
@@ -449,39 +454,41 @@ def _service_times(spec: ServiceSpec, count: int, sizes, seed: int) -> np.ndarra
     return service
 
 
-def _fcfs_node(arrive: np.ndarray, service: np.ndarray, updates, upd_in: np.ndarray, warmup: float, duration: float):
+def _fcfs_node(arrive: np.ndarray, service: np.ndarray, served, keep, updates, upd_in, warmup: float, duration: float):
     """Departure instants of one FCFS server, and its update figures.
 
     Lindley's recursion ``D_k = max(A_k, D_{k-1}) + S_k`` in closed form:
     ``served + fmax.accumulate(arrive - (served - service))`` with
-    ``served = cumsum(service)``.  Its temporaries take ``service``'s
-    buffer and the departures ``served``'s.  Departures never decrease,
-    in floating point too (a running max plus a cumsum of non-negative
-    times), so the updates that leave by ``duration`` are a prefix.
-    ``updates`` holds the updates' positions in service order, an
-    increasing integer index, or is None when every packet is an update;
-    ``upd_in`` is their arrival instants.  Returns the departures, the
-    updates' departures, how many updates left by ``duration``, their
-    summed time in system, and the summed stays of all updates clipped to
-    [warmup, duration].
+    ``served = cumsum(service)``, or a prefix of the one the node before
+    kept.  Its temporaries take ``service``'s buffer and the departures
+    ``served``'s, or, to ``keep`` it for the next node, ``service``'s and
+    the scratch ``arrive``'s, owned and read by then if ``updates`` is an
+    index, else a new buffer.  Departures never decrease, in floating point
+    too (a running max plus a cumsum of non-negative times), so the updates
+    that leave by ``duration`` are a prefix.  ``updates`` holds the updates'
+    positions in service order, an increasing integer index, or is None
+    when every packet is an update; ``upd_in`` is their arrival instants.
+    Returns the departures, the kept ``served`` or None, the updates'
+    departures, how many left by ``duration``, their summed time in system,
+    and the summed stays of all updates clipped to [warmup, duration].
     """
-    served = np.cumsum(service)
+    served = np.cumsum(service) if served is None else served[: len(arrive)]
     np.subtract(served, service, out=service)
     np.subtract(arrive, service, out=service)
     # fmax, faster than maximum, differs from it only on NaN; every value
     # here is finite, as _require_positive rejects non-finite rates and spans
     np.fmax.accumulate(service, out=service)
-    leave = np.add(served, service, out=served)
+    leave = np.add(served, service, out=service if keep else served)
     upd_out = leave if updates is None else leave.take(updates)
     left = int(np.searchsorted(upd_out, duration, side="right"))
-    scratch = service[: len(upd_out)]
+    scratch = ((arrive if updates is not None else np.empty(len(arrive))) if keep else service)[: len(upd_out)]
     time_sum = float(np.sum(np.subtract(upd_out[:left], upd_in[:left], out=scratch[:left])))
     # each stay is min(leave, duration) - max(arrive, warmup), at least 0
     np.maximum(upd_in, warmup, out=scratch)
     np.subtract(upd_out[:left], scratch[:left], out=scratch[:left])
     np.subtract(duration, scratch[left:], out=scratch[left:])
     stay_sum = float(np.sum(np.maximum(scratch, 0.0, out=scratch)))
-    return leave, upd_out, left, time_sum, stay_sum
+    return leave, served if keep else None, upd_out, left, time_sum, stay_sum
 
 
 def _open_loop(
@@ -515,8 +522,9 @@ def _open_loop(
     # no index, one size.  The updates reaching the next node are those that
     # left this one by the end of the run.
     arrive, upd_in = gen, gen
-    updates, sizes = None, update_size
+    updates, sizes, served = None, update_size, None
     backlogs, time_sums, departs = [], [], []
+    entries = tuple(flow.entry for flow in net.cross_traffic)
     for i, spec in enumerate(net.forward):
         entering = [(flow, times) for flow, times in cross if flow.entry == i]
         if entering:
@@ -535,10 +543,11 @@ def _open_loop(
             order = np.argsort(arrive, kind="stable")
             arrive, sizes = arrive[order], sizes[order]
             updates = np.flatnonzero(is_update[order])
-        service_seed = substream_seed(fwd_seed, f"service/{i}")
+        node_seed = substream_seed(fwd_seed, f"service/{i}")
+        keep = spec.kind != "exp" and net.forward[i + 1 : i + 2] == (spec,) and i + 1 not in entries
         # the service times go in unnamed, so their buffer is freed with the node
-        leave, upd_out, left, time_sum, stay_sum = _fcfs_node(
-            arrive, _service_times(spec, len(arrive), sizes, service_seed), updates, upd_in, warmup, duration
+        leave, served, upd_out, left, time_sum, stay_sum = _fcfs_node(
+            arrive, _service_times(spec, len(arrive), sizes, node_seed), served, keep, updates, upd_in, warmup, duration
         )
         departs.append(left)
         time_sums.append(time_sum)
@@ -598,16 +607,26 @@ class SweepResult:
 def _window_ages(gen: np.ndarray, dlv: np.ndarray, edges: np.ndarray) -> list[float]:
     """``age_time_average`` over each window ``[edges[i], edges[i + 1]]``.
 
-    Each call gets only the resets from the one in force at the window's
-    start to the last one by its end; the others add nothing to the sum
-    but zero-width terms, so only the summation order (round-off)
-    separates a result from the call on the whole arrays.
+    Bit for bit the call on the resets from the one in force at the
+    window's start to the last one by its end: all its areas but the first
+    and last are those of the whole run, computed once.  ``dlv`` must not
+    decrease, as ``age_time_average`` checks on the whole run.
     """
+    areas = age_areas(gen[:-1], dlv[:-1], dlv[1:])
     cut = np.searchsorted(dlv, edges, side="right").tolist()
-    return [
-        age_time_average(gen[max(i - 1, 0) : j], dlv[max(i - 1, 0) : j], lo, hi)
-        for i, j, lo, hi in zip(cut, cut[1:], edges, edges[1:])
-    ]
+    ages = []
+    for i, j, lo, hi in zip(cut, cut[1:], edges.tolist(), edges[1:].tolist()):
+        a = max(i - 1, 0)  # the reset in force at the window's start, or the first
+        lo = max(lo, float(dlv[a])) if j > a else hi  # no age before the first reset
+        if hi <= lo:
+            ages.append(math.nan)
+            continue
+        window = np.empty(j - a)
+        window[:-1] = areas[a : j - 1]
+        window[-1] = age_areas(gen[j - 1], dlv[j - 1], hi)
+        window[0] = age_areas(gen[a], lo, dlv[a + 1] if j - a > 1 else hi)
+        ages.append(float(window.sum()) / (hi - lo))
+    return ages
 
 
 def sweep_lambda(

@@ -10,6 +10,7 @@ from agectl.analytics import (
     TandemParams,
     age_curve,
     aoi_dm1,
+    aoi_md1,
     aoi_mm1,
     aoi_tandem,
     aoi_tandem_alt,
@@ -144,6 +145,16 @@ def test_dm1_limits_and_scaling():
     assert age_star == pytest.approx(2.2526, abs=1e-4)
 
 
+def test_md1_hand_value_and_scaling():
+    # rho = 1/2: 1/(2 (1 - rho)) + 1/2 + (1 - rho) e^rho / rho = 3/2 + e^(1/2)
+    assert aoi_md1(0.5, 1.0) == pytest.approx(1.5 + math.exp(0.5), rel=1e-12)
+    # light load: nothing waits, so the age is a mean gap plus a service
+    assert aoi_md1(1e-3, 1.0) == pytest.approx(1e3 + 1.0, rel=1e-5)
+    # fixed service waits less than exponential service at every load
+    assert all(aoi_md1(lam, 1.0) < aoi_mm1(lam, 1.0) for lam in (0.05, 0.3, 0.6, 0.9, 0.99))
+    assert aoi_md1(37.0, 100.0) * 100.0 == pytest.approx(aoi_md1(0.37, 1.0), rel=1e-12)
+
+
 def test_domain_errors():
     with pytest.raises(StabilityError):
         aoi_mm1(1.0, 1.0)
@@ -159,8 +170,9 @@ def test_domain_errors():
     with pytest.raises(StabilityError):
         aoi_tandem(0.5, 1.0, math.nan)
     for lam, mu in ((1.0, 1.0), (0.0, 1.0), (0.5, math.inf), (math.nan, 1.0)):
-        with pytest.raises(StabilityError):
-            aoi_dm1(lam, mu)
+        for age_fn in (aoi_dm1, aoi_md1):
+            with pytest.raises(StabilityError):
+                age_fn(lam, mu)
     with pytest.raises(StabilityError):
         optimal_lambda(lambda l: aoi_mm1(l, 1.0), 0.5, 1.5)
     with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ def test_parse_grid():
             parse_grid(bad)
     # a step lost to rounding never advances; a fine step over a wide range
     # would build 10^12 points
-    for bad in ("1e17:2e17:1", "0:1e9:1e-3"):
+    for bad in ("1e17:2e17:1", "0:1e9:1e-3", "0:1:0.5", "-1:1:1"):
         with pytest.raises(UsageError):
             parse_grid(bad)
     # the point count comes from the span, not from an absolute tolerance
@@ -85,6 +85,12 @@ def test_analyze_tandem_sweep_is_unimodal(capsys):
 def test_analyze_mm1_needs_exactly_one_mode(capsys):
     assert main(["analyze", "mm1", "--mu", "1"]) == EXIT_USAGE
     assert main(["analyze", "mm1", "--mu", "1", "--lambda", "0.5", "--sweep", "0.1:0.2:0.1"]) == EXIT_USAGE
+
+
+def test_analyze_sweep_from_zero_is_usage_error(capsys):
+    # a rate of zero is bad input, refused before the analytics run
+    assert main(["analyze", "mm1", "--mu", "1", "--sweep", "0:0.5:0.25"]) == EXIT_USAGE
+    assert "0 < lo" in capsys.readouterr().err
 
 
 def test_analyze_unstable_is_runtime_error(capsys):
@@ -438,6 +444,13 @@ def test_sweep_empty_grid_is_usage_error(tmp_path, capsys):
     cfg = small_sim_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--grid", "0.9:0.1:1",
                  "--out", str(tmp_path / "c.csv")]) == EXIT_USAGE
+
+
+def test_sweep_grid_from_zero_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert main(["sweep", "--config", "net_a", "--grid", "0:90:45", "--duration", "60", "--out", str(out)]) == EXIT_USAGE
+    assert "0 < lo" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_reruns_identical(tmp_path, capsys):

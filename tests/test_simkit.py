@@ -178,6 +178,20 @@ def test_periodic_updates_match_dm1_analytic(kind, lam):
     assert abs(statistics.mean(errors)) <= 4.0 * DM1_RUN_SD[kind, lam] / math.sqrt(8)
 
 
+# Standard deviation over seeds 0-31 of one run's relative error against
+# aoi_md1 (mu = 1), Poisson updates into one det server for 1e5 s.  The mean
+# of 8 runs has standard error sd/sqrt(8) and must fall within 4 of them.
+MD1_RUN_SD = {0.3: 0.0067, 0.5: 0.0048, 0.7: 0.0057, 0.9: 0.0483}
+
+
+@pytest.mark.parametrize("lam", sorted(MD1_RUN_SD))
+def test_poisson_updates_into_a_det_server_match_md1_analytic(lam):
+    net = QueueNetwork(forward=(ServiceSpec("det", 1.0),))
+    want = analytics.aoi_md1(lam, 1.0)
+    errors = [run_fixed_rate(net, lam, "poisson", duration=1e5, seed=seed).avg_age / want - 1.0 for seed in range(8)]
+    assert abs(statistics.mean(errors)) <= 4.0 * MD1_RUN_SD[lam] / math.sqrt(8)
+
+
 def test_deterministic_replay_byte_identical():
     net = QueueNetwork(
         forward=(ServiceSpec("exp", 1.0), ServiceSpec("exp", 2.0)),
@@ -348,7 +362,11 @@ SERVICES = st.one_of(
 
 @st.composite
 def open_loop_runs(draw):
-    forward = tuple(draw(st.lists(SERVICES, min_size=1, max_size=3)))
+    # a det or link spec comes up to three times in a row, so that nodes share
+    # running sums, and a flow may enter inside such a run
+    forward = ()
+    for spec in draw(st.lists(SERVICES, min_size=1, max_size=3)):
+        forward += (spec,) * (1 if spec.kind == "exp" else draw(st.integers(1, 3)))
     flows = st.builds(
         CrossTraffic, st.integers(0, len(forward) - 1), st.floats(500.0, 8000.0), st.integers(64, 1500)
     )
@@ -414,6 +432,8 @@ def _count_slack(run, got, want, edge_departures: int) -> dict:
 # the kernel puts a departure at exactly the warm-up end, 10.0, and the
 # oracle at 9.999999999999998: 16 deliveries in the window against 15
 @example((QueueNetwork(forward=(ServiceSpec("det", 1.5),)), 1.5, "periodic", 20.0, 0, 0.5))
+# net_a's forward chain: six identical links behind a cross flow at node 0
+@example((QueueNetwork.from_dict(load_config("net_a")[0]["net"]), 80.0, "poisson", 20.0, 1, 0.1))
 def test_open_loop_matches_event_reference(run):
     got, gen, dlv = simkit._open_loop(*run)
     want, want_gen, want_dlv, departures = open_loop_events(*run)
@@ -426,6 +446,53 @@ def test_open_loop_matches_event_reference(run):
     n = min(len(gen), len(want_gen))
     assert np.array_equal(gen[:n], want_gen[:n])
     assert dlv[:n] == pytest.approx(want_dlv[:n], rel=1e-9, abs=0.0)
+
+
+def _open_loop_per_node(net, lam, arrival, duration, seed):
+    """The open loop's deliveries, node_departs and node_time_in_system_sum,
+    with every packet's update flag carried along and a new cumsum of the
+    service times at every node."""
+    arrivals_seed = substream_seed(seed, "arrivals") if arrival == "poisson" else None
+    arrive = simkit._renewal_times(lam, duration, arrivals_seed)
+    sizes, is_update = np.full(len(arrive), float(net.update_bytes)), np.ones(len(arrive), dtype=bool)
+    departs, time_sums = [], []
+    for i, spec in enumerate(net.forward):
+        for k, flow in enumerate(net.cross_traffic):
+            if flow.entry == i:
+                times = simkit._renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{k}"))[1:]
+                order = np.argsort(np.concatenate([arrive, times]), kind="stable")
+                arrive = np.concatenate([arrive, times])[order]
+                sizes = np.concatenate([sizes, np.full(len(times), float(flow.packet_bytes))])[order]
+                is_update = np.concatenate([is_update, np.zeros(len(times), dtype=bool)])[order]
+        service_seed = substream_seed(substream_seed(seed, "fwd"), f"service/{i}")
+        service = simkit._service_times(spec, len(arrive), sizes, service_seed)
+        served = np.cumsum(service)
+        leave = served + np.fmax.accumulate(arrive - (served - service))
+        upd_in, upd_out = arrive[is_update], leave[is_update]
+        left = int(np.sum(upd_out <= duration))
+        departs.append(left)
+        time_sums.append(float(np.sum(upd_out[:left] - upd_in[:left])))
+        out = leave <= duration
+        arrive, sizes, is_update = leave[out], sizes[out], is_update[out]
+    return arrive[is_update], tuple(departs), tuple(time_sums)
+
+
+@pytest.mark.parametrize("spec, lam", [(ServiceSpec("det", 2.0), 1.2), (ServiceSpec("link", 1e6), 70.0)])
+@pytest.mark.parametrize("entries", [(), (0,), (2,), (0, 3, 3)])
+def test_identical_nodes_share_running_sums_exactly(spec, lam, entries):
+    # a node with the spec of the one before it and no flow entering reads a
+    # prefix of that node's running sum; that must be bit for bit the sum
+    # it would compute, whether or not a flow enters inside the run
+    rate_bps = 8.0 * 1040 * 0.15 * spec.effective_rate(1040)
+    flows = tuple(CrossTraffic(entry=e, rate_bps=rate_bps, packet_bytes=1040 - 100 * k) for k, e in enumerate(entries))
+    net = QueueNetwork(forward=(spec,) * 5, cross_traffic=flows)
+    duration = 2000.0 / lam
+    got, _, dlv = simkit._open_loop(net, lam, "poisson", duration, 7, 0.1)
+    want_dlv, departs, time_sums = _open_loop_per_node(net, lam, "poisson", duration, 7)
+    assert got.node_departs[-1] > 1000  # queues form and most updates arrive
+    assert dlv.tobytes() == want_dlv.tobytes()
+    assert got.node_departs == departs
+    assert got.node_time_in_system_sum == time_sums
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -556,6 +623,33 @@ def test_window_ages_match_whole_array_calls():
     want = [age_time_average(gen, dlv, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     assert not any(math.isnan(w) for w in want)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+@st.composite
+def reset_windows(draw):
+    """Resets and window edges: edges fall anywhere, on delivery instants,
+    before the first delivery and inside gaps, some of them twice."""
+    dlv = np.cumsum(draw(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=40)))
+    gen = dlv - draw(st.lists(st.floats(0.0, 3.0), min_size=len(dlv), max_size=len(dlv)))
+    edge = st.one_of(st.floats(-1.0, float(dlv[-1]) + 2.0), st.sampled_from(dlv.tolist()))
+    return gen, dlv, np.sort(draw(st.lists(edge, min_size=2, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reset_windows())
+# resets at 1, 2, 4 and 8 and windows [0, 2] (opens before the first
+# delivery, closes on one), [2, 2.5], [2.5, 3] (empty, inside a gap),
+# [3, 4.5] (one reset) and [4.5, 9]
+@example((np.array([0.5, 1.5, 3.0, 7.5]), np.array([1.0, 2.0, 4.0, 8.0]), np.array([0.0, 2.0, 2.5, 3.0, 4.5, 9.0])))
+def test_window_ages_equal_the_calls_on_their_resets(windows):
+    gen, dlv, edges = windows
+    cut = np.searchsorted(dlv, edges, side="right")
+    want = [
+        age_time_average(gen[max(i - 1, 0) : j], dlv[max(i - 1, 0) : j], lo, hi)
+        for i, j, lo, hi in zip(cut, cut[1:], edges, edges[1:])
+    ]
+    # bit for bit, NaN included
+    assert [float(x).hex() for x in simkit._window_ages(gen, dlv, edges)] == [float(x).hex() for x in want]
+
 
 def test_sweep_tandem_argmin_near_analytic():
     lam_star, _ = analytics.optimal_lambda(lambda l: analytics.aoi_tandem(l, 1.0, 1.0), 0.05, 0.95)
