@@ -57,13 +57,10 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (simkit.ConfigError, analytics.StabilityError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
     except InitializationError as err:
         print(f"error: initialization failed: {err}", file=sys.stderr)
         return EXIT_RUNTIME
-    except OSError as err:
+    except (ValueError, OSError) as err:  # ConfigError and StabilityError are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -95,7 +95,7 @@ class RateController:
             self.escalating = False
             self.mdec_level = 0
             return _INC
-        # both falling: keep draining; ride an armed multiplicative sequence,
+        # both falling: keep draining; ride a running multiplicative sequence,
         # otherwise decrease additively and disarm
         if self.escalating and self.mdec_level > 0:
             return self._mdec(backlog_now)

@@ -142,12 +142,12 @@ def require_monitor_limits(duration: Optional[float], max_updates: Optional[int]
 class SourceSession:
     """Sans-io source endpoint: init probing, pacing, epoch control.
 
-    Drive it with ``on_start`` once, then ``on_datagram``/``on_timer``;
-    every call returns the frames to transmit.  The call that ends probing
-    also begins the first epoch and returns its first send.
-    ``next_deadline`` is the time of the next pending timer action: the
-    probe timeout, then the next send.  The instant a caller passes is the
-    only clock, and a period lost to rounding there is a ValueError.
+    Drive it with ``on_timer`` and ``on_datagram``; every call returns the
+    frames to transmit, and only one that returns frames moves ``deadline``
+    (read-only): due at once when made, then the probe timeout, then the
+    next send.  The call that ends probing also sets ``epochs_began``
+    (read-only) and returns the first epoch's first send.  The instant a
+    caller passes is the only clock; a period lost to rounding is a ValueError.
 
     Closed epochs are kept in typed columns, about 56 B each: the six
     floats of each record in one ``array("d")`` with stride 6, and its
@@ -169,10 +169,10 @@ class SourceSession:
         self.malformed = 0
         self.fresh_acks = 0
         self._payload = bytes(cfg.payload_size)
-        self._deadline = math.inf  # probe timeout, then the next send
+        self.deadline = -math.inf  # due now, then the probe timeout, then the next send
         self.initial_rate: Optional[float] = None  # inverse mean probe RTT
         self.rate = math.nan  # current send rate, set once epochs begin
-        self._epochs_began = math.inf  # not yet
+        self.epochs_began = math.inf  # not yet
         self._epoch_sends = 0  # sends in the running epoch
         self._rtt_sum = 0.0
 
@@ -211,7 +211,7 @@ class SourceSession:
     def _closed_epochs(self):
         """(close, length, avg_age, avg_backlog, rate_at_open) per closed epoch: each opens at
         the close and rate of the one before, the first where epochs began at the first rate."""
-        cols, opened, rate = self._epoch_floats, self._epochs_began, self._fixed_rate or self.initial_rate
+        cols, opened, rate = self._epoch_floats, self.epochs_began, self._fixed_rate or self.initial_rate
         for i in range(0, len(cols), 6):
             t = cols[i]
             yield t, t - opened, cols[i + 2], cols[i + 3], rate
@@ -222,19 +222,10 @@ class SourceSession:
         """(length, avg_age, avg_backlog, rate_at_open) per closed epoch."""
         return [(length, age, backlog, rate) for _, length, age, backlog, rate in self._closed_epochs()]
 
-    def next_deadline(self) -> float:
-        return self._deadline
-
     # -- init phase -------------------------------------------------------
 
-    def on_start(self, t: float) -> list[bytes]:
-        """Begin the initialization phase; returns the first probe."""
-        if self.sends:
-            raise RuntimeError("session already started")
-        return [self._send_probe(t)]
-
     def _send_probe(self, t: float) -> bytes:
-        self._deadline = t + self.cfg.probe_timeout
+        self.deadline = t + self.cfg.probe_timeout
         return self._send_update(t)
 
     def _send_update(self, t: float) -> bytes:
@@ -261,7 +252,7 @@ class SourceSession:
             self.controller = RateController(self.rate, updates_per_epoch=self._updates_per_epoch)
         self.estimator.restart_epochs(t)
         self.state = _RUN
-        self._epochs_began = self._deadline = t
+        self.epochs_began = self.deadline = t
         return self._process_due(t)
 
     # -- datagram / timer inputs -------------------------------------------
@@ -293,8 +284,8 @@ class SourceSession:
         return []
 
     def on_timer(self, t: float) -> list[bytes]:
-        """Handle a due deadline (probe timeout or send instant)."""
-        if t < self._deadline:
+        """Handle a due deadline (the start, a probe timeout or a send instant)."""
+        if t < self.deadline:
             return []
         if self.state == _INIT:
             if self.sends < self.cfg.probe_count:
@@ -308,12 +299,12 @@ class SourceSession:
         if self._epoch_sends == self._updates_per_epoch:
             self._close_epoch(t)
         period = 1.0 / self.rate
-        deadline = self._deadline + period
+        deadline = self.deadline + period
         if deadline <= t:
             deadline = t + period
             if deadline == t:
                 raise ValueError(f"send period of rate {self.rate}/s is lost to rounding at t={t}")
-        self._deadline = deadline
+        self.deadline = deadline
         self._epoch_sends += 1
         return [self._send_update(t)]
 
@@ -355,7 +346,7 @@ class SourceSession:
         ``skip_time`` drops leading epochs until that much epoch time has
         elapsed (warm-up exclusion).
         """
-        return self.epoch_averages(self._epochs_began + skip_time)[0]
+        return self.epoch_averages(self.epochs_began + skip_time)[0]
 
     @property
     def lambda_final(self) -> Optional[float]:
@@ -368,7 +359,7 @@ class SourceSession:
         return self._rtt_sum / self.fresh_acks if self.fresh_acks else None
 
     def summary(self) -> dict:
-        est_age, est_backlog, _ = self.epoch_averages(self._epochs_began)
+        est_age, est_backlog, _ = self.epoch_averages(self.epochs_began)
         return {
             "policy": self.cfg.policy,
             "lambda_initial": self.initial_rate,
@@ -527,7 +518,7 @@ class UdpLink:
         """Wait until the monotonic instant ``deadline`` (inf: forever) for a
         datagram; returns (bytes, now), or (None, now) with now >= deadline."""
         wait = deadline - self.now()  # the socket rounds it up to whole ms
-        self.sock.settimeout(None if math.isinf(wait) else max(wait, 0.0))
+        self.sock.settimeout(None if wait == math.inf else max(wait, 0.0))
         try:
             data, addr = self.sock.recvfrom(65_535)
         except (TimeoutError, BlockingIOError):  # socket.timeout is TimeoutError
@@ -637,7 +628,7 @@ class SimulatedPath:
             if reply is not None and not (self._loss and self._rev_loss() < self._loss):
                 self._order += 1
                 heapq.heappush(in_flight, (t + self._rev_delay(), False, self._order, reply))
-        if math.isinf(deadline):
+        if deadline == math.inf:
             raise RuntimeError("recv would block forever: no traffic in flight")
         if deadline >= self._now:
             self._now = deadline
@@ -663,15 +654,15 @@ def run_source(
     session = SourceSession(cfg, trace_writer)
     send, recv, on_timer, on_datagram = link.send, link.recv, session.on_timer, session.on_datagram
     now = link.now()
-    frames = session.on_start(now)
+    frames = on_timer(now)
     while True:
         # send first: a send at the end instant still goes out
         for frame in frames:
             send(frame)
-        end = session._epochs_began + duration  # inf while probing
+        end = session.epochs_began + duration  # inf while probing
         if now >= end:
             return session.summary(), session
-        deadline = session._deadline
+        deadline = session.deadline
         data, now = recv(end if end < deadline else deadline)
         frames = on_timer(now) if data is None else on_datagram(now, data)
 

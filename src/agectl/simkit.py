@@ -40,13 +40,14 @@ A packet carries its arrival handler.  An update that ends its route by
 the end of the run arrives within the walk: its monitor runs at the exit
 instant and its ACK is walked through the reverse chain there, so a
 round trip takes two heap entries, the send timer and the ACK's arrival
-at the source.  Cross traffic ends with no entry.  Each source's timer
-takes one heap entry per deadline, not one per endpoint call; a session
-call on an ACK that returns no frames leaves the deadline as it was, so
-nothing is re-armed after it.  Source k starts at an offset drawn from
-its own substream, uniform on [0, probe_timeout), so no two sources'
-timers share an instant and no result depends on how the heap breaks a
-tie between them; that span must end within the warm-up.
+at the source.  Cross traffic ends with no entry.  A source's timer
+takes one heap entry per session call that returned frames (the only
+calls that move its deadline), tagged with the source's send count; an
+entry runs only if no update was sent since, and the start is the entry
+tagged 0.  Source k starts at an offset drawn from its own substream,
+uniform on [0, probe_timeout), so no two sources' timers share an
+instant and no result depends on how the heap breaks a tie between
+them; that span must end within the warm-up.
 
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.
@@ -744,14 +745,6 @@ def run_closed_loop(
     n_all = n_fwd + len(net.reverse)
     sessions = [SourceSession(cfg) for _ in range(n_sources)]
     monitors = [MonitorSession() for _ in range(n_sources)]
-    # (instant, phase) of each source's live timer entry, (None, None) once
-    # it ran; an entry runs only if both match.  The phase is the session's
-    # state, init or run.  Within a phase a source's deadlines never fall (a
-    # probe leaves no earlier than the one before, send instants strictly
-    # increase), so an entry left behind fires before the armed instant.  But
-    # probe timeouts left pending by the ACK that ends probing can fall on a
-    # later send's instant: their phase tells them apart.
-    armed = [(None, None)] * n_sources
     ack_size = float(net.ack_bytes)
     # 8 B per instant, each read back as a built-in float
     cross_times = [
@@ -760,24 +753,22 @@ def run_closed_loop(
     ]
 
     def after_session_call(t: float, src: int, frames) -> None:
-        # the timer goes in before the frames' ACKs, so a send still runs
-        # before an ACK that ties with it
+        # only a call that returned frames moves the deadline; the new timer
+        # entry goes in before the frames' ACKs, so a send still runs before
+        # an ACK that ties with it
+        if not frames:
+            return
         session = sessions[src]
-        deadline, phase = session._deadline, session.state
-        if deadline != armed[src][0]:
-            armed[src] = (deadline, phase)
-            if deadline <= duration:
-                engine.push(deadline, on_timer, src, phase)
+        if session.deadline <= duration:
+            engine.push(session.deadline, on_timer, src, session.sends)
         for frame in frames:
             engine.enqueue(t, 0, (True, float(len(frame)), n_fwd, update_arrives, src, frame))
 
-    def on_start(t: float, src: int, _) -> None:
-        after_session_call(t, src, sessions[src].on_start(t))
-
-    def on_timer(t: float, src: int, phase: str) -> None:
-        if (t, phase) == armed[src]:
-            armed[src] = (None, None)
-            after_session_call(t, src, sessions[src].on_timer(t))
+    def on_timer(t: float, src: int, sends: int) -> None:
+        # an entry runs only if no update was sent after it was pushed
+        session = sessions[src]
+        if sends == session.sends:
+            after_session_call(t, src, session.on_timer(t))
 
     def on_cross(t: float, flow_idx: int, k: int) -> None:
         flow = net.cross_traffic[flow_idx]
@@ -792,17 +783,14 @@ def run_closed_loop(
             engine.enqueue(t, n_fwd, (False, ack_size, n_all, ack_arrives, src, reply))
 
     def ack_arrives(t: float, src: int, frame: bytes) -> None:
-        # a call that returns no frames leaves the session's deadline as it was
-        frames = sessions[src].on_datagram(t, frame)
-        if frames:
-            after_session_call(t, src, frames)
+        after_session_call(t, src, sessions[src].on_datagram(t, frame))
 
     heads = {0, n_fwd} | {flow.entry for flow in net.cross_traffic}
     specs = tuple(net.forward) + tuple(net.reverse)
     engine = _Engine(specs, substream_seed(seed, "net"), heads, warmup, duration)
     for src in range(n_sources):
         start = np.random.Generator(np.random.PCG64(substream_seed(seed, f"start/{src}"))).random()
-        engine.push(start * cfg.probe_timeout, on_start, src)
+        engine.push(start * cfg.probe_timeout, on_timer, src, 0)
     for i, times in enumerate(cross_times):
         if times:
             engine.push(times[0], on_cross, i, 0)

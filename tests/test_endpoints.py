@@ -83,7 +83,7 @@ def test_init_rate_constant_rtt():
     # three probes all answered in 0.2 s: initial rate 5/s
     cfg = SourceConfig(probe_count=3)
     sess = SourceSession(cfg)
-    frames = sess.on_start(0.0)
+    frames = sess.on_timer(0.0)
     t = 0.0
     for _ in range(3):
         assert len(frames) == 1
@@ -97,7 +97,7 @@ def test_init_rate_mean_of_two():
     # RTTs 0.1 and 0.3: arithmetic mean 0.2, rate 5/s
     cfg = SourceConfig(probe_count=2)
     sess = SourceSession(cfg)
-    frames = sess.on_start(0.0)
+    frames = sess.on_timer(0.0)
     frames = sess.on_datagram(0.1, ack_for(frames[0]))
     frames = sess.on_datagram(0.1 + 0.3, ack_for(frames[0]))
     assert sess.state == "run"
@@ -107,7 +107,7 @@ def test_init_rate_mean_of_two():
 def test_init_timeouts_excluded_from_mean():
     cfg = SourceConfig(probe_count=3, probe_timeout=1.0)
     sess = SourceSession(cfg)
-    first = sess.on_start(0.0)
+    first = sess.on_timer(0.0)
     # probe 1 times out, probe 2 answered in 0.4 s, probe 3 times out
     second = sess.on_timer(1.0)
     assert len(second) == 1
@@ -121,7 +121,7 @@ def test_init_timeouts_excluded_from_mean():
 def test_init_total_failure():
     cfg = SourceConfig(probe_count=2, probe_timeout=0.5)
     sess = SourceSession(cfg)
-    sess.on_start(0.0)
+    sess.on_timer(0.0)
     sess.on_timer(0.5)
     with pytest.raises(InitializationError):
         sess.on_timer(1.0)
@@ -145,7 +145,7 @@ def test_init_over_exponential_link_across_seeds():
 def test_late_probe_ack_still_counts_for_the_mean():
     cfg = SourceConfig(probe_count=2, probe_timeout=0.5)
     sess = SourceSession(cfg)
-    first = sess.on_start(0.0)
+    first = sess.on_timer(0.0)
     second = sess.on_timer(0.5)  # probe 1 timed out, probe 2 out
     # probe 1's ACK arrives late, then probe 2's
     sess.on_datagram(0.7, ack_for(first[0]))
@@ -158,7 +158,7 @@ def test_ack_with_a_wrong_echo_is_malformed():
     # probe 1 left at t=0; an ACK that names it but echoes another instant
     # is no evidence that it arrived
     sess = SourceSession(SourceConfig(probe_count=1))
-    sess.on_start(0.0)
+    sess.on_timer(0.0)
     assert sess.on_datagram(0.1, wire.encode_ack(1, 123456789)) == []
     assert (sess.malformed, sess.fresh_acks, sess.stale_acks) == (1, 0, 0)
     assert sess.state == "init" and sess.initial_rate is None
@@ -354,17 +354,19 @@ class SourceMachine(RuleBasedStateMachine):
         self.probes = []  # (t, seq, gen_ts_us) of each probe
         self.run_sends = []  # (t, seq, gen_ts_us) of each send once epochs began
         self.counts = {"fresh_acks": 0, "stale_acks": 0, "malformed": 0}
-        self._call(self.sess.on_start)
+        self._call(self.sess.on_timer)  # a new session is due at once
 
     def _call(self, method, *args):
         """Call ``method`` at ``self.t`` and record the sends: the call that
         ends probing also makes the first send of the first epoch.  A call
         that returns no frames must leave the deadline and the state as they
-        were (the closed-loop simulator re-arms no timer after it)."""
+        were, and a timer at or after the deadline must return a frame: the
+        closed-loop simulator re-arms a timer only after a call that did."""
         sess = self.sess
         if self.failed:
             return
-        before = (sess.next_deadline(), sess.state)
+        before = (sess.deadline, sess.state)
+        due = method.__name__ == "on_timer" and self.t >= sess.deadline
         try:
             frames = method(self.t, *args)
             sends = self.run_sends if sess.state == "run" else self.probes
@@ -372,8 +374,9 @@ class SourceMachine(RuleBasedStateMachine):
         except (ValueError, InitializationError):
             self.failed = True
             return
+        assert frames or not due
         if not frames:
-            assert (sess.next_deadline(), sess.state) == before, method.__name__
+            assert (sess.deadline, sess.state) == before, method.__name__
 
     def _sent(self):
         return self.probes + self.run_sends
@@ -386,7 +389,7 @@ class SourceMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.sess.state == "run")
     @rule()
     def send_due(self):
-        self.t = max(self.t, self.sess.next_deadline())
+        self.t = max(self.t, self.sess.deadline)
         self._call(self.sess.on_timer)
 
     def _ack(self, gap, frame, outcome):
@@ -437,7 +440,7 @@ class SourceMachine(RuleBasedStateMachine):
         closes = [rec["t"] for rec in sess.trace]
         opened = run_times[self.cfg.updates_per_epoch :: self.cfg.updates_per_epoch]
         assert closes == opened or (self.failed and closes[:-1] == opened)
-        assert not math.isnan(sess.next_deadline())
+        assert not math.isnan(sess.deadline)
         assert len(sess.trace) == sess.epoch_index and self.records == sess.trace
         assert {name: getattr(sess, name) for name in self.counts} == self.counts
 
@@ -467,12 +470,12 @@ def test_fixed_policy_sawtooth_average():
 def test_pacing_gaps_are_exact_within_epoch():
     cfg = SourceConfig(policy="fixed:4", probe_count=1)
     sess = SourceSession(cfg)
-    frames = sess.on_start(0.0)
+    frames = sess.on_timer(0.0)
     frames = sess.on_datagram(0.25, ack_for(frames[0]))  # probing ends: the first epoch opens
     assert [wire.decode_update(f) for f in frames] == [(2, 250_000)]  # its first send, at the ACK
     send_times = [0.25]
     for _ in range(25):
-        deadline = sess.next_deadline()
+        deadline = sess.deadline
         got = sess.on_timer(deadline)
         send_times += [deadline] * len(got)
     gaps = [b - a for a, b in zip(send_times, send_times[1:])]
@@ -483,7 +486,7 @@ def test_epoch_spans_and_averages_by_hand():
     # fixed:4 with 2 updates per epoch: the probe (gen 0.0) is answered at
     # 0.5, so the initial rate is 2/s and epochs of 0.5 s open at 0.5, 1.0
     sess = SourceSession(SourceConfig(policy="fixed:4", probe_count=1, updates_per_epoch=2))
-    probe = sess.on_start(0.0)[0]
+    probe = sess.on_timer(0.0)[0]
     sent = sess.on_datagram(0.5, ack_for(probe))  # seq 2 at 0.5
     assert sess.initial_rate == 2.0 and sess.epoch_spans == []
     sess.on_datagram(0.625, ack_for(sent[0]))  # age resets to 0.125
@@ -508,13 +511,13 @@ def test_lazy_pacing_holds_across_epoch_closes():
     # each send is one period of the rate in force at the previous send,
     # also where an epoch closes between the two
     sess = SourceSession(SourceConfig(policy="lazy", probe_count=1, updates_per_epoch=2))
-    frames = sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))  # epochs open at 0.5
+    frames = sess.on_datagram(0.5, ack_for(sess.on_timer(0.0)[0]))  # epochs open at 0.5
     sends = [(0.5, sess.rate)]  # (instant, rate at that send)
     for share in (0.2, 0.6, 0.3, 0.5, 0.4, 0.25, 0.55):
         # the ACK lands before the next send and moves rtt_ewma, and the rate with it
         t, rate = sends[-1]
         sess.on_datagram(t + share / rate, ack_for(frames[0]))
-        due = sess.next_deadline()
+        due = sess.deadline
         frames = sess.on_timer(due)
         assert len(frames) == 1
         sends.append((due, sess.rate))
@@ -530,27 +533,27 @@ def test_late_timer_skips_missed_sends():
     # restarts from it, so no burst of sends shares one instant
     eta = 2
     sess = SourceSession(SourceConfig(policy="fixed:10", probe_count=1, updates_per_epoch=eta))
-    frames = sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))  # epochs open at 0.5
+    frames = sess.on_datagram(0.5, ack_for(sess.on_timer(0.0)[0]))  # epochs open at 0.5
     for closes in (0, 1):
-        late = sess.next_deadline() + (2 * eta + 2) / sess.rate
+        late = sess.deadline + (2 * eta + 2) / sess.rate
         sess.on_datagram(late, ack_for(frames[0]))
         frames = sess.on_timer(late)
         assert len(frames) == 1 and sess.epoch_index == closes
-        assert sess.next_deadline() == late + 1.0 / sess.rate
+        assert sess.deadline == late + 1.0 / sess.rate
     assert sess.trace[0]["t"] == late
 
 
 @pytest.mark.parametrize("late_periods", [10.0, 0.3])
 def test_late_timer_sends_once_at_the_call_instant(late_periods):
     sess = SourceSession(SourceConfig(policy="fixed:10", probe_count=1, updates_per_epoch=2))
-    sess.on_datagram(0.5, ack_for(sess.on_start(0.0)[0]))  # epochs open at 0.5
-    due = sess.next_deadline()
+    sess.on_datagram(0.5, ack_for(sess.on_timer(0.0)[0]))  # epochs open at 0.5
+    due = sess.deadline
     late = due + late_periods / sess.rate
     frames = sess.on_timer(late)
     assert [wire.decode_update(f)[1] for f in frames] == [round(late * 1e6)]
     assert sess.epoch_index == 0
     # whole missed periods are skipped; a fraction of one keeps the grid
-    assert sess.next_deadline() == (late if late_periods >= 1.0 else due) + 1.0 / sess.rate
+    assert sess.deadline == (late if late_periods >= 1.0 else due) + 1.0 / sess.rate
 
 
 @pytest.mark.parametrize("policy, ack_at", [("acp_plus", 1e-300), ("fixed:1e17", 0.5)])
@@ -559,7 +562,7 @@ def test_send_period_lost_to_rounding_is_rejected(policy, ack_at):
     # instant: probe 1 answered at ack_at sets the rate, probe 2 times out
     # and epochs open at its timeout (1.0 and 1.5), where the period is lost
     sess = SourceSession(SourceConfig(policy=policy, probe_count=2))
-    sess.on_datagram(ack_at, ack_for(sess.on_start(0.0)[0]))
+    sess.on_datagram(ack_at, ack_for(sess.on_timer(0.0)[0]))
     with pytest.raises(ValueError, match="lost to rounding"):
         sess.on_timer(ack_at + 1.0)
     assert sess.sends == 2 and sess.epoch_index == 0  # the probes only
@@ -717,6 +720,22 @@ def test_simulated_path_ack_beats_update_at_equal_instant():
     assert path.monitor.accepted == 1
 
 
+@pytest.mark.parametrize("in_flight", [False, True])
+def test_simulated_path_past_deadline_returns_at_once(in_flight):
+    # -inf, a new session's deadline, is past: only +inf waits forever
+    path = SimulatedPath(fwd_delay=0.01, rev_delay=0.01)
+    path.recv(0.5)
+    if in_flight:
+        path.send(wire.encode_update(1, 0))
+    assert path.recv(-math.inf) == (None, 0.5)
+    if in_flight:  # the update is still on its way, and its ACK follows
+        assert path.monitor.accepted == 0
+        assert path.recv(math.inf) == (wire.encode_ack(1, 0), 0.52)
+    else:
+        with pytest.raises(RuntimeError, match="block forever"):
+            path.recv(math.inf)
+
+
 @pytest.mark.parametrize("duration", [math.nan, math.inf, -5.0, 0.0])
 def test_drivers_reject_bad_duration(duration):
     path = SimulatedPath(fwd_delay=0.01, rev_delay=0.01)
@@ -742,7 +761,7 @@ def test_run_monitor_rejects_bad_max_updates(max_updates):
 def _spans_from_records(sess):
     """``epoch_spans`` as computed from a dict per epoch before the columns."""
     first_rate = sess._fixed_rate if sess.policy_kind == "fixed" else sess.initial_rate
-    spans, opened, rate = [], sess._epochs_began, first_rate
+    spans, opened, rate = [], sess.epochs_began, first_rate
     for rec in sess.trace:
         spans.append((rec["t"] - opened, rec["delta_bar"], rec["b_bar"], rate))
         opened, rate = rec["t"], rec["lambda"]
@@ -874,6 +893,28 @@ def test_udp_recv_waits_until_the_deadline():
         assert data is None and t - asked < 0.04
     finally:
         link.close()
+
+
+class _IdleSocket:
+    """A UDP socket stand-in with nothing to receive that notes each timeout."""
+
+    def __init__(self):
+        self.timeouts = []
+
+    def settimeout(self, timeout):
+        self.timeouts.append(timeout)
+
+    def recvfrom(self, size):
+        raise BlockingIOError if self.timeouts[-1] == 0.0 else TimeoutError
+
+
+def test_udp_recv_waits_forever_only_on_an_infinite_deadline():
+    sock = _IdleSocket()
+    link = UdpLink(sock)
+    assert link.recv(-math.inf)[0] is None  # a new session's deadline: poll once
+    assert link.recv(link.now() - 1.0)[0] is None
+    assert link.recv(math.inf)[0] is None
+    assert sock.timeouts == [0.0, 0.0, None]
 
 
 def test_endpoints_run_without_the_simulator():

@@ -42,6 +42,10 @@ CLOSED_LOOP_CASES = {
     # decides: an ACK's entry is pushed as its update enters the last
     # forward segment, so it runs after a timer pushed before that
     "det4-10-fixed4-2src": (_chain("det", [4.0], [10.0]), "fixed:4.0", 2, 30.0, 0),
+    # a new deadline falls on a probe timeout left pending when probing
+    # ended, so a timer entry is pushed at an instant that holds a stale one
+    "det4-4-lazy-2src": (_chain("det", [4.0], [4.0]), "lazy", 2, 30.0, 0),
+    "det4-4-acp_plus-2src": (_chain("det", [4.0], [4.0]), "acp_plus", 2, 30.0, 0),
 }
 
 CLOSED_LOOP_DIGESTS = {
@@ -50,6 +54,8 @@ CLOSED_LOOP_DIGESTS = {
     "sixhop-acp_plus": "225f36da7cb1732fdbcc00419abfa982c9edcf6dfae41e794ff10e8a25912ba9",
     "sixhop-lazy": "19cba2abb78c9144d5b52fe750345f3da33fbdf3bdfdcec2f767789c0d78aa1b",
     "det4-10-fixed4-2src": "46d58257d93d800ea30630e01cc4d714234606c1e47d2d9d9a3dfd857b71cbf9",
+    "det4-4-lazy-2src": "dc11dc4a5c9fc82a07cba89304cb52944052b42f7da85fe408e5db1e4aff3c6c",
+    "det4-4-acp_plus-2src": "121046ac6694cdb53ecba6295c4f66de3dfcf92e17d2b249c1765520c9582e50",
 }
 
 
@@ -82,6 +88,8 @@ BACKLOG_DIGESTS = {
     "sixhop-acp_plus": "b0e6e107dd74873cbf4ecc120b87214f45f3358dc5b2d6192a37f719e6df290b",
     "sixhop-lazy": "bd3449f45e52d991c6b8f31b4283b9e59b3964d332e5de2744141baa91aae9b2",
     "det4-10-fixed4-2src": "9469483dec44b451e8989c462ebc4d5e8f052b6ae80cb55e5ad0c63bd87da9f4",
+    "det4-4-lazy-2src": "4e0791e535db76817dd43afcca9168312d2318ae0c46107ea3b70ab71d4dcf44",
+    "det4-4-acp_plus-2src": "eb9da09ae8a0370710c0dccb5852836da56c9f0bc0c52d76ed862befb958a602",
 }
 
 

@@ -880,7 +880,7 @@ def test_timer_entry_is_armed_once_per_deadline():
         result = run_closed_loop(net, "fixed:2.0", 1, duration=60.0, seed=0)
     assert result.sources[0].fresh_acks > 100
     assert made[0].stale_armed_at  # probes answered early leave stale timeouts
-    assert [t for t in made[0].stale_armed_at if t >= sessions[0]._epochs_began] == []
+    assert [t for t in made[0].stale_armed_at if t >= sessions[0].epochs_began] == []
 
 
 def test_no_two_sources_share_a_timer_instant():
