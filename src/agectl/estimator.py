@@ -15,6 +15,9 @@ processes from what it can see locally:
   stale one; each fresh sample also feeds the RTT and ACK-gap EWMAs.  A
   fresh ACK must echo the timestamp its update carried on the wire, as
   ``on_send`` was given it; one that does not is rejected unused.
+* Only the newest ``MAX_PENDING`` unacknowledged sends are kept, so a
+  far end that never answers costs bounded memory.  An ACK for an older
+  one counts as stale.
 
 Both sample paths are integrated lazily so per-epoch time averages are
 exact, not sampled.  Before the first fresh ACK the age process is
@@ -30,6 +33,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 DEFAULT_ALPHA = 0.25
+# unacknowledged sends kept: over ten times the most any bundled config,
+# benchmark workload or test reaches
+MAX_PENDING = 4096
 
 
 class ProtocolError(Exception):
@@ -66,7 +72,8 @@ class SourceEstimator:
         self.highest_acked = 0
         self.rtt_ewma: Optional[float] = None
         self.ack_gap_ewma: Optional[float] = None
-        # seq -> (generation time, its wire timestamp), seqs > highest_acked
+        # seq -> (generation time, its wire timestamp) of the newest
+        # unacknowledged sends, at most MAX_PENDING, oldest first
         self._pending: dict[int, tuple[float, int]] = {}
         self._acked_gen_ts = 0.0  # generation time of update highest_acked
         self._last_fresh_at: Optional[float] = None
@@ -110,20 +117,24 @@ class SourceEstimator:
         self._clock = t
         self.highest_sent = seq
         self._pending[seq] = (gen_ts, gen_ts_us)
+        if seq - self.highest_acked > MAX_PENDING:
+            del self._pending[seq - MAX_PENDING]
 
     def on_ack(self, t: float, seq: int, echo_ts_us: int) -> Optional[float]:
         """Process an ACK; a fresh one resets the age, updates the EWMAs and
-        returns its RTT, a stale one changes nothing and returns None.
+        returns its RTT, a stale one changes nothing and returns None.  An ACK
+        for a send no longer kept (``MAX_PENDING``) counts as stale.
 
         A fresh ACK whose ``echo_ts_us`` is not the ``gen_ts_us`` update
         ``seq`` was sent with raises ProtocolError and changes nothing."""
         sent, acked = self.highest_sent, self.highest_acked
         if seq < 1 or seq > sent:
             raise ProtocolError(f"ACK for unknown seq {seq} (highest sent {sent})")
-        if seq <= acked:
-            return None
         pending = self._pending
-        gen_ts, gen_ts_us = pending[seq]
+        kept = pending.get(seq)
+        if kept is None:  # acknowledged already, or too old to be kept
+            return None
+        gen_ts, gen_ts_us = kept
         if echo_ts_us != gen_ts_us:
             raise ProtocolError(f"ACK for seq {seq} echoes {echo_ts_us}, update carried {gen_ts_us}")
         # _advance(t), inlined on the per-packet calls
@@ -137,12 +148,12 @@ class SourceEstimator:
                 self._age_area += dt * ((clock + t) * 0.5 - self._acked_gen_ts)
         self._clock = t
         rtt = t - gen_ts
-        # everything at or below seq is now implicitly acknowledged
+        # every kept send at or below seq is now implicitly acknowledged
         if seq == acked + 1:
             del pending[seq]
         else:
-            for s in range(acked + 1, seq + 1):
-                pending.pop(s, None)
+            for s in range(max(acked, sent - MAX_PENDING) + 1, seq + 1):
+                del pending[s]
         self.highest_acked = seq
         self._acked_gen_ts = gen_ts
         if self.rtt_ewma is None:

@@ -33,9 +33,9 @@ Closed-loop runs, where the endpoints react to every delivery, apply it
 one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
 that breaks time ties by insertion order holds one entry for its exit
-into the next segment.  The walk reads ``det`` and ``link`` service
-times from a table per packet size, filled from ``_service_fn`` when the
-size first enters; only ``exp`` nodes draw, once per visit.
+into the next segment.  The walk follows a list of (node, service time)
+pairs per packet size and entry point, built from ``_service_fn`` when
+that size first enters there; only ``exp`` nodes draw, once per visit.
 A packet carries its arrival handler.  An update that ends its route by
 the end of the run arrives within the walk: its monitor runs at the exit
 instant and its ACK is walked through the reverse chain there, so a
@@ -291,10 +291,13 @@ class _Engine:
     arrive at the reverse chain's head, which only ACKs enter.
 
     ``_service`` holds each node's ``_service_fn``, the one definition of
-    a service time.  ``_times`` maps a packet size to the service time at
-    every node, filled from those functions when the size first enters,
-    with None at ``exp`` nodes: only they call their function, drawing
-    once per visit in visit order from their own substream.
+    a service time.  ``_walks`` maps a packet size and a head to the walk
+    through that head's segment: one (node, service time) pair per node,
+    built from those functions when the size first enters there, with
+    None at ``exp`` nodes: only they call their function, drawing once
+    per visit in visit order from their own substream.  Updates take a
+    loop that adds the backlog areas; every other packet takes one
+    without them.
 
     The tie rule: on ``det`` chains with commensurate periods a timer can
     tie with an ACK or another packet's exit; results there are
@@ -306,7 +309,7 @@ class _Engine:
         n = len(specs)
         self._service = [_service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
         self._draws = [s.kind == "exp" for s in specs]  # nodes that draw once per visit
-        self._times: dict = {}  # packet size -> service time per node, None where it draws
+        self._walks: dict = {}  # (packet size, head) -> [(node, service time or None where it draws)]
         self._segment_end = [min((h for h in heads if h > i), default=n) for i in range(n)]
         self._free = [0.0] * n  # when each server finishes its last packet
         self._warmup = warmup
@@ -319,30 +322,47 @@ class _Engine:
         self._order += 1
         heapq.heappush(self.heap, (t, self._order, handler, a, b))
 
+    def _walk(self, size: float, i: int) -> list:
+        # a method of its own: a comprehension inside ``enqueue`` would make
+        # the locals it reads closure cells there, slower to read on every hop
+        # (before Python 3.12, which inlines comprehensions)
+        service, draws = self._service, self._draws
+        walk = self._walks[size, i] = [
+            (j, None if draws[j] else service[j](size)) for j in range(i, self._segment_end[i])
+        ]
+        return walk
+
     def enqueue(self, t: float, i: int, pkt) -> None:
         is_update, size, route_end, arrive, src, payload = pkt
-        end = self._segment_end[i]
-        free, area, service = self._free, self.area, self._service
-        times = self._times.get(size)
-        if times is None:
-            times = self._times[size] = [None if draws else fn(size) for fn, draws in zip(service, self._draws)]
-        warmup, duration = self._warmup, self._duration
-        for j in range(i, end):
-            busy = free[j]
-            serve = times[j]
-            if serve is None:
-                serve = service[j](size)
-            leave = free[j] = (busy if busy > t else t) + serve
-            if is_update:
+        walk = self._walks.get((size, i))
+        if walk is None:  # the first packet of this size to enter here
+            walk = self._walk(size, i)
+        free, service = self._free, self._service
+        if is_update:
+            area, warmup, duration = self.area, self._warmup, self._duration
+            for j, serve in walk:
+                busy = free[j]
+                if serve is None:
+                    serve = service[j](size)
+                leave = free[j] = (busy if busy > t else t) + serve
                 stay = (leave if leave < duration else duration) - (t if t > warmup else warmup)
                 if stay > 0.0:
                     area[j] += stay
-            t = leave
+                t = leave
+            end = self._segment_end[i]
+            if end < route_end:
+                self.push(t, self.enqueue, end, pkt)
+            elif t <= duration:
+                arrive(t, src, payload)
+            return
+        for j, serve in walk:
+            busy = free[j]
+            if serve is None:
+                serve = service[j](size)
+            t = free[j] = (busy if busy > t else t) + serve
+        end = self._segment_end[i]
         if end < route_end:
             self.push(t, self.enqueue, end, pkt)
-        elif is_update:
-            if t <= duration:
-                arrive(t, src, payload)
         elif arrive is not None:
             self.push(t, arrive, src, payload)
 
@@ -752,48 +772,55 @@ def run_closed_loop(
         for i, flow in enumerate(net.cross_traffic)
     ]
 
+    # each timer entry is tagged with its source's send count when pushed
+    # (``estimator.highest_sent``, which ``SourceSession.sends`` returns)
+    # and runs only if no update was sent since
+    estimators = [session.estimator for session in sessions]
+
     def after_session_call(t: float, src: int, frames) -> None:
-        # only a call that returned frames moves the deadline; the new timer
-        # entry goes in before the frames' ACKs, so a send still runs before
-        # an ACK that ties with it
-        if not frames:
-            return
+        # called only with frames: only such a call moves the deadline; the
+        # new timer entry goes in before the frames' ACKs, so a send still
+        # runs before an ACK that ties with it
         session = sessions[src]
         if session.deadline <= duration:
-            engine.push(session.deadline, on_timer, src, session.sends)
+            push(session.deadline, on_timer, src, estimators[src].highest_sent)
         for frame in frames:
-            engine.enqueue(t, 0, (True, float(len(frame)), n_fwd, update_arrives, src, frame))
+            enqueue(t, 0, (True, float(len(frame)), n_fwd, update_arrives, src, frame))
 
     def on_timer(t: float, src: int, sends: int) -> None:
-        # an entry runs only if no update was sent after it was pushed
-        session = sessions[src]
-        if sends == session.sends:
-            after_session_call(t, src, session.on_timer(t))
+        if sends == estimators[src].highest_sent:
+            frames = sessions[src].on_timer(t)
+            if frames:
+                after_session_call(t, src, frames)
 
     def on_cross(t: float, flow_idx: int, k: int) -> None:
         flow = net.cross_traffic[flow_idx]
-        engine.enqueue(t, flow.entry, (False, float(flow.packet_bytes), n_fwd, None, -1, None))
+        enqueue(t, flow.entry, (False, float(flow.packet_bytes), n_fwd, None, -1, None))
         times = cross_times[flow_idx]
         if k + 1 < len(times):
-            engine.push(times[k + 1], on_cross, flow_idx, k + 1)
+            push(times[k + 1], on_cross, flow_idx, k + 1)
 
     def update_arrives(t: float, src: int, frame: bytes) -> None:
         reply = monitors[src].on_datagram(t, frame)
         if reply is not None:
-            engine.enqueue(t, n_fwd, (False, ack_size, n_all, ack_arrives, src, reply))
+            enqueue(t, n_fwd, (False, ack_size, n_all, ack_arrives, src, reply))
 
     def ack_arrives(t: float, src: int, frame: bytes) -> None:
-        after_session_call(t, src, sessions[src].on_datagram(t, frame))
+        # once epochs have begun an ACK returns no frames
+        frames = sessions[src].on_datagram(t, frame)
+        if frames:
+            after_session_call(t, src, frames)
 
     heads = {0, n_fwd} | {flow.entry for flow in net.cross_traffic}
     specs = tuple(net.forward) + tuple(net.reverse)
     engine = _Engine(specs, substream_seed(seed, "net"), heads, warmup, duration)
+    push, enqueue = engine.push, engine.enqueue
     for src in range(n_sources):
         start = np.random.Generator(np.random.PCG64(substream_seed(seed, f"start/{src}"))).random()
-        engine.push(start * cfg.probe_timeout, on_timer, src, 0)
+        push(start * cfg.probe_timeout, on_timer, src, 0)
     for i, times in enumerate(cross_times):
         if times:
-            engine.push(times[0], on_cross, i, 0)
+            push(times[0], on_cross, i, 0)
 
     engine.run()
 

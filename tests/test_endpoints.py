@@ -28,6 +28,7 @@ from agectl.endpoints import (
     run_source,
     substream_seed,
 )
+from agectl.estimator import MAX_PENDING
 
 
 def ack_for(frame: bytes) -> bytes:
@@ -445,10 +446,12 @@ class SourceMachine(RuleBasedStateMachine):
         assert {name: getattr(sess, name) for name in self.counts} == self.counts
 
     @invariant()
-    def pending_holds_exactly_the_unacknowledged_sends(self):
-        # an in-order ACK and an ACK after losses clear their entries apart
+    def pending_holds_the_newest_unacknowledged_sends(self):
+        # an in-order ACK and an ACK after losses clear their entries apart;
+        # at most MAX_PENDING are kept
         est = self.sess.estimator
-        assert list(est._pending) == list(range(est.highest_acked + 1, est.highest_sent + 1))
+        oldest_kept = max(est.highest_acked, est.highest_sent - MAX_PENDING) + 1
+        assert list(est._pending) == list(range(oldest_kept, est.highest_sent + 1))
 
 
 TestSourceMachine = SourceMachine.TestCase

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from agectl.estimator import NoEstimateError, ProtocolError, SourceEstimator
+from agectl.estimator import MAX_PENDING, NoEstimateError, ProtocolError, SourceEstimator
 
 
 class ReplayOracle:
@@ -134,6 +134,33 @@ def test_out_of_sequence_ack_is_discarded():
     assert est.on_ack(0.6, 2, us(0.1)) is None
     assert est.highest_acked == 3
     assert est.age_at(0.6) == age_before
+
+
+def test_unanswered_sends_keep_bounded_memory():
+    # a far end that stops answering must not grow the source without bound:
+    # only the newest MAX_PENDING sends are kept, and an ACK for an older one
+    # is stale, so it returns None and changes nothing
+    est = SourceEstimator()
+    est.on_send(0.0, 1, 0.0, us(0.0))
+    est.on_ack(0.005, 1, us(0.0))
+    sent = 5000
+    for seq in range(2, sent + 1):
+        est.on_send(seq * 0.01, seq, seq * 0.01, us(seq * 0.01))
+    oldest = sent - MAX_PENDING + 1
+    assert MAX_PENDING < sent - 1
+    assert list(est._pending) == list(range(oldest, sent + 1))
+
+    before = {name: dict(v) if isinstance(v, dict) else v for name, v in vars(est).items()}
+    assert est.on_ack(60.0, oldest - 1, us((oldest - 1) * 0.01)) is None
+    assert est.on_ack(60.0, 2, 12345) is None  # dropped: not even the echo is checked
+    assert vars(est) == before
+
+    # the oldest kept send is fresh and clears nothing else; a later one
+    # implicitly acknowledges every kept send below it
+    assert est.on_ack(60.0, oldest, us(oldest * 0.01)) == pytest.approx(60.0 - oldest * 0.01)
+    assert list(est._pending) == list(range(oldest + 1, sent + 1))
+    assert est.on_ack(60.5, sent - 1, us((sent - 1) * 0.01)) == pytest.approx(60.5 - (sent - 1) * 0.01)
+    assert list(est._pending) == [sent] and est.backlog == 1
 
 
 def test_stale_ack_keeps_ewma():

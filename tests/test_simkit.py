@@ -23,6 +23,7 @@ from agectl.simkit import (
     AoiMetrics,
     ConfigError,
     CrossTraffic,
+    DEFAULT_UPDATE_BYTES,
     QueueNetwork,
     ServiceSpec,
     accepted_resets,
@@ -737,6 +738,26 @@ def test_closed_loop_lambda_final_once_sends_began():
     assert s.lambda_final == sessions[0].summary()["lambda_final"] == 0.5
 
 
+# one exp server, mu = 1, behind which ACKs return almost at once: the D/M/1
+# optimum is the least age that paced updates reach on it
+DM1_NET = QueueNetwork(forward=(ServiceSpec("exp", 1.0),), reverse=(ServiceSpec("det", 1000.0),))
+
+
+def test_acp_plus_true_age_against_the_dm1_optimum():
+    # a characterisation, not a target: it records how far ACP+ sits from the
+    # optimum now, so that a change to the protocol shows as a move of the
+    # gap.  Over seeds 0-255 (1e5 s each) the median true age was 2.157x the
+    # optimum and the median mean rate 0.3485x the optimal rate; the median
+    # of 16 seeds spread with sd 0.073 and 0.0097, and each band is 4 of them
+    lam_opt, age_opt = analytics.optimal_lambda(lambda lam: analytics.aoi_dm1(lam, 1.0), 0.05, 0.95)
+    assert (lam_opt, age_opt) == pytest.approx((0.517, 2.253), abs=1e-3)
+    runs = [run_closed_loop(DM1_NET, "acp_plus", 1, duration=1e5, seed=seed).sources[0] for seed in range(16)]
+    age_ratio = statistics.median(s.true_avg_age for s in runs) / age_opt
+    rate_ratio = statistics.median(s.mean_rate for s in runs) / lam_opt
+    assert abs(age_ratio - 2.157) <= 4 * 0.073, age_ratio
+    assert abs(rate_ratio - 0.3485) <= 4 * 0.0097, rate_ratio
+
+
 def test_closed_loop_source_isolation():
     # sources are independent connections: their per-source metrics exist
     r = run_closed_loop(CL_TANDEM, "acp_plus", 3, duration=2000.0, seed=4)
@@ -811,8 +832,19 @@ def _closed_loop_outcome(run, engine_cls):
             return repr(err), made[0]
 
 
+# one size (the updates') enters at two heads, node 0 and node 2, and two
+# sizes enter node 2, so a walk cached by size alone or by head alone goes
+# wrong; cross traffic through the nodes shows backlog area given to it
+_TWO_HEAD_NET = QueueNetwork(
+    forward=(ServiceSpec("link", 1.0e5), ServiceSpec("link", 1.3e5), ServiceSpec("link", 0.9e5)),
+    reverse=(ServiceSpec("link", 0.7e5),),
+    cross_traffic=(CrossTraffic(2, 6000.0, 300), CrossTraffic(0, 5000.0, DEFAULT_UPDATE_BYTES)),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(closed_loop_runs())
+@example((_TWO_HEAD_NET, "fixed:2.5", 2, 80.0, 1, 0.1))
 def test_closed_loop_matches_hop_by_hop_engine(run):
     got, engine = _closed_loop_outcome(run, _TieWatch)
     # at an instant shared with an exit the two engines break the tie by
