@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
-from . import __version__, analytics, simkit
+from . import __version__, simkit
 from .endpoints import InitializationError, SourceConfig, UdpLink, require_duration, require_monitor_limits
 from .endpoints import run_monitor, run_source
 
@@ -384,20 +384,26 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# -- analytics commands ----------------------------------------------------------
+# -- analytics commands (the only ones that import analytics) ----------------------
 
 
 def cmd_analyze_mm1(args) -> int:
+    from . import analytics
+
     return _age_value_or_curve(args, "mm1", lambda lam: analytics.aoi_mm1(lam, args.mu))
 
 
 def cmd_analyze_tandem(args) -> int:
+    from . import analytics
+
     return _age_value_or_curve(args, "tandem", lambda lam: analytics.aoi_tandem(lam, args.mu1, args.mu2))
 
 
 def _age_value_or_curve(args, analysis: str, age_fn) -> int:
     """Print ``age_fn`` at ``--lambda``, or write its ``--sweep`` curve as CSV
     to ``--out`` (default stdout)."""
+    from . import analytics
+
     if (args.lam is None) == (args.sweep is None):
         raise UsageError(f"analyze {analysis} needs exactly one of --lambda or --sweep")
     if args.lam is not None:
@@ -414,6 +420,8 @@ def _age_value_or_curve(args, analysis: str, age_fn) -> int:
 
 
 def cmd_analyze_optimum(args) -> int:
+    from . import analytics
+
     if args.mm1:
         if args.mu is None:
             raise UsageError("analyze optimum --mm1 needs --mu")

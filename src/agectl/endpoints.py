@@ -32,8 +32,7 @@ import itertools
 import math
 import time
 from array import array
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -85,21 +84,39 @@ def parse_policy(policy: str) -> tuple[str, Optional[float]]:
     raise ValueError(f"unknown policy {policy!r}; expected acp_plus, lazy, or fixed:<rate>")
 
 
-@dataclass
-class SourceConfig:
-    """Source-side knobs.
+class CheckedRecord:
+    """Mixin over a ``NamedTuple`` base: ``__post_init__`` checks every instance, ``_make``'s and ``_replace``'s too."""
 
-    ``updates_per_epoch`` sends per control epoch and the EWMA weight
-    ``alpha`` keep their protocol-level defaults; probe settings shape
-    only the initialization phase.
-    """
+    __slots__ = ()
 
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SourceConfig(NamedTuple):
     policy: str = "acp_plus"
     payload_size: int = 1024
     probe_count: int = 10
     probe_timeout: float = 1.0
     updates_per_epoch: int = DEFAULT_UPDATES_PER_EPOCH
     alpha: float = DEFAULT_ALPHA
+
+
+class SourceConfig(CheckedRecord, _SourceConfig):
+    """Source-side knobs, immutable.
+
+    ``updates_per_epoch`` sends per control epoch and the EWMA weight
+    ``alpha`` keep their protocol-level defaults; probe settings shape
+    only the initialization phase.
+    """
+
+    __slots__ = ()
 
     def __post_init__(self):
         if not isinstance(self.policy, str):

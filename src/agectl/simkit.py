@@ -63,14 +63,13 @@ import heapq
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import wire
-from .endpoints import DrawStream, MonitorSession, SourceConfig, SourceSession, age_time_average, substream_seed
-from .endpoints import age_areas
+from .endpoints import CheckedRecord, DrawStream, MonitorSession, SourceConfig, SourceSession, age_time_average
+from .endpoints import age_areas, substream_seed
 
 SERVICE_KINDS = ("exp", "det", "link")
 ARRIVAL_KINDS = ("poisson", "periodic")
@@ -134,14 +133,17 @@ def jain_index(values) -> float:
     return (total * total) / (len(xs) * square_sum)
 
 
-@dataclass(frozen=True)
-class ServiceSpec:
+class _ServiceSpec(NamedTuple):
+    kind: str
+    rate: float
+
+
+class ServiceSpec(CheckedRecord, _ServiceSpec):
     """One FCFS server: exponential(rate), deterministic(1/rate) seconds,
     or a link transmitting at rate bits/s (service time scales with the
     packet size; the other kinds are size-independent)."""
 
-    kind: str
-    rate: float
+    __slots__ = ()
 
     def __post_init__(self):
         if self.kind not in SERVICE_KINDS:
@@ -155,14 +157,17 @@ class ServiceSpec:
         return self.rate
 
 
-@dataclass(frozen=True)
-class CrossTraffic:
-    """Poisson background flow of fixed-size packets entering at a
-    forward node and riding the chain to the sink."""
-
+class _CrossTraffic(NamedTuple):
     entry: int
     rate_bps: float
     packet_bytes: int
+
+
+class CrossTraffic(CheckedRecord, _CrossTraffic):
+    """Poisson background flow of fixed-size packets entering at a
+    forward node and riding the chain to the sink."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         if self.entry < 0:
@@ -176,15 +181,18 @@ class CrossTraffic:
         return self.rate_bps / (8.0 * self.packet_bytes)
 
 
-@dataclass(frozen=True)
-class QueueNetwork:
-    """Forward chain (source to monitor), optional reverse chain for ACKs."""
-
+class _QueueNetwork(NamedTuple):
     forward: tuple[ServiceSpec, ...]
     reverse: tuple[ServiceSpec, ...] = ()
     cross_traffic: tuple[CrossTraffic, ...] = ()
     update_bytes: int = DEFAULT_UPDATE_BYTES
     ack_bytes: int = DEFAULT_ACK_BYTES
+
+
+class QueueNetwork(CheckedRecord, _QueueNetwork):
+    """Forward chain (source to monitor), optional reverse chain for ACKs."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         if not self.forward:
@@ -392,8 +400,7 @@ def accepted_resets(seqs, gen_times, deliver_times) -> tuple[np.ndarray, np.ndar
     return gen[keep], dlv[keep]
 
 
-@dataclass(frozen=True)
-class AoiMetrics:
+class AoiMetrics(NamedTuple):
     """Time-average results of one simulated run (warm-up excluded)."""
 
     avg_age: float
@@ -410,7 +417,7 @@ class AoiMetrics:
 
     def to_dict(self) -> dict:
         """All fields but the per-node tallies, which are for tests only."""
-        doc = asdict(self)
+        doc = self._asdict()
         del doc["node_time_in_system_sum"], doc["node_departs"]
         return doc
 
@@ -618,8 +625,7 @@ def run_fixed_rate(
     return _open_loop(net, lam, arrival, duration, seed, warmup_frac)[0]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     best_lambda: float
     best_age: float
     rows: tuple[tuple[float, float, float], ...]  # (lambda, avg_age, ci_halfwidth)
@@ -689,8 +695,7 @@ def sweep_lambda(
 # -- closed loop --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SourceStats:
+class SourceStats(NamedTuple):
     """Per-source outcome of a closed-loop run (warm-up excluded)."""
 
     source: int
@@ -709,8 +714,7 @@ class SourceStats:
     stale_acks: int
 
 
-@dataclass(frozen=True)
-class ClosedLoopResult:
+class ClosedLoopResult(NamedTuple):
     """Outcome of a closed-loop run: per-source stats plus node backlogs."""
 
     sources: tuple[SourceStats, ...]
@@ -722,7 +726,8 @@ class ClosedLoopResult:
     warmup: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields, with each source's stats as a dict."""
+        return {**self._asdict(), "sources": tuple(s._asdict() for s in self.sources)}
 
 
 def run_closed_loop(

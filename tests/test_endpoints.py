@@ -77,6 +77,15 @@ def test_source_config_validation():
     assert SourceConfig(alpha=1).alpha == 1
 
 
+def test_source_config_is_immutable():
+    # a field set after construction would skip every check: a NaN probe
+    # timeout then ended a run with "all 10 probes timed out"
+    cfg = SourceConfig()
+    with pytest.raises(AttributeError):
+        cfg.probe_timeout = math.nan
+    assert cfg == SourceConfig()
+
+
 # -- initialization phase ---------------------------------------------------------
 
 

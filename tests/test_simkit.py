@@ -1,9 +1,11 @@
 """Simulator correctness: determinism, conservation laws, analytic anchors."""
 
-import dataclasses
+import bisect
+import contextlib
 import heapq
 import json
 import math
+import re
 import statistics
 import tracemalloc
 from collections import Counter
@@ -203,6 +205,20 @@ def test_deterministic_replay_byte_identical():
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
     c = run_fixed_rate(net, 0.4, "poisson", duration=5000.0, seed=124)
     assert a.avg_age != c.avg_age
+
+
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_open_loop_age_scales_with_time_exactly(k):
+    # rates times c and the duration over c is the same run in units 1/c of
+    # the time: with c = 2**k every draw over a rate, period, sum, Lindley
+    # step and area scales without rounding, so the mean age is c times less
+    # bit for bit
+    c = 2.0**k
+    specs = (ServiceSpec("exp", 1.0), ServiceSpec("det", 1.5))
+    net = QueueNetwork(forward=specs)
+    scaled = QueueNetwork(forward=tuple(s._replace(rate=s.rate * c) for s in specs))
+    m = run_fixed_rate(net, 0.4, "poisson", duration=5000.0, seed=8)
+    assert run_fixed_rate(scaled, 0.4 * c, "poisson", duration=5000.0 / c, seed=8).avg_age * c == m.avg_age
 
 
 def test_flow_conservation():
@@ -440,8 +456,8 @@ def test_open_loop_matches_event_reference(run):
     want, want_gen, want_dlv, departures = open_loop_events(*run)
     k = _edge_departures(departures, want.warmup, want.duration)
     slack = _count_slack(run, got, want, k) if k else {}
-    for field in dataclasses.fields(AoiMetrics):
-        _assert_same_field(field.name, getattr(got, field.name), getattr(want, field.name), slack.get(field.name, 0))
+    for name in AoiMetrics._fields:
+        _assert_same_field(name, getattr(got, name), getattr(want, name), slack.get(name, 0))
     # a departure at the run's end may likewise leave or stay in the kernel
     assert abs(len(gen) - len(want_gen)) <= k
     n = min(len(gen), len(want_gen))
@@ -561,11 +577,11 @@ def test_open_loop_results_are_builtin_with_cross_traffic():
     )
     kinds = {"float": float, "int": int, "bool": bool, "tuple[float, ...]": float, "tuple[int, ...]": int}
     m = run_fixed_rate(net, 40.0, duration=200.0, seed=1)
-    for field in dataclasses.fields(AoiMetrics):
-        value = getattr(m, field.name)
-        items = value if field.type.startswith("tuple") else (value,)
-        assert len(items) == (3 if field.type.startswith("tuple") else 1)
-        assert {type(x) for x in items} == {kinds[field.type]}, field.name
+    for name, hint in AoiMetrics.__annotations__.items():
+        hint = hint.__forward_arg__  # a ForwardRef: simkit has postponed annotations
+        items = getattr(m, name) if hint.startswith("tuple") else (getattr(m, name),)
+        assert len(items) == (3 if hint.startswith("tuple") else 1)
+        assert {type(x) for x in items} == {kinds[hint]}, name
     sweep = sweep_lambda(net, [20.0, 40.0, 60.0], duration=200.0, seed=1)
     assert {type(x) for row in sweep.rows for x in row} == {float}
     assert type(sweep.best_lambda) is float and type(sweep.best_age) is float
@@ -772,7 +788,7 @@ SOURCE_POLICIES = st.one_of(
 
 
 @st.composite
-def closed_loop_runs(draw):
+def closed_loop_runs(draw, policies=SOURCE_POLICIES):
     forward = tuple(draw(st.lists(SERVICES, min_size=1, max_size=3)))
     reverse = tuple(draw(st.lists(SERVICES, min_size=1, max_size=2)))
     flows = st.builds(
@@ -781,7 +797,7 @@ def closed_loop_runs(draw):
     net = QueueNetwork(forward=forward, reverse=reverse, cross_traffic=tuple(draw(st.lists(flows, max_size=3))))
     return (
         net,
-        draw(SOURCE_POLICIES),
+        draw(policies),
         draw(st.integers(1, 3)),
         draw(st.floats(20.0, 200.0)),
         draw(st.integers(0, 2**32)),
@@ -789,22 +805,30 @@ def closed_loop_runs(draw):
     )
 
 
-class _TieWatch(simkit._Engine):
-    """``_Engine`` that notes the instant of every event it runs and whether
-    that event was a segment exit (an entry ``enqueue`` pushed)."""
+class _TieWatch(HopEngine):
+    """``HopEngine`` that notes the instant of every event ``simkit._Engine``
+    also runs (source timers, cross-traffic arrivals and segment exits) and
+    whether it was a segment exit: a packet leaving the last node of a
+    segment for the next head, or an ACK reaching its source.  A packet
+    moving on within a segment, or leaving the network otherwise, is no
+    event of ``_Engine``'s and is not noted."""
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, specs, seed, heads, warmup, duration):
+        super().__init__(specs, seed, heads, warmup, duration)
         self.ran = []
-        self._in_enqueue = False
-
-    def enqueue(self, t, i, pkt):
-        self._in_enqueue = True
-        super().enqueue(t, i, pkt)
-        self._in_enqueue = False
+        self._heads = heads
 
     def push(self, t, handler, a=None, b=None):
-        is_exit = self._in_enqueue
+        is_exit = False
+        if handler == self._complete:
+            is_update, _, route_end, arrive = self.queues[a][0][:4]  # the packet node a serves
+            if a + 1 < route_end:
+                is_exit = a + 1 in self._heads  # into the next segment
+            else:
+                is_exit = arrive is not None and not is_update  # an ACK reaching its source
+            if not is_exit:  # no event of _Engine's
+                super().push(t, handler, a, b)
+                return
 
         def noted(t, a, b):
             self.ran.append((t, is_exit))
@@ -845,12 +869,15 @@ _TWO_HEAD_NET = QueueNetwork(
 @settings(max_examples=60, deadline=None)
 @given(closed_loop_runs())
 @example((_TWO_HEAD_NET, "fixed:2.5", 2, 80.0, 1, 0.1))
+@example((_TWO_HEAD_NET, "fixed:2.5", 2, 80.0, 11, 0.1))
 def test_closed_loop_matches_hop_by_hop_engine(run):
-    got, engine = _closed_loop_outcome(run, _TieWatch)
+    want, reference = _closed_loop_outcome(run, _TieWatch)
     # at an instant shared with an exit the two engines break the tie by
-    # different rules (test_segment_exit_takes_its_order_on_entry pins ours)
-    assume(not engine.exit_tied())
-    want, _ = _closed_loop_outcome(run, HopEngine)
+    # different rules (test_segment_exit_takes_its_order_on_entry pins ours);
+    # the reference says whether the run ties, so a fault in the engine under
+    # test that makes a tie fails the comparison instead of skipping it
+    assume(not reference.exit_tied())
+    got, _ = _closed_loop_outcome(run, simkit._Engine)
     if isinstance(want, str):
         assert got == want
         return
@@ -1024,6 +1051,65 @@ def test_closed_loop_deterministic_pacing_is_exact(fwd, rev, rate):
     assert s.est_minus_true_age == pytest.approx(s_rev, rel=0.0, abs=0.5e-6)
 
 
+def _paced_epochs(run):
+    """Run ``run`` with a recording ``SourceSession``; for each epoch after
+    the first that opens after its source's first fresh ACK for a paced send,
+    return (its trace record, the largest backlog in it, the session calls
+    in it)."""
+    sessions = []
+
+    class Recording(SourceSession):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            self.calls = []  # (t, backlog after the call) per call
+            self.paced_acked_at = math.inf
+            sessions.append(self)
+
+        def on_timer(self, t):
+            frames = super().on_timer(t)
+            self.calls.append((t, self.estimator.backlog))
+            return frames
+
+        def on_datagram(self, t, data):
+            frames = super().on_datagram(t, data)
+            self.calls.append((t, self.estimator.backlog))
+            if self.paced_acked_at == math.inf and self.estimator.highest_acked > self.cfg.probe_count:
+                self.paced_acked_at = t
+            return frames
+
+    with mock.patch.object(simkit, "SourceSession", Recording), contextlib.suppress(InitializationError):
+        run_closed_loop(*run)
+    epochs = []
+    for session in sessions:
+        times, opened = [t for t, _ in session.calls], session.epochs_began
+        for k, rec in enumerate(session.trace):
+            if k and opened >= session.paced_acked_at:
+                calls = session.calls[bisect.bisect_left(times, opened) : bisect.bisect_right(times, rec["t"])]
+                epochs.append((rec, max(b for _, b in calls), len(calls)))
+            opened = rec["t"]
+    return epochs
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_loop_runs(st.builds("fixed:{}".format, st.floats(0.2, 6.0))))
+@example((CL_TANDEM, "fixed:0.5", 2, 300.0, 0, 0.1))
+def test_fixed_rate_backlog_is_rate_times_age_less_a_half(run):
+    # A source paced at rate R sends at s_k = s_0 + k/R, and after the ACK of
+    # send j, while s_m <= t < s_m+1, its backlog is m - j and its age t - s_j.
+    # So R * age - backlog = R * (t - s_m), a sawtooth from 0 to 1 whatever
+    # send was acknowledged last, and over an epoch (whole periods, from one
+    # send to another) R * delta_bar - b_bar is 1/2.  That needs a paced send
+    # acknowledged throughout: the epochs after the first that open after the
+    # first fresh ACK for one.  Round-off (u = 2**-53) bounds the error by
+    # 2u (B + 2) (R T + 2 c + 5), with T the epoch's close instant, B its
+    # largest backlog and c the session calls in it (the derivation is in
+    # CHANGES.md).
+    rate = float(run[1].split(":")[1])
+    for rec, backlog, calls in _paced_epochs(run):
+        bound = 2 * 2.0**-53 * (backlog + 2) * (rate * rec["t"] + 2 * calls + 5)
+        assert abs(rate * rec["delta_bar"] - rec["b_bar"] - 0.5) <= bound, rec
+
+
 def test_closed_loop_rejects_sources_starting_after_the_warmup():
     # sources start at offsets in [0, probe_timeout); with 30 s that could be
     # after the 1 s warm-up, or after the whole 10 s run, which then measured
@@ -1049,6 +1135,27 @@ def test_closed_loop_reports_the_age_estimate_gap():
 
 
 # -- config parsing -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "record, change",
+    [
+        (ServiceSpec("exp", 1.0), {"rate": -1.0}),
+        (ServiceSpec("exp", 1.0), {"kind": "bogus", "rate": 0.0}),
+        (CrossTraffic(0, 1000.0, 100), {"entry": -1}),
+        (QueueNetwork((ServiceSpec("exp", 1.0),)), {"forward": ()}),
+        (QueueNetwork((ServiceSpec("exp", 1.0),)), {"cross_traffic": (CrossTraffic(1, 1000.0, 100),)}),
+        (SourceConfig(), {"probe_timeout": math.nan}),
+        (SourceConfig(), {"policy": "bogus"}),
+    ],
+)
+def test_replace_and_make_check_like_the_constructor(record, change):
+    cls, fields = type(record), {**record._asdict(), **change}
+    with pytest.raises(ValueError) as built:
+        cls(**fields)
+    for make in (lambda: record._replace(**change), lambda: cls._make(fields.values())):
+        with pytest.raises(type(built.value), match=re.escape(str(built.value))):
+            make()
 
 
 def test_network_from_dict_roundtrip():
