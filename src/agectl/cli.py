@@ -63,6 +63,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:  # ConfigError and StabilityError are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as err:  # numpy raises it for a run too large to allocate
+        print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def build_parser() -> argparse.ArgumentParser:

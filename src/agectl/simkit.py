@@ -13,22 +13,28 @@ of the arrival draws; each node merges its through traffic with the
 cross flows entering there and applies Lindley's recursion
 ``D_k = max(A_k, D_{k-1}) + S_k`` in closed form over whole arrays,
 its temporaries in the service times' buffer and the departures in the
-buffer of their running sum.  FCFS departures never decrease, so the
-packets that leave a node by the end of the run are a prefix, taken as
-a view, not through a mask.  A ``det`` or ``link`` node that no cross
-flow enters, with the spec of the node before it, reads its running sum
-as a prefix of that node's, which puts its departures in its service
-times' buffer instead.  Until a cross flow enters, every packet is an
-update and a run holds at most five float arrays per update: generation
-instants, a node's arrivals, service times, departures and a kept sum
-or a scratch (or, at the end, ``age_time_average``'s three beside the
-generation and delivery instants).  From the first merge on, a node also
-holds the packets' sizes, and the updates are tracked by their positions
-in service order, one int64 index built at each merge: a node takes the
-updates' departures from its own through that index, and those that left
-by the end of the run are the next node's update arrivals as they are.
-Beside the merged arrays that makes three 8-byte arrays per update: the
-updates' arrivals, departures and positions.
+buffer of their running sum.  A node that no cross flow enters, ``det``
+or ``link`` like the node before it, whose every service time is no
+longer than the shortest there, never holds a queue: in the FCFS
+recursion each packet arrives once the one before has left (Friedman
+1965; ``_queue_free`` has the proof).  Its departures are its arrivals
+plus service, with no running sum or max, and no service array when
+its packets have one size; past the last node that can queue, the run
+carries the updates alone.  FCFS departures never decrease (with
+several sizes at a pure delay, unless its service times are within the
+instants' rounding error), so the packets that leave a node by the end
+of the run are a prefix, taken as a view, not through a mask.  Until a
+cross flow enters, every packet is an update and a run holds at most
+five float arrays per update: generation instants, a node's arrivals,
+service times and departures (or, at the end, ``age_time_average``'s
+three beside the generation and delivery instants).  From the first
+merge on, the updates are tracked by their positions in service order,
+one int64 index built at each merge, and a node also holds the packets'
+sizes if they differ: a node takes the updates' departures from its own
+through that index, and those that left by the end of the run are the
+next node's update arrivals as they are.  Beside the merged arrays that
+makes three 8-byte arrays per update: the updates' arrivals, departures
+and positions.
 Closed-loop runs, where the endpoints react to every delivery, apply it
 one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
@@ -461,62 +467,103 @@ def _service_fn(spec: ServiceSpec, seed: int) -> Callable[[float], float]:
     if spec.kind == "exp":
         draw = DrawStream(seed, 1.0).draw
         return lambda size: draw() / rate
-    if spec.kind == "det":
-        period = 1.0 / rate
-        return lambda size: period
-    return lambda size: 8.0 * size / rate
+    return lambda size: _fixed_service(spec, size)
+
+
+def _fixed_service(spec: ServiceSpec, size):
+    """Service seconds at a ``det`` or ``link`` node of a packet of ``size``
+    bytes, or of each of an array of sizes (``det``: one time for all)."""
+    return 1.0 / spec.rate if spec.kind == "det" else 8.0 * size / spec.rate
 
 
 def _service_times(spec: ServiceSpec, count: int, sizes, seed: int) -> np.ndarray:
     """Service time of each of ``count`` packets, in the order the node
     serves them, in a new buffer; ``sizes`` is one size for all or an array."""
-    service = np.empty(count)
     if spec.kind == "exp":
+        service = np.empty(count)
         np.random.Generator(np.random.PCG64(seed)).standard_exponential(out=service)
         service /= spec.rate
-    elif spec.kind == "det":
-        service.fill(1.0 / spec.rate)
-    else:
-        np.multiply(8.0, sizes, out=service)
-        service /= spec.rate
-    return service
+        return service
+    service = _fixed_service(spec, sizes)
+    return service if isinstance(service, np.ndarray) else np.full(count, service)
 
 
-def _fcfs_node(arrive: np.ndarray, service: np.ndarray, served, keep, updates, upd_in, warmup: float, duration: float):
-    """Departure instants of one FCFS server, and its update figures.
+def _queue_free(net: QueueNetwork) -> tuple[bool, ...]:
+    """Which forward nodes can never hold a queue.
+
+    Node ``i`` cannot when ``i > 0``, no cross flow enters there, nodes
+    ``i - 1`` and ``i`` are both ``det`` or ``link``, and over the packet
+    sizes that pass both, the longest service time at ``i`` is no longer
+    than the shortest at ``i - 1``, each computed as ``_fixed_service``
+    does.  Node ``i`` serves the packets in the order node ``i - 1``
+    releases them, so with primes marking node ``i - 1``, by induction on
+    k and as rounding is monotone, ``A_k = fl(max(A'_k, D'_{k-1}) + S'_k)
+    >= fl(D'_{k-1} + S_{k-1}) = D_{k-1}``: every packet finds the server
+    idle, and the FCFS recursion gives ``D_k = fl(A_k + S_k)``, a pure
+    delay (Friedman, "Reduction methods for tandem queuing systems",
+    Oper. Res. 1965).
+    """
+    fwd, sizes = net.forward, {float(net.update_bytes)}
+    free = [False]
+    for i in range(1, len(fwd)):
+        sizes.update(float(flow.packet_bytes) for flow in net.cross_traffic if flow.entry == i - 1)
+        before, spec = fwd[i - 1], fwd[i]
+        free.append(
+            "exp" not in (before.kind, spec.kind)
+            and all(flow.entry != i for flow in net.cross_traffic)
+            and max(_fixed_service(spec, s) for s in sizes) <= min(_fixed_service(before, s) for s in sizes)
+        )
+    return tuple(free)
+
+
+def _fcfs_node(arrive: np.ndarray, service: np.ndarray) -> np.ndarray:
+    """Departure instants of one FCFS server that may hold a queue.
 
     Lindley's recursion ``D_k = max(A_k, D_{k-1}) + S_k`` in closed form:
     ``served + fmax.accumulate(arrive - (served - service))`` with
-    ``served = cumsum(service)``, or a prefix of the one the node before
-    kept.  Its temporaries take ``service``'s buffer and the departures
-    ``served``'s, or, to ``keep`` it for the next node, ``service``'s and
-    the scratch ``arrive``'s, owned and read by then if ``updates`` is an
-    index, else a new buffer.  Departures never decrease, in floating point
-    too (a running max plus a cumsum of non-negative times), so the updates
-    that leave by ``duration`` are a prefix.  ``updates`` holds the updates'
-    positions in service order, an increasing integer index, or is None
-    when every packet is an update; ``upd_in`` is their arrival instants.
-    Returns the departures, the kept ``served`` or None, the updates'
-    departures, how many left by ``duration``, their summed time in system,
-    and the summed stays of all updates clipped to [warmup, duration].
+    ``served = cumsum(service)``.  The temporaries take ``service``'s
+    buffer and the departures ``served``'s.  Departures never decrease, in
+    floating point too (a running max plus a cumsum of non-negative
+    times).  A node ``_queue_free`` marks needs no running sum or max:
+    there ``A_k >= fl(D'_{k-1} + S'_k) >= fl(D'_{k-1} + S_{k-1}) = D_{k-1}``
+    (primes marking the node before; Friedman 1965), so no packet waits
+    and its departures are its arrivals plus service.
     """
-    served = np.cumsum(service) if served is None else served[: len(arrive)]
+    served = np.cumsum(service)
     np.subtract(served, service, out=service)
     np.subtract(arrive, service, out=service)
     # fmax, faster than maximum, differs from it only on NaN; every value
     # here is finite, as _require_positive rejects non-finite rates and spans
     np.fmax.accumulate(service, out=service)
-    leave = np.add(served, service, out=service if keep else served)
+    return np.add(served, service, out=served)
+
+
+def _update_figures(leave, scratch, updates, upd_in, warmup: float, duration: float):
+    """One node's figures for the updates among the packets it served.
+
+    ``updates`` holds the updates' positions in service order, an
+    increasing integer index, or is None when every packet is an update;
+    ``upd_in`` is their arrival instants, ``leave`` every packet's
+    departure.  Departures never decrease, so the updates that leave by
+    ``duration`` are a prefix.  The temporaries go in ``scratch``, at least
+    as long as ``upd_in`` and possibly its own buffer: each place is read
+    before it is written.  Returns the updates' departures, how many left
+    by ``duration``, their summed time in system, and the summed stays of
+    all updates clipped to [warmup, duration].
+    """
     upd_out = leave if updates is None else leave.take(updates)
     left = int(np.searchsorted(upd_out, duration, side="right"))
-    scratch = ((arrive if updates is not None else np.empty(len(arrive))) if keep else service)[: len(upd_out)]
+    early = min(int(np.searchsorted(upd_in, warmup)), left)  # left by duration, arrived before warmup
+    scratch = scratch[: len(upd_out)]
     time_sum = float(np.sum(np.subtract(upd_out[:left], upd_in[:left], out=scratch[:left])))
-    # each stay is min(leave, duration) - max(arrive, warmup), at least 0
-    np.maximum(upd_in, warmup, out=scratch)
-    np.subtract(upd_out[:left], scratch[:left], out=scratch[:left])
+    # each stay is min(leave, duration) - max(arrive, warmup), at least 0: for
+    # the updates that arrived after warmup and left by duration, their time
+    # in system, in place from the sum above
+    np.subtract(upd_out[:early], warmup, out=scratch[:early])
+    np.maximum(upd_in[left:], warmup, out=scratch[left:])
     np.subtract(duration, scratch[left:], out=scratch[left:])
     stay_sum = float(np.sum(np.maximum(scratch, 0.0, out=scratch)))
-    return leave, served if keep else None, upd_out, left, time_sum, stay_sum
+    return upd_out, left, time_sum, stay_sum
 
 
 def _open_loop(
@@ -544,45 +591,53 @@ def _open_loop(
         (flow, _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}"))[1:])
         for i, flow in enumerate(net.cross_traffic)
     ]
+    free = _queue_free(net)
+    # past the last node that can queue, nothing enters and no packet waits,
+    # so the updates' departures there need no other packet
+    tail = max(i for i in range(n_fwd) if not free[i]) + 1
 
     # packets reaching the current node, in the order it serves them, and the
-    # updates among them; until a cross flow enters all of them are updates:
-    # no index, one size.  The updates reaching the next node are those that
+    # updates among them; until a cross flow enters, and from the tail on, all
+    # of them are updates: no index.  Their sizes are one float while all have
+    # the updates' size.  The updates reaching the next node are those that
     # left this one by the end of the run.
     arrive, upd_in = gen, gen
-    updates, sizes, served = None, update_size, None
+    updates, sizes = None, update_size
     backlogs, time_sums, departs = [], [], []
-    entries = tuple(flow.entry for flow in net.cross_traffic)
     for i, spec in enumerate(net.forward):
+        if i == tail:
+            arrive, updates, sizes = upd_in, None, update_size
         entering = [(flow, times) for flow, times in cross if flow.entry == i]
         if entering:
             is_update = np.zeros(len(arrive) + sum(len(times) for _, times in entering), dtype=bool)
             if updates is None:
                 is_update[: len(arrive)] = True
-                sizes = np.full(len(arrive), update_size)
             else:
                 is_update[updates] = True
+            parts = [(arrive, sizes)] + [(times, float(flow.packet_bytes)) for flow, times in entering]
             # a stable sort keeps through traffic ahead of cross traffic, and
             # flows in index order, at equal instants
-            arrive = np.concatenate([arrive] + [times for _, times in entering])
-            sizes = np.concatenate(
-                [sizes] + [np.full(len(times), float(flow.packet_bytes)) for flow, times in entering]
-            )
+            arrive = np.concatenate([times for times, _ in parts])
             order = np.argsort(arrive, kind="stable")
-            arrive, sizes = arrive[order], sizes[order]
+            arrive = arrive[order]
+            if isinstance(sizes, np.ndarray) or any(size != update_size for _, size in parts[1:]):
+                sizes = np.concatenate([np.broadcast_to(size, len(times)) for times, size in parts])[order]
             updates = np.flatnonzero(is_update[order])
-        node_seed = substream_seed(fwd_seed, f"service/{i}")
-        keep = spec.kind != "exp" and net.forward[i + 1 : i + 2] == (spec,) and i + 1 not in entries
-        # the service times go in unnamed, so their buffer is freed with the node
-        leave, served, upd_out, left, time_sum, stay_sum = _fcfs_node(
-            arrive, _service_times(spec, len(arrive), sizes, node_seed), served, keep, updates, upd_in, warmup, duration
-        )
+        if free[i]:  # a pure delay; the arrivals' buffer, read by then, is the scratch
+            leave, scratch = np.add(arrive, _fixed_service(spec, sizes)), arrive
+        else:  # the service times' buffer takes the recursion's temporaries, then the scratch
+            scratch = _service_times(spec, len(arrive), sizes, substream_seed(fwd_seed, f"service/{i}"))
+            leave = _fcfs_node(arrive, scratch)
+        upd_out, left, time_sum, stay_sum = _update_figures(leave, scratch, updates, upd_in, warmup, duration)
+        del scratch  # freed with the node, before the next one allocates
         departs.append(left)
         time_sums.append(time_sum)
         backlogs.append(stay_sum / window)
         arrive, upd_in = leave[: int(np.searchsorted(leave, duration, side="right"))], upd_out[:left]
         if updates is not None:
-            updates, sizes = updates[: int(np.searchsorted(updates, len(arrive)))], sizes[: len(arrive)]
+            updates = updates[: int(np.searchsorted(updates, len(arrive)))]
+            if isinstance(sizes, np.ndarray):
+                sizes = sizes[: len(arrive)]
 
     dlv = upd_in
     gen = gen[: len(dlv)]  # FCFS: updates leave the chain in the order they entered

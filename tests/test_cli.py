@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 from agectl.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, UsageError, load_config, main, parse_addr, parse_grid
-from agectl import wire
+from agectl import simkit, wire
 from agectl.endpoints import SourceConfig, SourceSession, UdpLink
 from agectl.simkit import ConfigError
 
@@ -240,6 +240,24 @@ def test_sim_schema_violation_names_field(tmp_path, capsys):
     path.write_text(json.dumps({"mode": "fixed_rate", "net": {"forward": [{"service": "exp"}]}, "lambda": 0.5, "duration": 10}))
     assert main(["sim", "--config", str(path), "--out", str(tmp_path / "x.json")]) == EXIT_RUNTIME
     assert "rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, run",
+    [
+        (["sim", "--config", "mm1"], "run_fixed_rate"),
+        (["sim", "--config", "net_a"], "run_closed_loop"),
+        (["sweep", "--config", "net_a", "--grid", "10:90:40"], "sweep_lambda"),
+    ],
+)
+def test_run_too_large_for_memory_is_an_error_line(tmp_path, capsys, command, run):
+    # numpy raises a MemoryError subclass when a run's arrays cannot be
+    # allocated; it must end in one error line, not a traceback
+    out = tmp_path / "out"
+    with mock.patch.object(simkit, run, side_effect=MemoryError("Unable to allocate 7.45 TiB")):
+        assert main([*command, "--out", str(out)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 7.45 TiB\n"
+    assert not out.exists()
 
 
 def test_sim_missing_config_is_usage_error(capsys):

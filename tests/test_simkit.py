@@ -22,6 +22,7 @@ from agectl.cli import load_config
 from agectl.endpoints import InitializationError, MonitorSession, SourceConfig, SourceSession
 from agectl.simkit import (
     ARRIVAL_KINDS,
+    SERVICE_KINDS,
     AoiMetrics,
     ConfigError,
     CrossTraffic,
@@ -379,8 +380,8 @@ SERVICES = st.one_of(
 
 @st.composite
 def open_loop_runs(draw):
-    # a det or link spec comes up to three times in a row, so that nodes share
-    # running sums, and a flow may enter inside such a run
+    # a det or link spec comes up to three times in a row, so that nodes hold
+    # no queue (simkit._queue_free), and a flow may enter inside such a run
     forward = ()
     for spec in draw(st.lists(SERVICES, min_size=1, max_size=3)):
         forward += (spec,) * (1 if spec.kind == "exp" else draw(st.integers(1, 3)))
@@ -467,8 +468,10 @@ def test_open_loop_matches_event_reference(run):
 
 def _open_loop_per_node(net, lam, arrival, duration, seed):
     """The open loop's deliveries, node_departs and node_time_in_system_sum,
-    with every packet's update flag carried along and a new cumsum of the
-    service times at every node."""
+    with every packet's update flag carried along to the end of the chain,
+    arrivals plus service times at each node ``_queue_free`` marks, and a new
+    cumsum of the service times at every other node."""
+    free = simkit._queue_free(net)
     arrivals_seed = substream_seed(seed, "arrivals") if arrival == "poisson" else None
     arrive = simkit._renewal_times(lam, duration, arrivals_seed)
     sizes, is_update = np.full(len(arrive), float(net.update_bytes)), np.ones(len(arrive), dtype=bool)
@@ -483,8 +486,11 @@ def _open_loop_per_node(net, lam, arrival, duration, seed):
                 is_update = np.concatenate([is_update, np.zeros(len(times), dtype=bool)])[order]
         service_seed = substream_seed(substream_seed(seed, "fwd"), f"service/{i}")
         service = simkit._service_times(spec, len(arrive), sizes, service_seed)
-        served = np.cumsum(service)
-        leave = served + np.fmax.accumulate(arrive - (served - service))
+        if free[i]:
+            leave = arrive + service
+        else:
+            served = np.cumsum(service)
+            leave = served + np.fmax.accumulate(arrive - (served - service))
         upd_in, upd_out = arrive[is_update], leave[is_update]
         left = int(np.sum(upd_out <= duration))
         departs.append(left)
@@ -494,22 +500,137 @@ def _open_loop_per_node(net, lam, arrival, duration, seed):
     return arrive[is_update], tuple(departs), tuple(time_sums)
 
 
-@pytest.mark.parametrize("spec, lam", [(ServiceSpec("det", 2.0), 1.2), (ServiceSpec("link", 1e6), 70.0)])
-@pytest.mark.parametrize("entries", [(), (0,), (2,), (0, 3, 3)])
-def test_identical_nodes_share_running_sums_exactly(spec, lam, entries):
-    # a node with the spec of the one before it and no flow entering reads a
-    # prefix of that node's running sum; that must be bit for bit the sum
-    # it would compute, whether or not a flow enters inside the run
-    rate_bps = 8.0 * 1040 * 0.15 * spec.effective_rate(1040)
-    flows = tuple(CrossTraffic(entry=e, rate_bps=rate_bps, packet_bytes=1040 - 100 * k) for k, e in enumerate(entries))
-    net = QueueNetwork(forward=(spec,) * 5, cross_traffic=flows)
-    duration = 2000.0 / lam
+def _assert_matches_per_node(net, lam, duration):
     got, _, dlv = simkit._open_loop(net, lam, "poisson", duration, 7, 0.1)
     want_dlv, departs, time_sums = _open_loop_per_node(net, lam, "poisson", duration, 7)
     assert got.node_departs[-1] > 1000  # queues form and most updates arrive
     assert dlv.tobytes() == want_dlv.tobytes()
     assert got.node_departs == departs
     assert got.node_time_in_system_sum == time_sums
+
+
+@pytest.mark.parametrize("spec, lam", [(ServiceSpec("det", 2.0), 1.2), (ServiceSpec("link", 1e6), 70.0)])
+@pytest.mark.parametrize("entries", [(), (0,), (2,), (0, 3, 3)])
+def test_open_loop_matches_per_node_rule_exactly(spec, lam, entries):
+    # identical nodes: one that no flow enters holds no queue unless its
+    # packets differ in size (a link behind a mixed flow); the open loop
+    # runs the updates alone past the last node that can queue, and must
+    # match a reference that carries every packet through every node
+    rate_bps = 8.0 * 1040 * 0.15 * spec.effective_rate(1040)
+    flows = tuple(CrossTraffic(entry=e, rate_bps=rate_bps, packet_bytes=1040 - 100 * k) for k, e in enumerate(entries))
+    net = QueueNetwork(forward=(spec,) * 5, cross_traffic=flows)
+    assert any(simkit._queue_free(net))
+    _assert_matches_per_node(net, lam, 2000.0 / lam)
+
+
+@pytest.mark.parametrize(
+    "sizes, free",
+    [
+        # net_b: links at 1, 1, 5, 5, 1, 1 Mb/s; nodes 1-3 and 5 are delays
+        ((1040,), (False, True, True, True, False, True)),
+        # a second flow of smaller packets: only node 2, whose slowest packet
+        # is faster than node 1's fastest, is a delay, with a service array
+        ((1040, 840), (False, False, True, False, False, False)),
+    ],
+)
+def test_open_loop_matches_per_node_rule_ahead_of_a_queue(sizes, free):
+    doc = load_config("net_b")[0]["net"]
+    net = QueueNetwork.from_dict(doc)._replace(
+        cross_traffic=tuple(CrossTraffic(entry=0, rate_bps=100_000, packet_bytes=size) for size in sizes)
+    )
+    assert simkit._queue_free(net) == free
+    _assert_matches_per_node(net, 70.0, 30.0)
+
+
+def _fcfs_waits(net, lam, duration, seed):
+    """Per forward node, how many packets arrive there and how many of them
+    while the server is busy, by the FCFS recursion run one packet at a time
+    in built-in floats."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    arrive = [(float(t), float(net.update_bytes)) for t in np.cumsum(rng.exponential(1.0 / lam, int(lam * duration)))]
+    waits = []
+    for i, spec in enumerate(net.forward):
+        for flow in net.cross_traffic:
+            if flow.entry == i:
+                times = np.cumsum(rng.exponential(1.0 / flow.rate_pps, int(flow.rate_pps * duration) + 1))
+                # sorted() is stable: through traffic stays ahead at equal instants
+                arrive = sorted(arrive + [(float(t), float(flow.packet_bytes)) for t in times], key=lambda p: p[0])
+        busy, waited, leave = -math.inf, 0, []
+        for t, size in arrive:
+            serve = float(rng.exponential(1.0 / spec.rate)) if spec.kind == "exp" else simkit._fixed_service(spec, size)
+            waited += t < busy
+            busy = max(t, busy) + serve
+            leave.append((busy, size))
+        waits.append((len(arrive), waited))
+        arrive = leave
+    return waits
+
+
+# packets of 1040 B per second at a node: powers of two give service times
+# that are exact doubles on both kinds, ties between nodes and, with smaller
+# packets, links that are at least as fast as the node before for every size
+SPEEDS = st.sampled_from([64.0, 128.0, 256.0, 512.0]) | st.floats(50.0, 600.0)
+
+
+@st.composite
+def det_link_chains(draw):
+    forward = tuple(
+        ServiceSpec(kind, speed * (8320.0 if kind == "link" else 1.0))
+        for kind, speed in draw(st.lists(st.tuples(st.sampled_from(SERVICE_KINDS), SPEEDS), min_size=1, max_size=5))
+    )
+    sizes = st.sampled_from([520, 840, 1040])
+    flows = st.builds(CrossTraffic, st.integers(0, len(forward) - 1), st.floats(4e4, 4e5), sizes)
+    net = QueueNetwork(forward=forward, cross_traffic=tuple(draw(st.lists(flows, max_size=2))), update_bytes=draw(sizes))
+    return net, draw(st.floats(10.0, 60.0)), draw(st.integers(0, 2**32))
+
+
+def _mixed_pair(rate_bps):
+    return QueueNetwork(
+        forward=(ServiceSpec("link", 8320.0 * 64), ServiceSpec("link", rate_bps)),
+        cross_traffic=(CrossTraffic(entry=0, rate_bps=3e5, packet_bytes=520),),
+    )
+
+
+def test_queue_free_rule_is_exact_for_the_fcfs_recursion():
+    # no packet ever waits at a node the rule marks, and some wait elsewhere
+    marked_arrivals, waits_elsewhere = 0, 0
+
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(det_link_chains())
+    # 520-byte packets take as long at node 0 as 1040-byte ones at node 1,
+    # a tie over two sizes; then a node 1 slower than that, where a 520-byte
+    # packet that follows a 1040-byte one there waits
+    @example((_mixed_pair(8320.0 * 128), 40.0, 0))
+    @example((_mixed_pair(8320.0 * 100), 40.0, 0))
+    def check(case):
+        net, lam, seed = case
+        free = simkit._queue_free(net)
+        assert not any(f and spec.kind == "exp" for f, spec in zip(free, net.forward))
+        nonlocal marked_arrivals, waits_elsewhere
+        for marked, (arrivals, waits) in zip(free, _fcfs_waits(net, lam, 2.0, seed)):
+            if marked:
+                assert waits == 0
+                marked_arrivals += arrivals
+            else:
+                waits_elsewhere += waits
+
+    check()
+    assert marked_arrivals > 0 and waits_elsewhere > 0
+
+
+@pytest.mark.parametrize("rates", [(128.0,) * 3, (128.0, 256.0, 128.0)])
+@pytest.mark.parametrize("entries", [(), (0, 2)])
+def test_one_size_link_chain_is_the_det_chain(rates, entries):
+    # 1040-byte packets over 8320 * r b/s take 8320 / (8320 * r) = 1 / r s, the
+    # det node's 1.0 / r as the same double when r is a power of two: every
+    # result of the two chains must be equal bit for bit
+    flows = tuple(CrossTraffic(entry=e, rate_bps=8320.0 * 20, packet_bytes=1040) for e in entries)
+    det = QueueNetwork(forward=tuple(ServiceSpec("det", r) for r in rates), cross_traffic=flows)
+    link = QueueNetwork(forward=tuple(ServiceSpec("link", 8320.0 * r) for r in rates), cross_traffic=flows)
+    got, want = run_fixed_rate(link, 60.0, duration=200.0, seed=3), run_fixed_rate(det, 60.0, duration=200.0, seed=3)
+    assert got.delivered > 0 and repr(got) == repr(want)
+    grid = [20.0, 60.0, 100.0]
+    assert repr(sweep_lambda(link, grid, duration=100.0, seed=3)) == repr(sweep_lambda(det, grid, duration=100.0, seed=3))
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -533,9 +654,11 @@ def test_open_loop_peak_memory_per_update():
 
 
 def test_open_loop_peak_memory_per_update_with_cross_traffic():
-    # once cross traffic enters, the open loop also holds the merged packets'
-    # sizes and the updates' int64 positions among them (8 B per update):
-    # about 88 B per update on the net_a forward chain
+    # once cross traffic enters, the open loop also holds the updates' int64
+    # positions among the merged packets (8 B per update), and their sizes
+    # only if they differ; on the net_a forward chain, whose packets have one
+    # size and whose nodes past the first hold no queue, about 70 B per
+    # update (88 B while every node ran the recursion on the merged packets)
     net = QueueNetwork(
         forward=(ServiceSpec("link", 1e6),) * 6,
         cross_traffic=(CrossTraffic(entry=0, rate_bps=200_000, packet_bytes=1040),),
@@ -548,7 +671,7 @@ def test_open_loop_peak_memory_per_update_with_cross_traffic():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (lam * duration) <= 96.0
+    assert peak / (lam * duration) <= 72.0
 
 
 def test_closed_loop_peak_memory_per_fresh_ack():
