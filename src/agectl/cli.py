@@ -38,11 +38,13 @@ EXIT_USAGE = 2
 
 MAX_GRID_POINTS = 1_000_000
 
-# top-level fields of a sim config; sweep reads the same files
-CONFIG_KEYS = (
-    "mode", "net", "duration", "seed", "warmup_frac", "lambda", "arrival",
-    "policy", "n_sources", "payload_size", "probe_count", "probe_timeout", "alpha", "eta",
-)
+# top-level fields of a sim config by mode; sweep reads files of either mode
+MODE_KEYS = {
+    "fixed_rate": ("lambda", "arrival"),
+    "closed_loop": ("policy", "n_sources", "payload_size", "probe_count", "probe_timeout", "alpha", "eta"),
+}
+COMMON_KEYS = ("mode", "net", "duration", "seed", "warmup_frac")
+CONFIG_KEYS = COMMON_KEYS + MODE_KEYS["fixed_rate"] + MODE_KEYS["closed_loop"]
 
 
 class UsageError(Exception):
@@ -327,9 +329,12 @@ def cmd_source(args) -> int:
 
 def cmd_sim(args) -> int:
     doc, raw = load_config(args.config)
-    simkit._reject_unknown(doc, CONFIG_KEYS, "config")
     started = _now_iso()
     mode = _require(doc, "mode", str)
+    if mode not in MODE_KEYS:
+        raise simkit.ConfigError(f"mode must be 'fixed_rate' or 'closed_loop', got {mode!r}")
+    # a field of the other mode would be ignored, so it is rejected as unknown
+    simkit._reject_unknown(doc, COMMON_KEYS + MODE_KEYS[mode], f"config of mode {mode!r}")
     net = simkit.QueueNetwork.from_dict(_require(doc, "net", dict))
     seed = _seed(args, doc)
     duration = _require(doc, "duration", (int, float))
@@ -341,7 +346,7 @@ def cmd_sim(args) -> int:
         metrics = simkit.run_fixed_rate(net, lam, arrival, duration, seed, warmup_frac)
         payload = {"mode": mode, "lambda": lam, "arrival": arrival, "seed": seed,
                    "metrics": metrics.to_dict()}
-    elif mode == "closed_loop":
+    else:
         policy = doc.get("policy", "acp_plus")
         n_sources = doc.get("n_sources", 1)  # run_closed_loop checks it
         cfg_kwargs = {k: doc[k] for k in ("payload_size", "probe_count", "probe_timeout", "alpha") if k in doc}
@@ -353,8 +358,6 @@ def cmd_sim(args) -> int:
         )
         payload = {"mode": mode, "policy": policy, "n_sources": n_sources, "seed": seed,
                    "result": result.to_dict()}
-    else:
-        raise simkit.ConfigError(f"mode must be 'fixed_rate' or 'closed_loop', got {mode!r}")
 
     args.out.write_text(_dumps(payload, indent=2, sort_keys=True) + "\n")
     manifest_path = write_manifest(args.out, "sim", raw, seed, started)

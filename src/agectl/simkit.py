@@ -39,9 +39,13 @@ Closed-loop runs, where the endpoints react to every delivery, apply it
 one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
 that breaks time ties by insertion order holds one entry for its exit
-into the next segment.  The walk follows a list of (node, service time)
-pairs per packet size and entry point, built from ``_service_fn`` when
-that size first enters there; only ``exp`` nodes draw, once per visit.
+into the next segment.  The walk follows a list of (node, service time,
+is a delay) triples per packet size and entry point, built from
+``_service_fn`` when that size first enters there; only ``exp`` nodes
+draw, once per visit.
+The same rule holds there, on both chains: a node that cannot queue is a
+pure delay, with no max and no server state, and cross traffic stops at
+the last node that can queue in its last segment.
 A packet carries its arrival handler.  An update that ends its route by
 the end of the run arrives within the walk: its monitor runs at the exit
 instant and its ACK is walked through the reverse chain there, so a
@@ -306,12 +310,23 @@ class _Engine:
 
     ``_service`` holds each node's ``_service_fn``, the one definition of
     a service time.  ``_walks`` maps a packet size and a head to the walk
-    through that head's segment: one (node, service time) pair per node,
-    built from those functions when the size first enters there, with
-    None at ``exp`` nodes: only they call their function, drawing once
-    per visit in visit order from their own substream.  Updates take a
-    loop that adds the backlog areas; every other packet takes one
-    without them.
+    through that head's segment: one (node, service time, is a delay)
+    triple per node, built from those functions when the size first
+    enters there, with None at ``exp`` nodes: only they call their
+    function, drawing once per visit in visit order from their own
+    substream.  Updates take a loop that adds the backlog areas; every
+    other packet takes one without them.
+
+    ``delays`` marks the nodes that ``_queue_free`` finds can never hold
+    a queue; it marks no head.  FCFS keeps entry order from one head to
+    the next, so such a node serves its packets in the order the node
+    before it releases them, and there ``max(free, t)`` is always ``t``:
+    the walk gives ``leave = t + serve`` and neither reads nor stores the
+    node's ``free``, which nothing else reads.  Cross traffic in its last
+    segment is read by nothing once it leaves the segment's last node
+    that can queue, so its walk (in ``_tails``) stops there; it still
+    passes the delays ahead of that node, adding their service times.
+    Neither changes an instant, a heap entry or a backlog area.
 
     The tie rule: on ``det`` chains with commensurate periods a timer can
     tie with an ACK or another packet's exit; results there are
@@ -319,11 +334,14 @@ class _Engine:
     entry is pushed when its update enters the last forward segment, so
     the ACK runs after any entry pushed before that."""
 
-    def __init__(self, specs, seed: int, heads, warmup: float, duration: float):
+    def __init__(self, specs, seed: int, heads, warmup: float, duration: float, delays):
         n = len(specs)
         self._service = [_service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
         self._draws = [s.kind == "exp" for s in specs]  # nodes that draw once per visit
-        self._walks: dict = {}  # (packet size, head) -> [(node, service time or None where it draws)]
+        self._delays = delays  # nodes that never hold a queue
+        # (packet size, head) -> [(node, service time or None where it draws, is a delay)]
+        self._walks: dict = {}
+        self._tails: dict = {}  # the same for cross traffic in its last segment
         self._segment_end = [min((h for h in heads if h > i), default=n) for i in range(n)]
         self._free = [0.0] * n  # when each server finishes its last packet
         self._warmup = warmup
@@ -336,45 +354,53 @@ class _Engine:
         self._order += 1
         heapq.heappush(self.heap, (t, self._order, handler, a, b))
 
-    def _walk(self, size: float, i: int) -> list:
+    def _walk(self, walks: dict, size: float, i: int) -> list:
         # a method of its own: a comprehension inside ``enqueue`` would make
         # the locals it reads closure cells there, slower to read on every hop
         # (before Python 3.12, which inlines comprehensions)
-        service, draws = self._service, self._draws
-        walk = self._walks[size, i] = [
-            (j, None if draws[j] else service[j](size)) for j in range(i, self._segment_end[i])
-        ]
+        service, draws, delays = self._service, self._draws, self._delays
+        end = self._segment_end[i]
+        if walks is self._tails:  # up to the segment's last node that can queue
+            end = max((j + 1 for j in range(i, end) if not delays[j]), default=i)
+        walk = walks[size, i] = [(j, None if draws[j] else service[j](size), delays[j]) for j in range(i, end)]
         return walk
 
     def enqueue(self, t: float, i: int, pkt) -> None:
         is_update, size, route_end, arrive, src, payload = pkt
-        walk = self._walks.get((size, i))
+        end = self._segment_end[i]
+        # nothing reads when cross traffic leaves the delays that end its route
+        walks = self._walks if arrive is not None or end < route_end else self._tails
+        walk = walks.get((size, i))
         if walk is None:  # the first packet of this size to enter here
-            walk = self._walk(size, i)
+            walk = self._walk(walks, size, i)
         free, service = self._free, self._service
         if is_update:
             area, warmup, duration = self.area, self._warmup, self._duration
-            for j, serve in walk:
-                busy = free[j]
-                if serve is None:
-                    serve = service[j](size)
-                leave = free[j] = (busy if busy > t else t) + serve
+            for j, serve, delay in walk:
+                if delay:
+                    leave = t + serve
+                else:
+                    busy = free[j]
+                    if serve is None:
+                        serve = service[j](size)
+                    leave = free[j] = (busy if busy > t else t) + serve
                 stay = (leave if leave < duration else duration) - (t if t > warmup else warmup)
                 if stay > 0.0:
                     area[j] += stay
                 t = leave
-            end = self._segment_end[i]
             if end < route_end:
                 self.push(t, self.enqueue, end, pkt)
             elif t <= duration:
                 arrive(t, src, payload)
             return
-        for j, serve in walk:
-            busy = free[j]
-            if serve is None:
-                serve = service[j](size)
-            t = free[j] = (busy if busy > t else t) + serve
-        end = self._segment_end[i]
+        for j, serve, delay in walk:
+            if delay:
+                t += serve
+            else:
+                busy = free[j]
+                if serve is None:
+                    serve = service[j](size)
+                t = free[j] = (busy if busy > t else t) + serve
         if end < route_end:
             self.push(t, self.enqueue, end, pkt)
         elif arrive is not None:
@@ -488,29 +514,33 @@ def _service_times(spec: ServiceSpec, count: int, sizes, seed: int) -> np.ndarra
     return service if isinstance(service, np.ndarray) else np.full(count, service)
 
 
-def _queue_free(net: QueueNetwork) -> tuple[bool, ...]:
-    """Which forward nodes can never hold a queue.
+def _queue_free(chain, size: float, cross=()) -> tuple[bool, ...]:
+    """Which nodes of a chain can never hold a queue, when packets of
+    ``size`` bytes enter at node 0 and the flows in ``cross`` further on.
 
-    Node ``i`` cannot when ``i > 0``, no cross flow enters there, nodes
-    ``i - 1`` and ``i`` are both ``det`` or ``link``, and over the packet
-    sizes that pass both, the longest service time at ``i`` is no longer
-    than the shortest at ``i - 1``, each computed as ``_fixed_service``
-    does.  Node ``i`` serves the packets in the order node ``i - 1``
-    releases them, so with primes marking node ``i - 1``, by induction on
-    k and as rounding is monotone, ``A_k = fl(max(A'_k, D'_{k-1}) + S'_k)
-    >= fl(D'_{k-1} + S_{k-1}) = D_{k-1}``: every packet finds the server
-    idle, and the FCFS recursion gives ``D_k = fl(A_k + S_k)``, a pure
-    delay (Friedman, "Reduction methods for tandem queuing systems",
-    Oper. Res. 1965).
+    Node ``i`` cannot when ``i > 0``, no flow enters there, nodes ``i - 1``
+    and ``i`` are both ``det`` or ``link``, and over the packet sizes that
+    pass both, the longest service time at ``i`` is no longer than the
+    shortest at ``i - 1``, each computed as ``_fixed_service`` does.  Node
+    ``i`` serves the packets in the order node ``i - 1`` releases them, so
+    with primes marking node ``i - 1``, by induction on k and as rounding
+    is monotone, ``A_k = fl(max(A'_k, D'_{k-1}) + S'_k) >= fl(D'_{k-1} +
+    S_{k-1}) = D_{k-1}``: every packet finds the server idle, and the FCFS
+    recursion gives ``D_k = fl(A_k + S_k)``, a pure delay (Friedman,
+    "Reduction methods for tandem queuing systems", Oper. Res. 1965).
+    This holds in both loops: the open loop's forward chain carries the
+    updates' ``net.update_bytes``; the closed loop's carries the frames'
+    ``wire.HEADER_LEN + payload_size`` and its reverse chain the ACKs'
+    ``net.ack_bytes``.
     """
-    fwd, sizes = net.forward, {float(net.update_bytes)}
+    sizes = {float(size)}
     free = [False]
-    for i in range(1, len(fwd)):
-        sizes.update(float(flow.packet_bytes) for flow in net.cross_traffic if flow.entry == i - 1)
-        before, spec = fwd[i - 1], fwd[i]
+    for i in range(1, len(chain)):
+        sizes.update(float(flow.packet_bytes) for flow in cross if flow.entry == i - 1)
+        before, spec = chain[i - 1], chain[i]
         free.append(
             "exp" not in (before.kind, spec.kind)
-            and all(flow.entry != i for flow in net.cross_traffic)
+            and all(flow.entry != i for flow in cross)
             and max(_fixed_service(spec, s) for s in sizes) <= min(_fixed_service(before, s) for s in sizes)
         )
     return tuple(free)
@@ -591,7 +621,7 @@ def _open_loop(
         (flow, _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}"))[1:])
         for i, flow in enumerate(net.cross_traffic)
     ]
-    free = _queue_free(net)
+    free = _queue_free(net.forward, net.update_bytes, net.cross_traffic)
     # past the last node that can queue, nothing enters and no packet waits,
     # so the updates' departures there need no other packet
     tail = max(i for i in range(n_fwd) if not free[i]) + 1
@@ -825,6 +855,8 @@ def run_closed_loop(
     n_all = n_fwd + len(net.reverse)
     sessions = [SourceSession(cfg) for _ in range(n_sources)]
     monitors = [MonitorSession() for _ in range(n_sources)]
+    # every frame a source sends has the same size, which _queue_free reads
+    update_size = float(wire.HEADER_LEN + cfg.payload_size)
     ack_size = float(net.ack_bytes)
     # 8 B per instant, each read back as a built-in float
     cross_times = [
@@ -845,7 +877,7 @@ def run_closed_loop(
         if session.deadline <= duration:
             push(session.deadline, on_timer, src, estimators[src].highest_sent)
         for frame in frames:
-            enqueue(t, 0, (True, float(len(frame)), n_fwd, update_arrives, src, frame))
+            enqueue(t, 0, (True, update_size, n_fwd, update_arrives, src, frame))
 
     def on_timer(t: float, src: int, sends: int) -> None:
         if sends == estimators[src].highest_sent:
@@ -873,7 +905,8 @@ def run_closed_loop(
 
     heads = {0, n_fwd} | {flow.entry for flow in net.cross_traffic}
     specs = tuple(net.forward) + tuple(net.reverse)
-    engine = _Engine(specs, substream_seed(seed, "net"), heads, warmup, duration)
+    delays = _queue_free(net.forward, update_size, net.cross_traffic) + _queue_free(net.reverse, ack_size)
+    engine = _Engine(specs, substream_seed(seed, "net"), heads, warmup, duration, delays)
     push, enqueue = engine.push, engine.enqueue
     for src in range(n_sources):
         start = np.random.Generator(np.random.PCG64(substream_seed(seed, f"start/{src}"))).random()
@@ -885,7 +918,6 @@ def run_closed_loop(
     engine.run()
 
     window = duration - warmup
-    frame_bytes = wire.HEADER_LEN + cfg.payload_size
     stats = []
     for src in range(n_sources):
         session, monitor = sessions[src], monitors[src]
@@ -904,7 +936,7 @@ def run_closed_loop(
                 epochs=session.epoch_index,
                 delivered=delivered,
                 throughput_updates=delivered / window,
-                throughput_bps=delivered * 8.0 * frame_bytes / window,
+                throughput_bps=delivered * 8.0 * update_size / window,
                 avg_rtt=session.avg_rtt,
                 fresh_acks=session.fresh_acks,
                 stale_acks=session.stale_acks,

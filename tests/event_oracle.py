@@ -3,8 +3,8 @@
 ``HopEngine`` is a closed-loop event engine that moves every packet one
 node at a time: per-node FIFO queues, one completion event per hop, and
 backlog areas summed in event order.  It takes ``simkit._Engine``'s
-constructor, ignores ``heads``, and stands in for it to check the
-segment walk.
+constructor, ignores ``heads`` and ``delays`` (every node runs the FCFS
+recursion), and stands in for it to check the segment walk.
 
 ``open_loop_events`` simulates an open-loop run packet by packet on it,
 drawing every gap and service time one at a time from the same
@@ -29,7 +29,7 @@ class HopEngine:
     """Event loop plus per-node queue state; heap entries ``(t, order,
     handler, a, b)`` run as ``handler(t, a, b)``, ties in insertion order."""
 
-    def __init__(self, specs, seed: int, heads, warmup: float, duration: float):
+    def __init__(self, specs, seed: int, heads, warmup: float, duration: float, delays):
         n = len(specs)
         self.queues = [deque() for _ in range(n)]
         self._service = [simkit._service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
@@ -96,8 +96,8 @@ class _TallyingEngine(HopEngine):
     """``HopEngine`` that also sums, per node, departed updates and their
     time there, and keeps their departure instants."""
 
-    def __init__(self, specs, seed: int, heads, warmup: float, duration: float):
-        super().__init__(specs, seed, heads, warmup, duration)
+    def __init__(self, specs, seed: int, heads, warmup: float, duration: float, delays):
+        super().__init__(specs, seed, heads, warmup, duration, delays)
         self.waiting = [deque() for _ in specs]  # arrival instants of queued updates
         self.time_sum = [0.0] * len(specs)
         self.departs = [0] * len(specs)
@@ -147,7 +147,7 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
         gen_log.append(gen)
         dlv_log.append(t)
 
-    engine = _TallyingEngine(net.forward, substream_seed(seed, "fwd"), (0,), warmup, duration)
+    engine = _TallyingEngine(net.forward, substream_seed(seed, "fwd"), (0,), warmup, duration, None)
     engine.push(0.0, on_source)
     for i, flow in enumerate(net.cross_traffic):
         first = cross_draws[i].draw() / flow.rate_pps

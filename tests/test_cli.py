@@ -431,6 +431,41 @@ def test_sim_rejects_unknown_config_key(tmp_path, where, key):
     assert not out.exists()
 
 
+FIXED_RATE_DOC = {"mode": "fixed_rate", "net": {"forward": [{"service": "exp", "rate": 1.0}]}, "lambda": 0.5, "duration": 50.0}
+CLOSED_LOOP_DOC = {
+    "mode": "closed_loop",
+    "net": {"forward": [{"service": "exp", "rate": 1.0}], "reverse": [{"service": "exp", "rate": 10.0}]},
+    "duration": 50.0,
+}
+
+
+@pytest.mark.parametrize(
+    "doc, keys",
+    [
+        # each of these used to run and exit 0, the other mode's fields ignored
+        ({**FIXED_RATE_DOC, "n_sources": 6, "policy": "lazy", "payload_size": 64}, ("n_sources", "policy", "payload_size")),
+        ({**CLOSED_LOOP_DOC, "arrival": "periodic"}, ("arrival",)),
+        ({**CLOSED_LOOP_DOC, "lambda": 0.5, "eta": 5}, ("lambda",)),
+    ],
+)
+def test_sim_rejects_the_other_modes_fields(tmp_path, capsys, doc, keys):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    assert main(["sim", "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == f"error: config of mode {doc['mode']!r} has unknown field(s) {', '.join(map(repr, keys))}\n"
+    assert not out.exists()
+
+
+def test_sweep_reads_either_modes_config(tmp_path, capsys):
+    # a sweep runs the open loop over the config's net, as CI does with net_a;
+    # the closed-loop fields there are read by sim only
+    out = tmp_path / "curve.csv"
+    assert main(["sweep", "--config", "net_a", "--grid", "10:90:40", "--duration", "20", "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 4
+
+
 def test_sim_rejects_bool_seed(tmp_path, capsys):
     cfg = small_sim_config(tmp_path, seed=True)
     out = tmp_path / "x.json"

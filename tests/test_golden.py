@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from agectl import simkit
+from agectl import simkit, wire
 from agectl.endpoints import MonitorSession, SimulatedPath, SourceConfig, SourceSession, run_source
 from agectl.simkit import QueueNetwork, ServiceSpec, run_closed_loop
 
@@ -30,6 +30,8 @@ def _chain(kind, forward, reverse) -> QueueNetwork:
         forward=tuple(ServiceSpec(kind, r) for r in forward), reverse=tuple(ServiceSpec(kind, r) for r in reverse)
     )
 
+
+NET_B_RATES = [1e6, 1e6, 5e6, 5e6, 1e6, 1e6]
 
 CLOSED_LOOP_CASES = {
     # a probe timeout still pending when probing ends falls on a send instant
@@ -46,6 +48,9 @@ CLOSED_LOOP_CASES = {
     # ended, so a timer entry is pushed at an instant that holds a stale one
     "det4-4-lazy-2src": (_chain("det", [4.0], [4.0]), "lazy", 2, 30.0, 0),
     "det4-4-acp_plus-2src": (_chain("det", [4.0], [4.0]), "acp_plus", 2, 30.0, 0),
+    # net_b's links each way, with no cross flow: a queue at node 4 between
+    # nodes that never hold one (simkit._queue_free), on both chains
+    "netb-acp_plus": (_chain("link", NET_B_RATES, NET_B_RATES), "acp_plus", 3, 60.0, 1),
 }
 
 CLOSED_LOOP_DIGESTS = {
@@ -56,6 +61,7 @@ CLOSED_LOOP_DIGESTS = {
     "det4-10-fixed4-2src": "46d58257d93d800ea30630e01cc4d714234606c1e47d2d9d9a3dfd857b71cbf9",
     "det4-4-lazy-2src": "dc11dc4a5c9fc82a07cba89304cb52944052b42f7da85fe408e5db1e4aff3c6c",
     "det4-4-acp_plus-2src": "121046ac6694cdb53ecba6295c4f66de3dfcf92e17d2b249c1765520c9582e50",
+    "netb-acp_plus": "23f7ba59e065d16363aea8042e7a8fe92540564b20a923d0aba95a4a645a19a5",
 }
 
 
@@ -90,6 +96,7 @@ BACKLOG_DIGESTS = {
     "det4-10-fixed4-2src": "9469483dec44b451e8989c462ebc4d5e8f052b6ae80cb55e5ad0c63bd87da9f4",
     "det4-4-lazy-2src": "4e0791e535db76817dd43afcca9168312d2318ae0c46107ea3b70ab71d4dcf44",
     "det4-4-acp_plus-2src": "eb9da09ae8a0370710c0dccb5852836da56c9f0bc0c52d76ed862befb958a602",
+    "netb-acp_plus": "a1d8866aa6439114acad8103d04c2a0aaaf12e2997596aefce88925f4136da0e",
 }
 
 
@@ -98,6 +105,13 @@ def test_closed_loop_backlogs_match_golden_digest(case):
     backlogs = run_closed_loop(*CLOSED_LOOP_CASES[case]).forward_backlogs
     assert all(b > 0.0 for b in backlogs)
     assert hashlib.sha256(json.dumps(backlogs).encode()).hexdigest() == BACKLOG_DIGESTS[case]
+
+
+def test_netb_case_puts_a_queue_between_delays():
+    net = CLOSED_LOOP_CASES["netb-acp_plus"][0]
+    marks = (False, True, True, True, False, True)
+    frame_bytes = wire.HEADER_LEN + SourceConfig().payload_size
+    assert simkit._queue_free(net.forward, frame_bytes) == marks == simkit._queue_free(net.reverse, net.ack_bytes)
 
 
 RUN_SOURCE_DIGESTS = {

@@ -283,7 +283,7 @@ def test_single_source_throughput_equals_rate():
 def test_backlog_window_opens_on_a_completion_instant():
     # two updates at t=0 on a 1 s server leave at 1 and 2; warm-up ends at
     # the first departure, and the backlog integral is continuous there
-    engine = simkit._Engine((ServiceSpec("det", 1.0),), 0, (0,), 1.0, 4.0)
+    engine = simkit._Engine((ServiceSpec("det", 1.0),), 0, (0,), 1.0, 4.0, (False,))
     for _ in range(2):
         engine.enqueue(0.0, 0, (True, 1040.0, 1, lambda t, src, payload: None, 0, None))
     engine.run()
@@ -294,7 +294,7 @@ def test_segment_exit_takes_its_order_on_entry():
     # a two-hop det segment entered at t=0 exits at t=2; the exit event was
     # pushed at entry, so it runs before a handler pushed at t=0.5 for t=2
     seen = []
-    engine = simkit._Engine((ServiceSpec("det", 1.0),) * 2, 0, (0,), 0.0, 4.0)
+    engine = simkit._Engine((ServiceSpec("det", 1.0),) * 2, 0, (0,), 0.0, 4.0, (False, False))
     engine.enqueue(0.0, 0, (True, 1040.0, 2, lambda t, src, payload: seen.append(("exit", t)), 0, None))
     engine.push(0.5, lambda t, a, b: engine.push(2.0, lambda t, a, b: seen.append(("handler", t))))
     engine.run()
@@ -310,7 +310,7 @@ def test_segment_walk_matches_lindley_per_hop_across_sizes():
     arrivals = [(0.75 * k, 1000.0 if k % 2 == 0 else 500.0) for k in range(16)]
 
     exits = []
-    engine = simkit._Engine(specs, seed, (0,), warmup, duration)
+    engine = simkit._Engine(specs, seed, (0,), warmup, duration, (False,) * len(specs))
     for k, (t, size) in enumerate(arrivals):
         engine.enqueue(t, 0, (True, size, len(specs), lambda t, k, _: exits.append((k, t)), k, None))
     engine.run()
@@ -378,13 +378,19 @@ SERVICES = st.one_of(
 )
 
 
+def _repeated_chain(draw, max_size: int) -> tuple:
+    """Up to ``max_size`` drawn specs, a det or link spec up to three times
+    in a row, so that nodes hold no queue (simkit._queue_free)."""
+    chain = ()
+    for spec in draw(st.lists(SERVICES, min_size=1, max_size=max_size)):
+        chain += (spec,) * (1 if spec.kind == "exp" else draw(st.integers(1, 3)))
+    return chain
+
+
 @st.composite
 def open_loop_runs(draw):
-    # a det or link spec comes up to three times in a row, so that nodes hold
-    # no queue (simkit._queue_free), and a flow may enter inside such a run
-    forward = ()
-    for spec in draw(st.lists(SERVICES, min_size=1, max_size=3)):
-        forward += (spec,) * (1 if spec.kind == "exp" else draw(st.integers(1, 3)))
+    # a flow may enter inside a run of nodes that hold no queue
+    forward = _repeated_chain(draw, 3)
     flows = st.builds(
         CrossTraffic, st.integers(0, len(forward) - 1), st.floats(500.0, 8000.0), st.integers(64, 1500)
     )
@@ -471,7 +477,7 @@ def _open_loop_per_node(net, lam, arrival, duration, seed):
     with every packet's update flag carried along to the end of the chain,
     arrivals plus service times at each node ``_queue_free`` marks, and a new
     cumsum of the service times at every other node."""
-    free = simkit._queue_free(net)
+    free = simkit._queue_free(net.forward, net.update_bytes, net.cross_traffic)
     arrivals_seed = substream_seed(seed, "arrivals") if arrival == "poisson" else None
     arrive = simkit._renewal_times(lam, duration, arrivals_seed)
     sizes, is_update = np.full(len(arrive), float(net.update_bytes)), np.ones(len(arrive), dtype=bool)
@@ -519,7 +525,7 @@ def test_open_loop_matches_per_node_rule_exactly(spec, lam, entries):
     rate_bps = 8.0 * 1040 * 0.15 * spec.effective_rate(1040)
     flows = tuple(CrossTraffic(entry=e, rate_bps=rate_bps, packet_bytes=1040 - 100 * k) for k, e in enumerate(entries))
     net = QueueNetwork(forward=(spec,) * 5, cross_traffic=flows)
-    assert any(simkit._queue_free(net))
+    assert any(simkit._queue_free(net.forward, net.update_bytes, net.cross_traffic))
     _assert_matches_per_node(net, lam, 2000.0 / lam)
 
 
@@ -538,7 +544,7 @@ def test_open_loop_matches_per_node_rule_ahead_of_a_queue(sizes, free):
     net = QueueNetwork.from_dict(doc)._replace(
         cross_traffic=tuple(CrossTraffic(entry=0, rate_bps=100_000, packet_bytes=size) for size in sizes)
     )
-    assert simkit._queue_free(net) == free
+    assert simkit._queue_free(net.forward, net.update_bytes, net.cross_traffic) == free
     _assert_matches_per_node(net, 70.0, 30.0)
 
 
@@ -604,7 +610,7 @@ def test_queue_free_rule_is_exact_for_the_fcfs_recursion():
     @example((_mixed_pair(8320.0 * 100), 40.0, 0))
     def check(case):
         net, lam, seed = case
-        free = simkit._queue_free(net)
+        free = simkit._queue_free(net.forward, net.update_bytes, net.cross_traffic)
         assert not any(f and spec.kind == "exp" for f, spec in zip(free, net.forward))
         nonlocal marked_arrivals, waits_elsewhere
         for marked, (arrivals, waits) in zip(free, _fcfs_waits(net, lam, 2.0, seed)):
@@ -911,21 +917,31 @@ SOURCE_POLICIES = st.one_of(
 
 
 @st.composite
-def closed_loop_runs(draw, policies=SOURCE_POLICIES):
-    forward = tuple(draw(st.lists(SERVICES, min_size=1, max_size=3)))
-    reverse = tuple(draw(st.lists(SERVICES, min_size=1, max_size=2)))
+def closed_loop_runs(draw, policies=SOURCE_POLICIES, repeats=False):
+    """``run_closed_loop``'s arguments; with ``repeats``, chains drawn as
+    ``open_loop_runs`` draws them and a ``cfg`` with a drawn payload size,
+    so that the updates' frames need not have a cross flow's size."""
+    if repeats:
+        forward, reverse = _repeated_chain(draw, 3), _repeated_chain(draw, 2)
+    else:
+        forward = tuple(draw(st.lists(SERVICES, min_size=1, max_size=3)))
+        reverse = tuple(draw(st.lists(SERVICES, min_size=1, max_size=2)))
     flows = st.builds(
         CrossTraffic, st.integers(0, len(forward) - 1), st.floats(500.0, 8000.0), st.integers(64, 1500)
     )
     net = QueueNetwork(forward=forward, reverse=reverse, cross_traffic=tuple(draw(st.lists(flows, max_size=3))))
-    return (
+    policy = draw(policies)
+    run = (
         net,
-        draw(policies),
+        policy,
         draw(st.integers(1, 3)),
         draw(st.floats(20.0, 200.0)),
         draw(st.integers(0, 2**32)),
         draw(st.sampled_from((0.0, 0.1))),
     )
+    if repeats:
+        run += (SourceConfig(policy=policy, payload_size=draw(st.integers(0, 2000))),)
+    return run
 
 
 class _TieWatch(HopEngine):
@@ -936,8 +952,8 @@ class _TieWatch(HopEngine):
     moving on within a segment, or leaving the network otherwise, is no
     event of ``_Engine``'s and is not noted."""
 
-    def __init__(self, specs, seed, heads, warmup, duration):
-        super().__init__(specs, seed, heads, warmup, duration)
+    def __init__(self, specs, seed, heads, warmup, duration, delays):
+        super().__init__(specs, seed, heads, warmup, duration, delays)
         self.ran = []
         self._heads = heads
 
@@ -1007,6 +1023,52 @@ def test_closed_loop_matches_hop_by_hop_engine(run):
     assert json.dumps(got.to_dict()["sources"]) == json.dumps(want.to_dict()["sources"])
     for field in ("forward_backlogs", "reverse_backlogs"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0), field
+
+
+_ENGINE = simkit._Engine
+
+
+def _no_delays(specs, seed, heads, warmup, duration, delays):
+    return _ENGINE(specs, seed, heads, warmup, duration, (False,) * len(specs))
+
+
+# updates of 2,016 B (payload 2,000) and ACKs of 64 B: the second node of
+# each chain queues, and would be marked if the rule read the 1,040-byte
+# ``net.update_bytes`` forward (0.139 s <= 0.25 s) or the frames' size on the
+# reverse chain (0.4 s <= 0.538 s); ACKs leave the forward link 0.269 s apart
+# or more, less than the reverse det's 0.4 s
+_SIZE_NET = QueueNetwork(
+    forward=(ServiceSpec("det", 4.0), ServiceSpec("link", 60_000.0)),
+    reverse=(ServiceSpec("link", 30_000.0), ServiceSpec("det", 2.5)),
+)
+
+
+def test_closed_loop_delays_change_nothing():
+    # a node _queue_free marks is a pure delay in the engine's walk and cross
+    # traffic stops at its last segment's last node that can queue: with
+    # every mark forced off, every output must be the same, bit for bit
+    marked = {"forward": 0, "reverse": 0}
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(closed_loop_runs(repeats=True))
+    @example((_SIZE_NET, "fixed:0.6", 3, 60.0, 0, 0.1, SourceConfig(policy="fixed:0.6", payload_size=2000)))
+    # net_d: cross traffic passes four delays ahead of the last node's queue
+    @example((QueueNetwork.from_dict(load_config("net_d")[0]["net"]), "acp_plus", 2, 20.0, 1, 0.1, SourceConfig()))
+    def check(run):
+        got, engine = _closed_loop_outcome(run, _ENGINE)
+        want, _ = _closed_loop_outcome(run, _no_delays)
+        n_fwd = len(run[0].forward)
+        marked["forward"] += any(engine._delays[:n_fwd])
+        marked["reverse"] += any(engine._delays[n_fwd:])
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        assert got.forward_backlogs == want.forward_backlogs
+        assert got.reverse_backlogs == want.reverse_backlogs
+
+    check()
+    assert marked["forward"] > 0 and marked["reverse"] > 0, marked
 
 
 class _TimerWatch(simkit._Engine):
