@@ -431,7 +431,12 @@ def test_sim_rejects_unknown_config_key(tmp_path, where, key):
     assert not out.exists()
 
 
-FIXED_RATE_DOC = {"mode": "fixed_rate", "net": {"forward": [{"service": "exp", "rate": 1.0}]}, "lambda": 0.5, "duration": 50.0}
+FIXED_RATE_DOC = {
+    "mode": "fixed_rate",
+    "net": {"forward": [{"service": "exp", "rate": 1.0}]},
+    "lambda": 0.5,
+    "duration": 50.0,
+}
 CLOSED_LOOP_DOC = {
     "mode": "closed_loop",
     "net": {"forward": [{"service": "exp", "rate": 1.0}], "reverse": [{"service": "exp", "rate": 10.0}]},
@@ -443,7 +448,10 @@ CLOSED_LOOP_DOC = {
     "doc, keys",
     [
         # each of these used to run and exit 0, the other mode's fields ignored
-        ({**FIXED_RATE_DOC, "n_sources": 6, "policy": "lazy", "payload_size": 64}, ("n_sources", "policy", "payload_size")),
+        (
+            {**FIXED_RATE_DOC, "n_sources": 6, "policy": "lazy", "payload_size": 64},
+            ("n_sources", "policy", "payload_size"),
+        ),
         ({**CLOSED_LOOP_DOC, "arrival": "periodic"}, ("arrival",)),
         ({**CLOSED_LOOP_DOC, "lambda": 0.5, "eta": 5}, ("lambda",)),
     ],

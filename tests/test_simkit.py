@@ -1025,6 +1025,7 @@ def test_closed_loop_matches_hop_by_hop_engine(run):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0), field
 
 
+# the class itself: while _closed_loop_outcome runs, simkit._Engine is its factory
 _ENGINE = simkit._Engine
 
 
