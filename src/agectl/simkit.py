@@ -42,11 +42,11 @@ that breaks time ties by insertion order holds one entry for its exit
 into the next segment.  The walk follows a list of (node, service time,
 is a delay) triples per packet size and entry point, built from
 ``_service_fn`` when that size first enters there; only ``exp`` nodes
-draw, once per visit.
-The same rule holds there, on both chains: a node that cannot queue is a
-pure delay, with no max and no server state, and cross traffic stops at
-the last node that can queue in its last segment.
-A packet carries its arrival handler.  An update that ends its route by
+draw, once per visit.  The open loop's rule holds here on both chains
+(``_Engine`` has the argument): a node that never holds a queue is a
+pure delay, with no max and no server state, and cross traffic stops
+at the last node that can queue in its last segment, where nothing
+reads it any more.  A packet carries its arrival handler.  An update that ends its route by
 the end of the run arrives within the walk: its monitor runs at the exit
 instant and its ACK is walked through the reverse chain there, so a
 round trip takes two heap entries, the send timer and the ACK's arrival
