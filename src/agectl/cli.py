@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
-from . import __version__, simkit
+from . import __version__, simkit, wire
 from .endpoints import InitializationError, SourceConfig, UdpLink, require_duration, require_monitor_limits
 from .endpoints import run_monitor, run_source
 
@@ -335,7 +335,13 @@ def cmd_sim(args) -> int:
         raise simkit.ConfigError(f"mode must be 'fixed_rate' or 'closed_loop', got {mode!r}")
     # a field of the other mode would be ignored, so it is rejected as unknown
     simkit._reject_unknown(doc, COMMON_KEYS + MODE_KEYS[mode], f"config of mode {mode!r}")
-    net = simkit.QueueNetwork.from_dict(_require(doc, "net", dict))
+    net_doc = _require(doc, "net", dict)
+    if mode == "closed_loop" and "update_bytes" in net_doc:
+        raise simkit.ConfigError(
+            f"net.update_bytes has no effect in mode 'closed_loop', whose updates are frames of "
+            f"{wire.HEADER_LEN} + payload_size bytes; set payload_size instead"
+        )
+    net = simkit.QueueNetwork.from_dict(net_doc)
     seed = _seed(args, doc)
     duration = _require(doc, "duration", (int, float))
     warmup_frac = doc.get("warmup_frac", simkit.DEFAULT_WARMUP_FRAC)

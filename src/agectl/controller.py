@@ -51,24 +51,19 @@ class RateController:
     One instance per connection; the caller serializes all calls.
     ``escalating`` records that the previous decision came from the
     rising-backlog-rising-age quadrant, which arms the multiplicative
-    path; ``mdec_level`` is the current escalation depth.
+    path; ``mdec_level`` is the current escalation depth.  Both start
+    disarmed, at False and 0.
     """
 
-    def __init__(
-        self,
-        initial_rate: float,
-        updates_per_epoch: int = DEFAULT_UPDATES_PER_EPOCH,
-        escalating: bool = False,
-        mdec_level: int = 0,
-    ):
+    def __init__(self, initial_rate: float, updates_per_epoch: int = DEFAULT_UPDATES_PER_EPOCH):
         if initial_rate <= 0.0:
             raise ValueError(f"initial rate must be positive, got {initial_rate}")
         if updates_per_epoch < 1:
             raise ValueError(f"updates_per_epoch must be >= 1, got {updates_per_epoch}")
         self.rate = initial_rate
         self.updates_per_epoch = updates_per_epoch
-        self.escalating = escalating
-        self.mdec_level = mdec_level
+        self.escalating = False
+        self.mdec_level = 0
 
     def decide(self, backlog_diff: float, age_diff: float, backlog_now: float) -> TargetChange:
         """Pick the backlog-change target from the epoch's trend signs.

@@ -44,6 +44,7 @@ if TYPE_CHECKING:
     import socket
 
 __all__ = [
+    "ConfigError",
     "SourceConfig",
     "SourceSession",
     "MonitorSession",
@@ -77,11 +78,30 @@ def parse_policy(policy: str) -> tuple[str, Optional[float]]:
         try:
             rate = float(policy.split(":", 1)[1])
         except ValueError:
-            raise ValueError(f"bad fixed policy rate in {policy!r}") from None
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise ValueError(f"fixed policy rate must be positive and finite, got {rate}")
+            raise ConfigError(f"bad fixed policy rate in {policy!r}") from None
+        _require_positive("fixed policy rate", rate)
         return "fixed", rate
-    raise ValueError(f"unknown policy {policy!r}; expected acp_plus, lazy, or fixed:<rate>")
+    raise ConfigError(f"unknown policy {policy!r}; expected acp_plus, lazy, or fixed:<rate>")
+
+
+class ConfigError(ValueError):
+    """Malformed configuration or input; the message names the field."""
+
+
+def _require_positive(what: str, value) -> None:
+    """Reject zero, negative, infinite and NaN values of a rate or span."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{what} must be positive and finite, got {value}")
+
+
+def _require_int(what: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _require_number(what: str, value) -> None:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 class CheckedRecord:
@@ -120,32 +140,26 @@ class SourceConfig(CheckedRecord, _SourceConfig):
 
     def __post_init__(self):
         if not isinstance(self.policy, str):
-            raise ValueError(f"policy must be a string, got {self.policy!r}")
+            raise ConfigError(f"policy must be a string, got {self.policy!r}")
         for name in ("payload_size", "probe_count", "updates_per_epoch"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _require_int(name, getattr(self, name))
         for name in ("probe_timeout", "alpha"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            _require_number(name, getattr(self, name))
         parse_policy(self.policy)
         if self.probe_count < 1:
-            raise ValueError(f"probe_count must be >= 1, got {self.probe_count}")
-        if not (math.isfinite(self.probe_timeout) and self.probe_timeout > 0.0):
-            raise ValueError(f"probe_timeout must be positive and finite, got {self.probe_timeout}")
+            raise ConfigError(f"probe_count must be >= 1, got {self.probe_count}")
+        _require_positive("probe_timeout", self.probe_timeout)
         if not 0 <= self.payload_size <= wire.MAX_PAYLOAD:
-            raise ValueError(f"payload_size must be in [0, {wire.MAX_PAYLOAD}], got {self.payload_size}")
+            raise ConfigError(f"payload_size must be in [0, {wire.MAX_PAYLOAD}], got {self.payload_size}")
         if self.updates_per_epoch < 1:
-            raise ValueError(f"updates_per_epoch must be >= 1, got {self.updates_per_epoch}")
+            raise ConfigError(f"updates_per_epoch must be >= 1, got {self.updates_per_epoch}")
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
 
 
 def require_duration(duration: float) -> None:
     """Reject a run duration that is not positive and finite."""
-    if not (math.isfinite(duration) and duration > 0.0):
-        raise ValueError(f"duration must be positive and finite, got {duration}")
+    _require_positive("duration", duration)
 
 
 def require_monitor_limits(duration: Optional[float], max_updates: Optional[int]) -> None:
@@ -246,10 +260,8 @@ class SourceSession:
         return self._send_update(t)
 
     def _send_update(self, t: float) -> bytes:
-        seq = self.estimator.highest_sent + 1
         gen_ts_us = round(t * 1e6)
-        self.estimator.on_send(t, seq, t, gen_ts_us)
-        return wire.encode_update(seq, gen_ts_us, self._payload)
+        return wire.encode_update(self.estimator.on_send(t, gen_ts_us), gen_ts_us, self._payload)
 
     def _finish_init(self, t: float) -> list[bytes]:
         """End probing at ``t`` and begin the first epoch there; returns its first send."""
@@ -582,16 +594,16 @@ class DrawStream:
 
 
 def _delay_sampler(name: str, spec, seed: int) -> Callable[[], float]:
-    """Per-direction delay model, constant or ``("exp", mean)``, bound once."""
-    kind, value = ("const", spec) if isinstance(spec, (int, float)) else spec
-    value = float(value)
-    if kind not in ("const", "exp"):
-        raise ValueError(f"{name} kind must be 'const' or 'exp', got {kind!r}")
+    """Per-direction delay model, a number of seconds or ``("exp", mean)``, bound once."""
+    constant = isinstance(spec, (int, float))
+    if not constant:
+        kind, spec = spec
+        if kind != "exp":
+            raise ValueError(f"{name} must be a number or ('exp', mean), got kind {kind!r}")
+    value = float(spec)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be non-negative and finite, got {value}")
-    if kind == "const":
-        return lambda: value
-    return DrawStream(seed, value).draw
+    return (lambda: value) if constant else DrawStream(seed, value).draw
 
 
 class SimulatedPath:

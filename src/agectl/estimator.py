@@ -6,6 +6,9 @@ processes from what it can see locally:
 * ``highest_sent`` is the index of the freshest update sent so far and
   ``highest_acked`` the index of the freshest update whose ACK arrived
   in sequence.  The estimated in-flight backlog is their difference.
+  ``on_send`` numbers the updates 1, 2, 3, ... and takes each one's
+  generation instant to be its send instant, as ACP+ stamps an update
+  when it sends it.
 * The estimated age grows at unit slope and resets to the round-trip
   time of update ``i`` when the ACK of ``i`` arrives in sequence.  ACKs
   that arrive after an ACK for a newer update are stale and change
@@ -39,7 +42,8 @@ MAX_PENDING = 4096
 
 
 class ProtocolError(Exception):
-    """Sequence/clock discipline violated (non-monotone seq, unknown seq)."""
+    """Sequence/clock discipline violated (clock moved backwards, ACK for an
+    unknown seq or with a wrong echo)."""
 
 
 class NoEstimateError(Exception):
@@ -72,7 +76,7 @@ class SourceEstimator:
         self.highest_acked = 0
         self.rtt_ewma: Optional[float] = None
         self.ack_gap_ewma: Optional[float] = None
-        # seq -> (generation time, its wire timestamp) of the newest
+        # seq -> (send time, its wire timestamp) of the newest
         # unacknowledged sends, at most MAX_PENDING, oldest first
         self._pending: dict[int, tuple[float, int]] = {}
         self._acked_gen_ts = 0.0  # generation time of update highest_acked
@@ -98,12 +102,11 @@ class SourceEstimator:
                 self._age_area += dt * ((self._clock + t) * 0.5 - self._acked_gen_ts)
         self._clock = t
 
-    def on_send(self, t: float, seq: int, gen_ts: float, gen_ts_us: int) -> None:
-        """Record the transmission of update ``seq`` generated at ``gen_ts``,
-        whose frame carries the timestamp ``gen_ts_us``."""
+    def on_send(self, t: float, gen_ts_us: int) -> int:
+        """Record the transmission at ``t`` of the next update, generated at
+        ``t`` and carrying the timestamp ``gen_ts_us`` in its frame; returns
+        its sequence number, ``highest_sent + 1``."""
         sent = self.highest_sent
-        if seq != sent + 1:
-            raise ProtocolError(f"non-monotone send seq {seq}, expected {sent + 1}")
         # _advance(t), inlined on the per-packet calls
         clock = self._clock
         if t < clock:
@@ -115,10 +118,11 @@ class SourceEstimator:
             if acked > 0:
                 self._age_area += dt * ((clock + t) * 0.5 - self._acked_gen_ts)
         self._clock = t
-        self.highest_sent = seq
-        self._pending[seq] = (gen_ts, gen_ts_us)
+        seq = self.highest_sent = sent + 1
+        self._pending[seq] = (t, gen_ts_us)
         if seq - self.highest_acked > MAX_PENDING:
             del self._pending[seq - MAX_PENDING]
+        return seq
 
     def on_ack(self, t: float, seq: int, echo_ts_us: int) -> Optional[float]:
         """Process an ACK; a fresh one resets the age, updates the EWMAs and

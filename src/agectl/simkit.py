@@ -13,17 +13,15 @@ of the arrival draws; each node merges its through traffic with the
 cross flows entering there and applies Lindley's recursion
 ``D_k = max(A_k, D_{k-1}) + S_k`` in closed form over whole arrays,
 its temporaries in the service times' buffer and the departures in the
-buffer of their running sum.  A node that no cross flow enters, ``det``
-or ``link`` like the node before it, whose every service time is no
-longer than the shortest there, never holds a queue: in the FCFS
-recursion each packet arrives once the one before has left (Friedman
-1965; ``_queue_free`` has the proof).  Its departures are its arrivals
-plus service, with no running sum or max, and no service array when
-its packets have one size; past the last node that can queue, the run
-carries the updates alone.  FCFS departures never decrease (with
-several sizes at a pure delay, unless its service times are within the
-instants' rounding error), so the packets that leave a node by the end
-of the run are a prefix, taken as a view, not through a mask.  Until a
+buffer of their running sum.  A node ``_queue_free`` marks never holds
+a queue (its docstring has the rule and the argument): its departures
+are its arrivals plus service, with no running sum or max, and no
+service array when its packets have one size; past the last node that
+can queue (``_tail``), the run carries the updates alone.  FCFS
+departures never decrease (with several sizes at a pure delay, unless
+its service times are within the instants' rounding error), so the
+packets that leave a node by the end of the run are a prefix, taken as
+a view, not through a mask.  Until a
 cross flow enters, every packet is an update and a run holds at most
 five float arrays per update: generation instants, a node's arrivals,
 service times and departures (or, at the end, ``age_time_average``'s
@@ -40,31 +38,31 @@ one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
 that breaks time ties by insertion order holds one entry for its exit
 into the next segment.  The walk follows a list of (node, service time,
-is a delay) triples per packet size and entry point, built from
-``_service_fn`` when that size first enters there; only ``exp`` nodes
-draw, once per visit.  The open loop's rule holds here on both chains
-(``_Engine`` has the argument): a node that never holds a queue is a
-pure delay, with no max and no server state, and cross traffic stops
-at the last node that can queue in its last segment, where nothing
-reads it any more.  A packet carries its arrival handler.  An update that ends its route by
-the end of the run arrives within the walk: its monitor runs at the exit
-instant and its ACK is walked through the reverse chain there, so a
-round trip takes two heap entries, the send timer and the ACK's arrival
-at the source.  Cross traffic ends with no entry.  A source's timer
-takes one heap entry per session call that returned frames (the only
-calls that move its deadline), tagged with the source's send count; an
-entry runs only if no update was sent since, and the start is the entry
-tagged 0.  Source k starts at an offset drawn from its own substream,
-uniform on [0, probe_timeout), so no two sources' timers share an
-instant and no result depends on how the heap breaks a tie between
-them; that span must end within the warm-up.
+is a delay) triples per packet size, entry point and end, built from
+``_service_fn`` when first needed; only ``exp`` nodes draw, once per
+visit.  The open loop's rule holds here on both chains: a node that
+never holds a queue is a pure delay, with no max and no server state,
+and cross traffic's route ends at the open loop's ``_tail``, past which
+nothing reads it.  A packet carries its arrival handler.  An update that
+ends its route by the end of the run arrives within the walk: its
+monitor runs at the exit instant and its ACK is walked through the
+reverse chain there, so a round trip takes two heap entries, the send
+timer and the ACK's arrival at the source.  Cross traffic ends with no
+entry.  A source's timer takes one heap entry per session call that
+returned frames (the only calls that move its deadline), tagged with the
+source's send count; an entry runs only if no update was sent since, and
+the start is the entry tagged 0.  Source k starts at an offset drawn
+from its own substream, uniform on [0, probe_timeout), so no two
+sources' timers share an instant and no result depends on how the heap
+breaks a tie between them; that span must end within the warm-up.
 
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.
 Metrics are computed from the delivery log after the run, excluding a
 configurable warm-up window; a sweep point's batch-means windows share
 one pass over the age areas.  Per-node backlog figures count update
-packets only (not cross traffic, not ACKs).
+packets only (not cross traffic, not ACKs), so a closed loop reports
+them for the forward chain alone.
 """
 
 from __future__ import annotations
@@ -78,8 +76,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import wire
-from .endpoints import CheckedRecord, DrawStream, MonitorSession, SourceConfig, SourceSession, age_time_average
-from .endpoints import age_areas, substream_seed
+from .endpoints import CheckedRecord, ConfigError, DrawStream, MonitorSession, SourceConfig, SourceSession
+from .endpoints import _require_int, _require_number, _require_positive, age_areas, age_time_average, substream_seed
 
 SERVICE_KINDS = ("exp", "det", "link")
 ARRIVAL_KINDS = ("poisson", "periodic")
@@ -89,26 +87,6 @@ DEFAULT_ACK_BYTES = 64
 DEFAULT_WARMUP_FRAC = 0.10
 
 _SWEEP_BATCHES = 10  # batch means behind each sweep point's interval
-
-
-class ConfigError(ValueError):
-    """Malformed network/run configuration; message names the field."""
-
-
-def _require_positive(what: str, value) -> None:
-    """Reject zero, negative, infinite and NaN values of a rate or span."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{what} must be positive and finite, got {value}")
-
-
-def _require_int(what: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-
-
-def _require_number(what: str, value) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def _list_field(doc: dict, key: str) -> list:
@@ -280,7 +258,8 @@ def _parse_cross(flow, where: str) -> CrossTraffic:
 #   (is_update, size_bytes, route_end, arrive, src, payload)
 # route_end is the index one past the last node of the packet's route, where
 # the engine calls (updates) or schedules (ACKs) ``arrive(t, src, payload)``;
-# cross traffic has no ``arrive`` (and no payload) and leaves silently.
+# cross traffic has no ``arrive`` (and no payload) and leaves silently at the
+# forward chain's ``_tail``.
 
 
 class _Engine:
@@ -288,16 +267,18 @@ class _Engine:
 
     Heap entries ``(t, order, handler, a, b)`` run as ``handler(t, a, b)``
     in time order, ties in insertion order.  Packets enter only at
-    ``heads`` and every route ends at a head or at the array's end, so
-    FCFS keeps entry order from one head to the next: ``enqueue`` walks a
-    packet through that segment by Lindley's recursion.  If the route
-    goes on, it pushes one entry for the exit, ``enqueue`` for the next
-    segment, ordered among equal-time events by when the packet entered.
+    ``heads``, so FCFS keeps entry order from one head to the next:
+    ``enqueue`` walks a packet by Lindley's recursion through that
+    segment, or up to the end of its route if that comes first.  If the
+    route goes on, it pushes one entry for the exit, ``enqueue`` for the
+    next segment, ordered among equal-time events by when the packet
+    entered.
     At the end of the route an update exiting by ``duration`` calls its
     ``arrive`` at once, ahead of the clock; a later one never arrives.
     Any other packet pushes its ``arrive`` (cross traffic has none).
     Each update's stay at a node, clipped to [warmup, duration], adds to
-    that node's backlog area.
+    that node's backlog area; only updates add area, so only the nodes
+    they pass hold any.
 
     The arrival rule: an update's ``arrive`` may enqueue only at a head
     that nothing else enters.  The calls then reach that head in the
@@ -309,24 +290,22 @@ class _Engine:
     arrive at the reverse chain's head, which only ACKs enter.
 
     ``_service`` holds each node's ``_service_fn``, the one definition of
-    a service time.  ``_walks`` maps a packet size and a head to the walk
-    through that head's segment: one (node, service time, is a delay)
-    triple per node, built from those functions when the size first
-    enters there, with None at ``exp`` nodes: only they call their
-    function, drawing once per visit in visit order from their own
-    substream.  Updates take a loop that adds the backlog areas; every
-    other packet takes one without them.
+    a service time.  ``_walks`` maps a packet size, a head and an end to
+    the walk from that head to the end of its segment or of the route,
+    whichever comes first: one (node, service time, is a delay) triple
+    per node, built from those functions when the key is first met, with
+    None at ``exp`` nodes: only they call their function, drawing once
+    per visit in visit order from their own substream.  Updates take a
+    loop that adds the backlog areas; every other packet takes one
+    without them.
 
     ``delays`` marks the nodes that ``_queue_free`` finds can never hold
-    a queue; it marks no head.  FCFS keeps entry order from one head to
-    the next, so such a node serves its packets in the order the node
-    before it releases them, and there ``max(free, t)`` is always ``t``:
-    the walk gives ``leave = t + serve`` and neither reads nor stores the
-    node's ``free``, which nothing else reads.  Cross traffic in its last
-    segment is read by nothing once it leaves the segment's last node
-    that can queue, so its walk (in ``_tails``) stops there; it still
-    passes the delays ahead of that node, adding their service times.
-    Neither changes an instant, a heap entry or a backlog area.
+    a queue; it marks no head, so such a node serves its packets in the
+    order the node before it releases them, as that argument needs.
+    There ``max(free, t)`` is always ``t``, so the walk gives ``leave = t
+    + serve`` and neither reads nor stores the node's ``free``, which
+    nothing else reads.  This changes no instant, heap entry or backlog
+    area.
 
     The tie rule: on ``det`` chains with commensurate periods a timer can
     tie with an ACK or another packet's exit; results there are
@@ -339,9 +318,8 @@ class _Engine:
         self._service = [_service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
         self._draws = [s.kind == "exp" for s in specs]  # nodes that draw once per visit
         self._delays = delays  # nodes that never hold a queue
-        # (packet size, head) -> [(node, service time or None where it draws, is a delay)]
+        # (packet size, head, end) -> [(node, service time or None where it draws, is a delay)]
         self._walks: dict = {}
-        self._tails: dict = {}  # the same for cross traffic in its last segment
         self._segment_end = [min((h for h in heads if h > i), default=n) for i in range(n)]
         self._free = [0.0] * n  # when each server finishes its last packet
         self._warmup = warmup
@@ -354,25 +332,23 @@ class _Engine:
         self._order += 1
         heapq.heappush(self.heap, (t, self._order, handler, a, b))
 
-    def _walk(self, walks: dict, size: float, i: int) -> list:
+    def _walk(self, size: float, i: int, end: int) -> list:
         # a method of its own: a comprehension inside ``enqueue`` would make
         # the locals it reads closure cells there, slower to read on every hop
         # (before Python 3.12, which inlines comprehensions)
         service, draws, delays = self._service, self._draws, self._delays
-        end = self._segment_end[i]
-        if walks is self._tails:  # up to the segment's last node that can queue
-            end = max((j + 1 for j in range(i, end) if not delays[j]), default=i)
-        walk = walks[size, i] = [(j, None if draws[j] else service[j](size), delays[j]) for j in range(i, end)]
+        walk = [(j, None if draws[j] else service[j](size), delays[j]) for j in range(i, end)]
+        self._walks[size, i, end] = walk
         return walk
 
     def enqueue(self, t: float, i: int, pkt) -> None:
         is_update, size, route_end, arrive, src, payload = pkt
         end = self._segment_end[i]
-        # nothing reads when cross traffic leaves the delays that end its route
-        walks = self._walks if arrive is not None or end < route_end else self._tails
-        walk = walks.get((size, i))
-        if walk is None:  # the first packet of this size to enter here
-            walk = self._walk(walks, size, i)
+        if route_end < end:  # a route that ends inside this segment
+            end = route_end
+        walk = self._walks.get((size, i, end))
+        if walk is None:  # the first packet of this size to enter here for this end
+            walk = self._walk(size, i, end)
         free, service = self._free, self._service
         if is_update:
             area, warmup, duration = self.area, self._warmup, self._duration
@@ -546,6 +522,12 @@ def _queue_free(chain, size: float, cross=()) -> tuple[bool, ...]:
     return tuple(free)
 
 
+def _tail(free) -> int:
+    """One past the last node that can queue, of a chain ``_queue_free``
+    marked ``free``: past it nothing waits, so only the updates need to go on."""
+    return max(i for i, delay in enumerate(free) if not delay) + 1
+
+
 def _fcfs_node(arrive: np.ndarray, service: np.ndarray) -> np.ndarray:
     """Departure instants of one FCFS server that may hold a queue.
 
@@ -554,10 +536,9 @@ def _fcfs_node(arrive: np.ndarray, service: np.ndarray) -> np.ndarray:
     ``served = cumsum(service)``.  The temporaries take ``service``'s
     buffer and the departures ``served``'s.  Departures never decrease, in
     floating point too (a running max plus a cumsum of non-negative
-    times).  A node ``_queue_free`` marks needs no running sum or max:
-    there ``A_k >= fl(D'_{k-1} + S'_k) >= fl(D'_{k-1} + S_{k-1}) = D_{k-1}``
-    (primes marking the node before; Friedman 1965), so no packet waits
-    and its departures are its arrivals plus service.
+    times).  A node ``_queue_free`` marks needs no running sum or max: no
+    packet waits there (its docstring has why), so its departures are its
+    arrivals plus service.
     """
     served = np.cumsum(service)
     np.subtract(served, service, out=service)
@@ -622,9 +603,8 @@ def _open_loop(
         for i, flow in enumerate(net.cross_traffic)
     ]
     free = _queue_free(net.forward, net.update_bytes, net.cross_traffic)
-    # past the last node that can queue, nothing enters and no packet waits,
-    # so the updates' departures there need no other packet
-    tail = max(i for i in range(n_fwd) if not free[i]) + 1
+    # the updates' departures from the tail on need no other packet
+    tail = _tail(free)
 
     # packets reaching the current node, in the order it serves them, and the
     # updates among them; until a cross flow enters, and from the tail on, all
@@ -800,11 +780,11 @@ class SourceStats(NamedTuple):
 
 
 class ClosedLoopResult(NamedTuple):
-    """Outcome of a closed-loop run: per-source stats plus node backlogs."""
+    """Outcome of a closed-loop run: per-source stats plus the forward
+    nodes' backlogs (updates never enter the reverse chain)."""
 
     sources: tuple[SourceStats, ...]
     forward_backlogs: tuple[float, ...]
-    reverse_backlogs: tuple[float, ...]
     fairness_true_age: Optional[float]
     fairness_est_age: Optional[float]
     duration: float
@@ -858,6 +838,8 @@ def run_closed_loop(
     # every frame a source sends has the same size, which _queue_free reads
     update_size = float(wire.HEADER_LEN + cfg.payload_size)
     ack_size = float(net.ack_bytes)
+    forward_free = _queue_free(net.forward, update_size, net.cross_traffic)
+    tail = _tail(forward_free)  # where cross traffic leaves: nothing reads it further on
     # 8 B per instant, each read back as a built-in float
     cross_times = [
         array("d", _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}"))[1:].tobytes())
@@ -887,7 +869,7 @@ def run_closed_loop(
 
     def on_cross(t: float, flow_idx: int, k: int) -> None:
         flow = net.cross_traffic[flow_idx]
-        enqueue(t, flow.entry, (False, float(flow.packet_bytes), n_fwd, None, -1, None))
+        enqueue(t, flow.entry, (False, float(flow.packet_bytes), tail, None, -1, None))
         times = cross_times[flow_idx]
         if k + 1 < len(times):
             push(times[k + 1], on_cross, flow_idx, k + 1)
@@ -905,7 +887,7 @@ def run_closed_loop(
 
     heads = {0, n_fwd} | {flow.entry for flow in net.cross_traffic}
     specs = tuple(net.forward) + tuple(net.reverse)
-    delays = _queue_free(net.forward, update_size, net.cross_traffic) + _queue_free(net.reverse, ack_size)
+    delays = forward_free + _queue_free(net.reverse, ack_size)
     engine = _Engine(specs, substream_seed(seed, "net"), heads, warmup, duration, delays)
     push, enqueue = engine.push, engine.enqueue
     for src in range(n_sources):
@@ -944,11 +926,9 @@ def run_closed_loop(
         )
     true_ages = [s.true_avg_age for s in stats]
     est_ages = [s.est_avg_age for s in stats]
-    backlogs = engine.window_backlogs()
     return ClosedLoopResult(
         sources=tuple(stats),
-        forward_backlogs=backlogs[:n_fwd],
-        reverse_backlogs=backlogs[n_fwd:],
+        forward_backlogs=engine.window_backlogs()[:n_fwd],  # updates never enter the reverse chain
         fairness_true_age=_maybe_jain(true_ages),
         fairness_est_age=_maybe_jain(est_ages),
         duration=duration,

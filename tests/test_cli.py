@@ -474,6 +474,23 @@ def test_sweep_reads_either_modes_config(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 4
 
 
+def test_closed_loop_sim_rejects_update_bytes(tmp_path, capsys):
+    # the closed loop's updates are frames of the header plus payload_size
+    # bytes; a net.update_bytes there used to run, silently ignored
+    doc = {**CLOSED_LOOP_DOC, "net": {**CLOSED_LOOP_DOC["net"], "update_bytes": 60000}}
+    path = tmp_path / "closed.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    assert main(["sim", "--config", str(path), "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: net.update_bytes ") and "payload_size" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+    # sweep runs the open loop, where update_bytes is the packet size
+    curve = tmp_path / "curve.csv"
+    assert main(["sweep", "--config", str(path), "--grid", "0.2:0.4:0.2", "--duration", "50", "--out", str(curve)]) == EXIT_OK
+    assert len(curve.read_text().splitlines()) == 3
+
+
 def test_sim_rejects_bool_seed(tmp_path, capsys):
     cfg = small_sim_config(tmp_path, seed=True)
     out = tmp_path / "x.json"

@@ -44,6 +44,13 @@ def reference_decision(backlog_diff, age_diff, backlog_now, flag, gamma):
     return action, b_star, flag, gamma
 
 
+def _controller(escalating, mdec_level):
+    """A controller at rate 10 in the given escalation state."""
+    ctl = RateController(10.0)
+    ctl.escalating, ctl.mdec_level = escalating, mdec_level
+    return ctl
+
+
 def test_exhaustive_decision_table():
     signs = (-1.0, -0.5, 0.0, 0.5, 1.0)
     for backlog_diff in signs:
@@ -51,9 +58,7 @@ def test_exhaustive_decision_table():
             for flag in (0, 1):
                 for gamma in range(0, 9):
                     for backlog_now in (0.0, 1.0, 4.0, 7.5):
-                        ctl = RateController(
-                            10.0, escalating=bool(flag), mdec_level=gamma
-                        )
+                        ctl = _controller(bool(flag), gamma)
                         change = ctl.decide(backlog_diff, age_diff, backlog_now)
                         action, b_star, flag2, gamma2 = reference_decision(
                             backlog_diff, age_diff, backlog_now, flag, gamma
@@ -79,19 +84,19 @@ def test_dec_then_mdec_escalation():
 
 
 def test_inc_resets_escalation():
-    ctl = RateController(10.0, escalating=True, mdec_level=5)
+    ctl = _controller(True, 5)
     change = ctl.decide(-0.3, 0.2, 4.0)
     assert change.kind is Action.INC and change.backlog_change == 1.0
     assert not ctl.escalating and ctl.mdec_level == 0
 
 
 def test_both_falling_rides_mdec_without_increment():
-    ctl = RateController(10.0, escalating=True, mdec_level=3)
+    ctl = _controller(True, 3)
     change = ctl.decide(-0.5, -0.5, 8.0)
     assert change.kind is Action.MDEC and change.mdec_level == 3
     assert ctl.escalating and ctl.mdec_level == 3  # state untouched
     # without an armed escalation it decreases additively and resets
-    ctl2 = RateController(10.0, escalating=False, mdec_level=0)
+    ctl2 = RateController(10.0)
     change2 = ctl2.decide(-0.5, -0.5, 8.0)
     assert change2.kind is Action.DEC
     assert not ctl2.escalating and ctl2.mdec_level == 0
@@ -101,7 +106,7 @@ def test_mdec_magnitude_monotone_in_level():
     backlog = 6.0
     prev = 0.0
     for gamma in range(1, 17):
-        ctl = RateController(10.0, escalating=True, mdec_level=gamma - 1)
+        ctl = _controller(True, gamma - 1)
         change = ctl.decide(0.5, 0.5, backlog)
         assert abs(change.backlog_change) >= prev
         prev = abs(change.backlog_change)
@@ -110,7 +115,7 @@ def test_mdec_magnitude_monotone_in_level():
 
 
 def test_mdec_level_cap():
-    ctl = RateController(10.0, escalating=True, mdec_level=MDEC_LEVEL_CAP)
+    ctl = _controller(True, MDEC_LEVEL_CAP)
     change = ctl.decide(1.0, 1.0, 4.0)
     assert change.mdec_level == MDEC_LEVEL_CAP
 
@@ -126,7 +131,7 @@ def test_record_types_keep_their_fields_defaults_and_immutability():
         defaults = {name: p.default for name, p in params.items() if p.default is not inspect.Parameter.empty}
         assert defaults == ({"mdec_level": 0} if cls is TargetChange else {})
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.0, 0)
+    est.on_send(0.0, 0)
     est.on_ack(0.5, 1, 0)
     stats = est.close_epoch(1.0)
     # the age runs from 0.5 to 1.0 over the epoch's second half; one update in flight over its first

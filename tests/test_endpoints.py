@@ -14,6 +14,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from agectl import wire
 from agectl.endpoints import (
+    ConfigError,
     DrawStream,
     InitializationError,
     MonitorSession,
@@ -43,19 +44,19 @@ def test_parse_policy():
     assert parse_policy("lazy") == ("lazy", None)
     assert parse_policy("fixed:7.5") == ("fixed", 7.5)
     for bad in ("fixed:", "fixed:-1", "tcp", "fixed:abc", "fixed:nan", "fixed:inf", "fixed:1e309"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             parse_policy(bad)
 
 
 def test_source_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SourceConfig(probe_count=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SourceConfig(payload_size=70_000)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SourceConfig(policy="bogus")
     for timeout in (math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SourceConfig(probe_timeout=timeout)
     wrong_types = [
         {"policy": 5},
@@ -69,10 +70,10 @@ def test_source_config_validation():
         {"alpha": True},
     ]
     for kwargs in wrong_types:
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
             SourceConfig(**kwargs)
     for alpha in (5.0, 0.0, -0.25, math.nan):
-        with pytest.raises(ValueError, match="alpha"):
+        with pytest.raises(ConfigError, match="alpha"):
             SourceConfig(alpha=alpha)
     assert SourceConfig(alpha=1).alpha == 1
 
@@ -746,6 +747,12 @@ def test_simulated_path_past_deadline_returns_at_once(in_flight):
     else:
         with pytest.raises(RuntimeError, match="block forever"):
             path.recv(math.inf)
+
+
+@pytest.mark.parametrize("spec", [("const", 0.01), ("uniform", 0.01)])
+def test_simulated_path_delay_is_a_number_or_an_exp_mean(spec):
+    with pytest.raises(ValueError, match="rev_delay must be a number or"):
+        SimulatedPath(rev_delay=spec)
 
 
 @pytest.mark.parametrize("duration", [math.nan, math.inf, -5.0, 0.0])

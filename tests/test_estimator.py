@@ -91,7 +91,7 @@ def replay_into_estimator(events, est=None):
     est = est or SourceEstimator()
     for ev in events:
         if ev[0] == "send":
-            est.on_send(ev[1], ev[2], ev[3], us(ev[3]))
+            assert est.on_send(ev[1], us(ev[3])) == ev[2]
         else:
             est.on_ack(ev[1], ev[2], ev[3])
     return est
@@ -102,20 +102,29 @@ def replay_into_estimator(events, est=None):
 
 def test_first_send_backlog():
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.0, us(0.0))
+    est.on_send(0.0, us(0.0))
     assert est.backlog == 1
+
+
+def test_on_send_numbers_the_updates_in_order():
+    # each send is the next update, stamped at its send instant
+    est = SourceEstimator()
+    assert [est.on_send(t, us(t)) for t in (0.0, 0.0, 0.5)] == [1, 2, 3]
+    est.on_ack(0.75, 2, us(0.0))
+    assert est.on_send(1.0, us(1.0)) == 4
+    assert est.highest_sent == 4 and est._pending == {3: (0.5, us(0.5)), 4: (1.0, us(1.0))}
 
 
 def test_three_sends_no_acks():
     est = SourceEstimator()
-    for seq, t in ((1, 0.0), (2, 0.5), (3, 1.0)):
-        est.on_send(t, seq, t, us(t))
+    for t in (0.0, 0.5, 1.0):
+        est.on_send(t, us(t))
     assert est.backlog == 3
 
 
 def test_single_exchange_resets_age_to_rtt():
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.0, us(0.0))
+    est.on_send(0.0, us(0.0))
     assert est.on_ack(0.2, 1, us(0.0)) == pytest.approx(0.2)
     assert est.age_at(0.2) == pytest.approx(0.2)
     assert est.age_at(1.2) == pytest.approx(1.2)  # unit slope afterwards
@@ -126,8 +135,8 @@ def test_out_of_sequence_ack_is_discarded():
     # an ACK for a newer update implicitly clears older ones; the late
     # ACK of an older update must then change nothing
     est = SourceEstimator()
-    for seq, t in ((1, 0.0), (2, 0.1), (3, 0.2)):
-        est.on_send(t, seq, t, us(t))
+    for t in (0.0, 0.1, 0.2):
+        est.on_send(t, us(t))
     assert est.on_ack(0.5, 3, us(0.2)) is not None
     assert est.highest_acked == 3 and est.backlog == 0
     age_before = est.age_at(0.6)
@@ -141,11 +150,11 @@ def test_unanswered_sends_keep_bounded_memory():
     # only the newest MAX_PENDING sends are kept, and an ACK for an older one
     # is stale, so it returns None and changes nothing
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.0, us(0.0))
+    est.on_send(0.0, us(0.0))
     est.on_ack(0.005, 1, us(0.0))
     sent = 5000
     for seq in range(2, sent + 1):
-        est.on_send(seq * 0.01, seq, seq * 0.01, us(seq * 0.01))
+        est.on_send(seq * 0.01, us(seq * 0.01))
     oldest = sent - MAX_PENDING + 1
     assert MAX_PENDING < sent - 1
     assert list(est._pending) == list(range(oldest, sent + 1))
@@ -165,8 +174,8 @@ def test_unanswered_sends_keep_bounded_memory():
 
 def test_stale_ack_keeps_ewma():
     est = SourceEstimator(alpha=0.5)
-    est.on_send(0.0, 1, 0.0, us(0.0))
-    est.on_send(0.1, 2, 0.1, us(0.1))
+    est.on_send(0.0, us(0.0))
+    est.on_send(0.1, us(0.1))
     est.on_ack(0.4, 2, us(0.1))
     rtt_before = est.rtt_ewma
     est.on_ack(0.9, 1, us(0.0))  # stale
@@ -175,12 +184,12 @@ def test_stale_ack_keeps_ewma():
 
 def test_ewma_seeding_and_recurrence():
     est = SourceEstimator(alpha=0.25)
-    est.on_send(0.0, 1, 0.0, us(0.0))
+    est.on_send(0.0, us(0.0))
     est.on_ack(0.4, 1, us(0.0))
     # first fresh ACK seeds both averages with the RTT
     assert est.rtt_ewma == pytest.approx(0.4)
     assert est.ack_gap_ewma == pytest.approx(0.4)
-    est.on_send(1.0, 2, 1.0, us(1.0))
+    est.on_send(1.0, us(1.0))
     assert est.on_ack(1.2, 2, us(1.0)) == pytest.approx(0.2)
     assert est.rtt_ewma == pytest.approx(0.75 * 0.4 + 0.25 * 0.2)
     assert est.ack_gap_ewma == pytest.approx(0.75 * 0.4 + 0.25 * 0.8)  # gap 1.2 - 0.4
@@ -189,7 +198,7 @@ def test_ewma_seeding_and_recurrence():
 def test_alpha_one_tracks_latest_sample():
     est = SourceEstimator(alpha=1.0)
     for seq, (ts, ta) in enumerate(((0.0, 0.3), (1.0, 1.1), (2.0, 2.7)), start=1):
-        est.on_send(ts, seq, ts, us(ts))
+        est.on_send(ts, us(ts))
         est.on_ack(ta, seq, us(ts))
         assert est.rtt_ewma == pytest.approx(ta - ts)
 
@@ -198,7 +207,7 @@ def test_constant_samples_converge():
     est = SourceEstimator(alpha=0.25)
     t = 0.0
     for seq in range(1, 60):
-        est.on_send(t, seq, t, us(t))
+        est.on_send(t, us(t))
         est.on_ack(t + 0.2, seq, us(t))
         t += 1.0
     assert est.rtt_ewma == pytest.approx(0.2)
@@ -207,8 +216,8 @@ def test_constant_samples_converge():
 
 def test_epoch_constant_backlog():
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.0, us(0.0))
-    est.on_send(0.0, 2, 0.0, us(0.0))
+    est.on_send(0.0, us(0.0))
+    est.on_send(0.0, us(0.0))
     stats = est.close_epoch(5.0)
     assert stats.avg_backlog == pytest.approx(2.0)
     assert stats.backlog_now == 2
@@ -223,13 +232,13 @@ def test_epoch_sawtooth_age():
     seq = 0
     # warm one cycle so the age is defined from epoch start
     seq += 1
-    est.on_send(t, seq, t, us(t))
+    est.on_send(t, us(t))
     est.on_ack(t + r, seq, us(t))
     est.restart_epochs(t + r)
     for k in range(1, 11):
         seq += 1
         send_at = t + r + k * p - r
-        est.on_send(send_at, seq, send_at, us(send_at))
+        est.on_send(send_at, us(send_at))
         est.on_ack(t + r + k * p, seq, us(send_at))
     stats = est.close_epoch(t + r + 10 * p)
     assert stats.avg_age == pytest.approx(r + p / 2)
@@ -237,7 +246,7 @@ def test_epoch_sawtooth_age():
 
 def test_epoch_diffs_against_previous():
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.0, us(0.0))
+    est.on_send(0.0, us(0.0))
     first = est.close_epoch(1.0)
     assert first.age_diff is None
     second = est.close_epoch(2.0)
@@ -251,11 +260,9 @@ def test_errors():
         est.age_at(1.0)
     with pytest.raises(ProtocolError):
         est.on_ack(0.5, 3, us(0.5))  # never sent
-    est.on_send(1.0, 1, 1.0, us(1.0))
+    est.on_send(1.0, us(1.0))
     with pytest.raises(ProtocolError):
-        est.on_send(2.0, 3, 2.0, us(2.0))  # skips seq 2
-    with pytest.raises(ProtocolError):
-        est.on_send(0.5, 2, 0.5, us(0.5))  # clock moved backwards
+        est.on_send(0.5, us(0.5))  # clock moved backwards
     with pytest.raises(ProtocolError, match="backwards"):
         est.on_ack(0.5, 1, us(1.0))  # a fresh ACK, before the send
     with pytest.raises(ValueError):
@@ -266,8 +273,8 @@ def test_errors():
 
 def test_fresh_ack_must_echo_the_generation_time():
     est = SourceEstimator()
-    est.on_send(0.0, 1, 0.25, us(0.25))
-    est.on_send(0.5, 2, 0.5, us(0.5))
+    est.on_send(0.25, us(0.25))
+    est.on_send(0.5, us(0.5))
     with pytest.raises(ProtocolError, match="echoes"):
         est.on_ack(1.0, 2, us(0.25))  # update 1's timestamp, not update 2's
     assert (est.highest_acked, est.rtt_ewma, est.backlog) == (0, None, 2)
@@ -415,7 +422,7 @@ def test_integration_is_bit_exact_against_reference():
             sent, acked = est.highest_sent, est.highest_acked
             move = rng.random()
             if move < 0.4 or sent == 0:
-                est.on_send(t, sent + 1, t, us(t))
+                est.on_send(t, us(t))
                 ref.send(t, sent + 1)
                 continue
             if move < 0.65 and acked < sent:
@@ -445,7 +452,7 @@ def test_monotone_counters_property():
     prev_sent = prev_acked = 0
     for ev in events:
         if ev[0] == "send":
-            est.on_send(ev[1], ev[2], ev[3], us(ev[3]))
+            assert est.on_send(ev[1], us(ev[3])) == ev[2]
         else:
             est.on_ack(ev[1], ev[2], ev[3])
         assert est.highest_sent >= prev_sent
