@@ -166,8 +166,10 @@ def require_monitor_limits(duration: Optional[float], max_updates: Optional[int]
     """Reject monitor stop conditions that are met before anything is served."""
     if duration is not None:
         require_duration(duration)
-    if max_updates is not None and max_updates < 1:
-        raise ValueError(f"max_updates must be >= 1, got {max_updates}")
+    if max_updates is not None:
+        _require_int("max_updates", max_updates)
+        if max_updates < 1:
+            raise ConfigError(f"max_updates must be >= 1, got {max_updates}")
 
 
 class SourceSession:
@@ -257,9 +259,6 @@ class SourceSession:
 
     def _send_probe(self, t: float) -> bytes:
         self.deadline = t + self.cfg.probe_timeout
-        return self._send_update(t)
-
-    def _send_update(self, t: float) -> bytes:
         gen_ts_us = round(t * 1e6)
         return wire.encode_update(self.estimator.on_send(t, gen_ts_us), gen_ts_us, self._payload)
 
@@ -335,7 +334,10 @@ class SourceSession:
                 raise ValueError(f"send period of rate {self.rate}/s is lost to rounding at t={t}")
         self.deadline = deadline
         self._epoch_sends += 1
-        return [self._send_update(t)]
+        # stamped, numbered and encoded as in _send_probe, with no call of its
+        # own: this is every send once epochs begin
+        gen_ts_us = round(t * 1e6)
+        return [wire.encode_update(self.estimator.on_send(t, gen_ts_us), gen_ts_us, self._payload)]
 
     def _close_epoch(self, t: float) -> None:
         est = self.estimator

@@ -38,23 +38,25 @@ one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
 that breaks time ties by insertion order holds one entry for its exit
 into the next segment.  The walk follows a list of (node, service time,
-is a delay) triples per packet size, entry point and end, built from
-``_service_fn`` when first needed; only ``exp`` nodes draw, once per
-visit.  The open loop's rule holds here on both chains: a node that
-never holds a queue is a pure delay, with no max and no server state,
-and cross traffic's route ends at the open loop's ``_tail``, past which
-nothing reads it.  A packet carries its arrival handler.  An update that
-ends its route by the end of the run arrives within the walk: its
-monitor runs at the exit instant and its ACK is walked through the
-reverse chain there, so a round trip takes two heap entries, the send
-timer and the ACK's arrival at the source.  Cross traffic ends with no
-entry.  A source's timer takes one heap entry per session call that
-returned frames (the only calls that move its deadline), tagged with the
-source's send count; an entry runs only if no update was sent since, and
-the start is the entry tagged 0.  Source k starts at an offset drawn
-from its own substream, uniform on [0, probe_timeout), so no two
-sources' timers share an instant and no result depends on how the heap
-breaks a tie between them; that span must end within the warm-up.
+is a delay) triples built from ``_service_fn``.  Routes are resolved per
+packet kind (updates, ACKs, each cross flow) at the start of the run, one
+walk per segment, and each packet carries its route, so no walk is looked
+up per packet; only ``exp`` nodes draw, once per visit.  The open
+loop's rule holds here on both chains: a node that never holds a queue
+is a pure delay, with no max and no server state, and cross traffic's
+route ends at the open loop's ``_tail``, past which nothing reads it.
+A packet carries its arrival handler.  An update that ends its route by
+the end of the run arrives within the walk: its monitor runs at the exit
+instant and its ACK is walked through the reverse chain there, so a
+round trip takes two heap entries, the send timer and the ACK's arrival
+at the source.  Cross traffic ends with no entry.  A source's timer
+takes one heap entry per session call that returned frames (the only
+calls that move its deadline), tagged with the source's send count; an
+entry runs only if no update was sent since, and the start is the entry
+tagged 0.  Source k starts at an offset drawn from its own substream,
+uniform on [0, probe_timeout), so no two sources' timers share an
+instant and no result depends on how the heap breaks a tie between them;
+that span must end within the warm-up.
 
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.
@@ -255,11 +257,12 @@ def _parse_cross(flow, where: str) -> CrossTraffic:
 
 
 # Packets move through the node array as tuples
-#   (is_update, size_bytes, route_end, arrive, src, payload)
+#   (is_update, size_bytes, route_end, arrive, src, payload, route)
 # route_end is the index one past the last node of the packet's route, where
 # the engine calls (updates) or schedules (ACKs) ``arrive(t, src, payload)``;
 # cross traffic has no ``arrive`` (and no payload) and leaves silently at the
-# forward chain's ``_tail``.
+# forward chain's ``_tail``.  ``route`` is what ``_Engine.route`` resolved for
+# the packet's size, entry point and route end.
 
 
 class _Engine:
@@ -290,14 +293,16 @@ class _Engine:
     arrive at the reverse chain's head, which only ACKs enter.
 
     ``_service`` holds each node's ``_service_fn``, the one definition of
-    a service time.  ``_walks`` maps a packet size, a head and an end to
-    the walk from that head to the end of its segment or of the route,
-    whichever comes first: one (node, service time, is a delay) triple
-    per node, built from those functions when the key is first met, with
-    None at ``exp`` nodes: only they call their function, drawing once
-    per visit in visit order from their own substream.  Updates take a
-    loop that adds the backlog areas; every other packet takes one
-    without them.
+    a service time.  Routes are resolved per packet kind at the start of
+    the run: ``route`` gives, for each head on a route, the walk from that
+    head to the end of its segment or of the route, whichever comes
+    first, that end, and whether the route goes on past it.  A walk is
+    one (node, service time, is a delay) triple per node, built by
+    ``_walk`` from those functions, with None at ``exp`` nodes: only they
+    call their function, drawing once per visit in visit order from their
+    own substream.  Each packet carries its route, so ``enqueue`` reads
+    its walk by the head alone.  Updates take a loop that adds the
+    backlog areas; every other packet takes one without them.
 
     ``delays`` marks the nodes that ``_queue_free`` finds can never hold
     a queue; it marks no head, so such a node serves its packets in the
@@ -318,8 +323,6 @@ class _Engine:
         self._service = [_service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
         self._draws = [s.kind == "exp" for s in specs]  # nodes that draw once per visit
         self._delays = delays  # nodes that never hold a queue
-        # (packet size, head, end) -> [(node, service time or None where it draws, is a delay)]
-        self._walks: dict = {}
         self._segment_end = [min((h for h in heads if h > i), default=n) for i in range(n)]
         self._free = [0.0] * n  # when each server finishes its last packet
         self._warmup = warmup
@@ -333,22 +336,25 @@ class _Engine:
         heapq.heappush(self.heap, (t, self._order, handler, a, b))
 
     def _walk(self, size: float, i: int, end: int) -> list:
-        # a method of its own: a comprehension inside ``enqueue`` would make
-        # the locals it reads closure cells there, slower to read on every hop
-        # (before Python 3.12, which inlines comprehensions)
+        """[(node, service time or None where it draws, is a delay)] from ``i`` up to ``end``."""
         service, draws, delays = self._service, self._draws, self._delays
-        walk = [(j, None if draws[j] else service[j](size), delays[j]) for j in range(i, end)]
-        self._walks[size, i, end] = walk
-        return walk
+        return [(j, None if draws[j] else service[j](size), delays[j]) for j in range(i, end)]
+
+    def route(self, size: float, head: int, route_end: int) -> list:
+        """The route of a packet of ``size`` bytes from ``head`` to ``route_end``:
+        at each head it enters, (walk, segment end, goes on), and None elsewhere."""
+        route = [None] * len(self._free)
+        i = head
+        while True:
+            end = min(self._segment_end[i], route_end)
+            route[i] = (self._walk(size, i, end), end, end < route_end)
+            if end == route_end:
+                return route
+            i = end
 
     def enqueue(self, t: float, i: int, pkt) -> None:
-        is_update, size, route_end, arrive, src, payload = pkt
-        end = self._segment_end[i]
-        if route_end < end:  # a route that ends inside this segment
-            end = route_end
-        walk = self._walks.get((size, i, end))
-        if walk is None:  # the first packet of this size to enter here for this end
-            walk = self._walk(size, i, end)
+        is_update, size, _, arrive, src, payload, route = pkt
+        walk, end, goes_on = route[i]
         free, service = self._free, self._service
         if is_update:
             area, warmup, duration = self.area, self._warmup, self._duration
@@ -364,7 +370,7 @@ class _Engine:
                 if stay > 0.0:
                     area[j] += stay
                 t = leave
-            if end < route_end:
+            if goes_on:
                 self.push(t, self.enqueue, end, pkt)
             elif t <= duration:
                 arrive(t, src, payload)
@@ -377,7 +383,7 @@ class _Engine:
                 if serve is None:
                     serve = service[j](size)
                 t = free[j] = (busy if busy > t else t) + serve
-        if end < route_end:
+        if goes_on:
             self.push(t, self.enqueue, end, pkt)
         elif arrive is not None:
             self.push(t, arrive, src, payload)
@@ -811,6 +817,10 @@ def run_closed_loop(
     and its ACKs the reverse chain; ACKs occupy the reverse links as
     ``net.ack_bytes``-sized packets.  Per-node backlog figures count
     update packets across all sources.
+
+    The updates are frames of ``wire.HEADER_LEN + cfg.payload_size``
+    bytes, so a ``net.update_bytes`` of any other size is a ConfigError.
+    An explicit 1040 cannot be told apart from the default, and passes.
     """
     if not net.reverse:
         raise ConfigError("closed-loop runs need a reverse chain for ACKs")
@@ -822,6 +832,13 @@ def run_closed_loop(
         cfg = SourceConfig(policy=policy)
     elif cfg.policy != policy:
         raise ConfigError(f"cfg.policy {cfg.policy!r} disagrees with policy {policy!r}")
+    # every frame a source sends has the same size, which _queue_free reads
+    update_size = float(wire.HEADER_LEN + cfg.payload_size)
+    if net.update_bytes not in (DEFAULT_UPDATE_BYTES, update_size):
+        raise ConfigError(
+            f"net.update_bytes {net.update_bytes} would be ignored: the closed loop's updates are frames "
+            f"of {wire.HEADER_LEN} + payload_size = {update_size:g} bytes; set payload_size instead"
+        )
     warmup = warmup_frac * duration
     # sources start at offsets in [0, probe_timeout): inside the warm-up, or
     # inside the run when it has none
@@ -835,8 +852,6 @@ def run_closed_loop(
     n_all = n_fwd + len(net.reverse)
     sessions = [SourceSession(cfg) for _ in range(n_sources)]
     monitors = [MonitorSession() for _ in range(n_sources)]
-    # every frame a source sends has the same size, which _queue_free reads
-    update_size = float(wire.HEADER_LEN + cfg.payload_size)
     ack_size = float(net.ack_bytes)
     forward_free = _queue_free(net.forward, update_size, net.cross_traffic)
     tail = _tail(forward_free)  # where cross traffic leaves: nothing reads it further on
@@ -845,6 +860,19 @@ def run_closed_loop(
         array("d", _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}"))[1:].tobytes())
         for i, flow in enumerate(net.cross_traffic)
     ]
+
+    heads = {0, n_fwd} | {flow.entry for flow in net.cross_traffic}
+    specs = tuple(net.forward) + tuple(net.reverse)
+    delays = forward_free + _queue_free(net.reverse, ack_size)
+    engine = _Engine(specs, substream_seed(seed, "net"), heads, warmup, duration, delays)
+    push, enqueue = engine.push, engine.enqueue
+    update_route = engine.route(update_size, 0, n_fwd)
+    ack_route = engine.route(ack_size, n_fwd, n_all)
+    # (entry, packet) per cross flow, whose packets are all alike
+    cross_packets = []
+    for flow in net.cross_traffic:
+        size = float(flow.packet_bytes)
+        cross_packets.append((flow.entry, (False, size, tail, None, -1, None, engine.route(size, flow.entry, tail))))
 
     # each timer entry is tagged with its source's send count when pushed
     # (``estimator.highest_sent``, which ``SourceSession.sends`` returns)
@@ -859,17 +887,24 @@ def run_closed_loop(
         if session.deadline <= duration:
             push(session.deadline, on_timer, src, estimators[src].highest_sent)
         for frame in frames:
-            enqueue(t, 0, (True, update_size, n_fwd, update_arrives, src, frame))
+            enqueue(t, 0, (True, update_size, n_fwd, update_arrives, src, frame, update_route))
 
     def on_timer(t: float, src: int, sends: int) -> None:
-        if sends == estimators[src].highest_sent:
-            frames = sessions[src].on_timer(t)
+        # does after_session_call's work itself: once epochs begin every send
+        # comes from here, and each saves that call's frame
+        estimator = estimators[src]
+        if sends == estimator.highest_sent:
+            session = sessions[src]
+            frames = session.on_timer(t)
             if frames:
-                after_session_call(t, src, frames)
+                if session.deadline <= duration:
+                    push(session.deadline, on_timer, src, estimator.highest_sent)
+                for frame in frames:
+                    enqueue(t, 0, (True, update_size, n_fwd, update_arrives, src, frame, update_route))
 
     def on_cross(t: float, flow_idx: int, k: int) -> None:
-        flow = net.cross_traffic[flow_idx]
-        enqueue(t, flow.entry, (False, float(flow.packet_bytes), tail, None, -1, None))
+        entry, pkt = cross_packets[flow_idx]
+        enqueue(t, entry, pkt)
         times = cross_times[flow_idx]
         if k + 1 < len(times):
             push(times[k + 1], on_cross, flow_idx, k + 1)
@@ -877,7 +912,7 @@ def run_closed_loop(
     def update_arrives(t: float, src: int, frame: bytes) -> None:
         reply = monitors[src].on_datagram(t, frame)
         if reply is not None:
-            enqueue(t, n_fwd, (False, ack_size, n_all, ack_arrives, src, reply))
+            enqueue(t, n_fwd, (False, ack_size, n_all, ack_arrives, src, reply, ack_route))
 
     def ack_arrives(t: float, src: int, frame: bytes) -> None:
         # once epochs have begun an ACK returns no frames
@@ -885,11 +920,6 @@ def run_closed_loop(
         if frames:
             after_session_call(t, src, frames)
 
-    heads = {0, n_fwd} | {flow.entry for flow in net.cross_traffic}
-    specs = tuple(net.forward) + tuple(net.reverse)
-    delays = forward_free + _queue_free(net.reverse, ack_size)
-    engine = _Engine(specs, substream_seed(seed, "net"), heads, warmup, duration, delays)
-    push, enqueue = engine.push, engine.enqueue
     for src in range(n_sources):
         start = np.random.Generator(np.random.PCG64(substream_seed(seed, f"start/{src}"))).random()
         push(start * cfg.probe_timeout, on_timer, src, 0)

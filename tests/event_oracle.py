@@ -46,6 +46,10 @@ class HopEngine:
         self._order += 1
         heapq.heappush(self.heap, (t, self._order, handler, a, b))
 
+    def route(self, size: float, head: int, route_end: int) -> None:
+        """No route to resolve: every packet goes one node at a time to ``pkt[2]``."""
+        return None
+
     def _backlog_step(self, t: float, i: int, delta: int) -> None:
         self.area[i] += (t - self.last_t[i]) * self.upd_count[i]
         self.last_t[i] = t
@@ -130,14 +134,14 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
 
     # an update carries its generation instant in the payload slot
     def on_source(t, _a, _b):
-        engine.enqueue(t, 0, (True, update_size, n_fwd, on_deliver, 0, t))
+        engine.enqueue(t, 0, (True, update_size, n_fwd, on_deliver, 0, t, None))
         gap = arrival_draw.draw() / lam if arrival_draw else 1.0 / lam
         if t + gap <= duration:
             engine.push(t + gap, on_source)
 
     def on_cross(t, flow_idx, _b):
         flow = net.cross_traffic[flow_idx]
-        engine.enqueue(t, flow.entry, (False, float(flow.packet_bytes), n_fwd, None, -1, None))
+        engine.enqueue(t, flow.entry, (False, float(flow.packet_bytes), n_fwd, None, -1, None, None))
         gap = cross_draws[flow_idx].draw() / flow.rate_pps
         if t + gap <= duration:
             engine.push(t + gap, on_cross, flow_idx)

@@ -777,6 +777,15 @@ def test_run_monitor_rejects_bad_max_updates(max_updates):
     assert path.now() == 0.0
 
 
+@pytest.mark.parametrize("max_updates", [True, 2.5])
+def test_run_monitor_rejects_a_max_updates_that_is_no_integer(max_updates):
+    # True used to stop after one update and 2.5 after three
+    path = SimulatedPath(fwd_delay=0.01, rev_delay=0.01)
+    with pytest.raises(ConfigError, match="max_updates must be an integer"):
+        run_monitor(path, max_updates=max_updates)
+    assert path.now() == 0.0
+
+
 def _spans_from_records(sess):
     """``epoch_spans`` as computed from a dict per epoch before the columns."""
     first_rate = sess._fixed_rate if sess.policy_kind == "fixed" else sess.initial_rate

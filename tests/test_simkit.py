@@ -284,8 +284,9 @@ def test_backlog_window_opens_on_a_completion_instant():
     # two updates at t=0 on a 1 s server leave at 1 and 2; warm-up ends at
     # the first departure, and the backlog integral is continuous there
     engine = simkit._Engine((ServiceSpec("det", 1.0),), 0, (0,), 1.0, 4.0, (False,))
+    route = engine.route(1040.0, 0, 1)
     for _ in range(2):
-        engine.enqueue(0.0, 0, (True, 1040.0, 1, lambda t, src, payload: None, 0, None))
+        engine.enqueue(0.0, 0, (True, 1040.0, 1, lambda t, src, payload: None, 0, None, route))
     engine.run()
     assert engine.window_backlogs() == (1 / 3,)
 
@@ -295,7 +296,8 @@ def test_segment_exit_takes_its_order_on_entry():
     # pushed at entry, so it runs before a handler pushed at t=0.5 for t=2
     seen = []
     engine = simkit._Engine((ServiceSpec("det", 1.0),) * 2, 0, (0,), 0.0, 4.0, (False, False))
-    engine.enqueue(0.0, 0, (True, 1040.0, 2, lambda t, src, payload: seen.append(("exit", t)), 0, None))
+    route = engine.route(1040.0, 0, 2)
+    engine.enqueue(0.0, 0, (True, 1040.0, 2, lambda t, src, payload: seen.append(("exit", t)), 0, None, route))
     engine.push(0.5, lambda t, a, b: engine.push(2.0, lambda t, a, b: seen.append(("handler", t))))
     engine.run()
     assert seen == [("exit", 2.0), ("handler", 2.0)]
@@ -311,8 +313,9 @@ def test_segment_walk_matches_lindley_per_hop_across_sizes():
 
     exits = []
     engine = simkit._Engine(specs, seed, (0,), warmup, duration, (False,) * len(specs))
+    routes = {size: engine.route(size, 0, len(specs)) for _, size in arrivals}
     for k, (t, size) in enumerate(arrivals):
-        engine.enqueue(t, 0, (True, size, len(specs), lambda t, k, _: exits.append((k, t)), k, None))
+        engine.enqueue(t, 0, (True, size, len(specs), lambda t, k, _: exits.append((k, t)), k, None, routes[size]))
     engine.run()
 
     service = [simkit._service_fn(spec, substream_seed(seed, f"service/{i}")) for i, spec in enumerate(specs)]
@@ -825,6 +828,22 @@ def test_closed_loop_rejects_bad_n_sources(n_sources):
         run_closed_loop(CL_TANDEM, "acp_plus", n_sources, duration=60.0, seed=0)
 
 
+def test_closed_loop_rejects_an_update_bytes_it_would_ignore():
+    # the updates are frames of the header plus payload_size bytes; a net's
+    # update_bytes of another size used to run, silently ignored
+    link = (ServiceSpec("link", 1e6),)
+    net = QueueNetwork(forward=link, reverse=link)
+    with pytest.raises(ConfigError, match="payload_size"):
+        run_closed_loop(net._replace(update_bytes=60000), "acp_plus", 1, duration=30.0, seed=1)
+    # the frames' own size passes, and so does the default, which cannot be
+    # told apart from an explicit 1040
+    cfg = SourceConfig(payload_size=500)
+    assert net.update_bytes == DEFAULT_UPDATE_BYTES
+    want = run_closed_loop(net, "acp_plus", 1, duration=30.0, seed=1, cfg=cfg)
+    got = run_closed_loop(net._replace(update_bytes=516), "acp_plus", 1, duration=30.0, seed=1, cfg=cfg)
+    assert got.to_dict() == want.to_dict()
+
+
 @pytest.mark.parametrize("warmup_frac", [1.5, 1.0, -0.5, math.nan, "0.1", False])
 def test_warmup_frac_outside_unit_interval_rejected(warmup_frac):
     with pytest.raises(ConfigError, match="warmup_frac"):
@@ -1022,6 +1041,60 @@ def test_closed_loop_matches_hop_by_hop_engine(run):
         return
     assert json.dumps(got.to_dict()["sources"]) == json.dumps(want.to_dict()["sources"])
     assert got.forward_backlogs == pytest.approx(want.forward_backlogs, rel=1e-12, abs=0.0)
+
+
+def test_a_route_over_two_segments_matches_lindley_per_hop():
+    # the closed loop's heads on _TWO_HEAD_NET's forward chain are nodes 0 and
+    # 2, so an update's route takes two walks with an exit event between
+    # them; a 300 B packet that reused the 1,040 B walks would leave late
+    specs = _TWO_HEAD_NET.forward
+    seed, warmup, duration = 3, 0.3, 2.0
+    arrivals = [(0.03 * k, 300.0 if k % 3 == 0 else 1040.0) for k in range(40)]
+
+    exits = []
+    engine = simkit._Engine(specs, seed, (0, 2), warmup, duration, (False,) * len(specs))
+    routes = {size: engine.route(size, 0, len(specs)) for _, size in arrivals}
+    assert [hop and hop[1:] for hop in routes[1040.0]] == [(2, True), None, (3, False)]
+    for k, (t, size) in enumerate(arrivals):
+        engine.enqueue(t, 0, (True, size, len(specs), lambda t, k, _: exits.append((k, t)), k, None, routes[size]))
+    engine.run()
+
+    service = [simkit._service_fn(spec, substream_seed(seed, f"service/{i}")) for i, spec in enumerate(specs)]
+    free, area, want = [0.0] * len(specs), [0.0] * len(specs), []
+    for k, (t, size) in enumerate(arrivals):
+        for j in range(len(specs)):
+            leave = free[j] = max(t, free[j]) + service[j](size)
+            area[j] += max(0.0, min(leave, duration) - max(t, warmup))
+            t = leave
+        want.append((k, t))
+    assert 0 < len(exits) < len(want)  # the run ends with packets inside
+    assert exits == want[: len(exits)]
+    assert engine.window_backlogs() == tuple(a / (duration - warmup) for a in area)
+
+
+def test_routes_are_resolved_before_the_first_event():
+    # every packet carries the route resolved for its kind when the run
+    # began: a walk built while events run is a per-packet lookup come back
+    built_while_running = []
+
+    class Counted(simkit._Engine):
+        running = False
+
+        def _walk(self, size, i, end):
+            built_while_running.append(self.running)
+            return super()._walk(size, i, end)
+
+        def run(self):
+            self.running = True
+            super().run()
+
+    with mock.patch.object(simkit, "_Engine", Counted):
+        for name in ("net_a", "net_b", "net_d"):
+            net = QueueNetwork.from_dict(load_config(name)[0]["net"])
+            result = run_closed_loop(net, "acp_plus", 3, duration=20.0, seed=1)
+            assert all(s.fresh_acks > 0 for s in result.sources)
+    assert built_while_running.count(False) > 0
+    assert built_while_running.count(True) == 0
 
 
 # the class itself: while _closed_loop_outcome runs, simkit._Engine is its factory
