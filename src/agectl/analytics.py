@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import _require_number
+
 # stability margin: parameters this close to saturation are rejected rather
 # than returning astronomically large ages of no numeric value
 MIN_STABILITY_GAP = 1e-9
@@ -55,10 +57,11 @@ class TandemParams:
 
 
 def _check_stable(lam: float, mu: float) -> None:
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise StabilityError(f"arrival rate must be positive and finite, got {lam}")
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise StabilityError(f"service rate must be positive and finite, got {mu}")
+    """A non-number is a ConfigError; a number outside the stability region a StabilityError."""
+    for what, rate in (("arrival rate", lam), ("service rate", mu)):
+        _require_number(what, rate)
+        if not (math.isfinite(rate) and rate > 0.0):
+            raise StabilityError(f"{what} must be positive and finite, got {rate}")
     if mu - lam < MIN_STABILITY_GAP:
         raise StabilityError(f"unstable: arrival rate {lam} too close to service rate {mu}")
 

@@ -251,19 +251,17 @@ def _now_iso() -> str:
 
 
 def _seed(args, doc: dict) -> int:
-    """The run seed: ``--seed`` if given, else the config's, else 0."""
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    simkit._require_int("seed", seed)
-    return seed
+    """The run seed: ``--seed`` if given, else the config's, else 0; the run checks it."""
+    return args.seed if args.seed is not None else doc.get("seed", 0)
 
 
-def _require(doc: dict, key: str, kinds, where: str = "config"):
+def _require(doc: dict, key: str, kinds=object):
+    """``doc[key]``, present and an instance of ``kinds``; the runs check their numbers."""
     if key not in doc:
-        raise simkit.ConfigError(f"{where} missing required field {key!r}")
-    value = doc[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise simkit.ConfigError(f"{where}.{key} has wrong type: {value!r}")
-    return value
+        raise simkit.ConfigError(f"config missing required field {key!r}")
+    if not isinstance(doc[key], kinds):
+        raise simkit.ConfigError(f"config.{key} has wrong type: {doc[key]!r}")
+    return doc[key]
 
 
 # -- endpoint commands ---------------------------------------------------------
@@ -343,11 +341,11 @@ def cmd_sim(args) -> int:
         )
     net = simkit.QueueNetwork.from_dict(net_doc)
     seed = _seed(args, doc)
-    duration = _require(doc, "duration", (int, float))
+    duration = _require(doc, "duration")
     warmup_frac = doc.get("warmup_frac", simkit.DEFAULT_WARMUP_FRAC)
 
     if mode == "fixed_rate":
-        lam = _require(doc, "lambda", (int, float))
+        lam = _require(doc, "lambda")
         arrival = doc.get("arrival", "poisson")
         metrics = simkit.run_fixed_rate(net, lam, arrival, duration, seed, warmup_frac)
         payload = {"mode": mode, "lambda": lam, "arrival": arrival, "seed": seed,
@@ -383,7 +381,7 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     net = simkit.QueueNetwork.from_dict(_require(doc, "net", dict))
     seed = _seed(args, doc)
-    duration = args.duration if args.duration is not None else _require(doc, "duration", (int, float))
+    duration = args.duration if args.duration is not None else _require(doc, "duration")
     arrival = doc.get("arrival", "poisson")
     warmup_frac = doc.get("warmup_frac", simkit.DEFAULT_WARMUP_FRAC)
     result = simkit.sweep_lambda(net, grid, duration, seed, arrival, warmup_frac)

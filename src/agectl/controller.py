@@ -16,6 +16,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+from . import _require_int, _require_positive
+
 DEFAULT_UPDATES_PER_EPOCH = 10
 RATE_SHRINK_LIMIT = 0.75
 RATE_GROWTH_LIMIT = 1.25
@@ -56,10 +58,9 @@ class RateController:
     """
 
     def __init__(self, initial_rate: float, updates_per_epoch: int = DEFAULT_UPDATES_PER_EPOCH):
-        if initial_rate <= 0.0:
-            raise ValueError(f"initial rate must be positive, got {initial_rate}")
-        if updates_per_epoch < 1:
-            raise ValueError(f"updates_per_epoch must be >= 1, got {updates_per_epoch}")
+        _require_positive("initial rate", initial_rate)
+        _require_int("updates_per_epoch", updates_per_epoch)
+        _require_positive("updates_per_epoch", updates_per_epoch)
         self.rate = initial_rate
         self.updates_per_epoch = updates_per_epoch
         self.escalating = False
@@ -123,8 +124,7 @@ class RateController:
     def epoch_length(self, rate: float | None = None) -> float:
         """Length of an epoch at ``rate``: a fixed number of send periods."""
         r = self.rate if rate is None else rate
-        if r <= 0.0:
-            raise ValueError(f"rate must be positive, got {r}")
+        _require_positive("rate", r)
         return self.updates_per_epoch / r
 
 

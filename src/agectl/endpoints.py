@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import wire
+from . import ConfigError, _require_int, _require_number, _require_positive, wire
 from .controller import DEFAULT_UPDATES_PER_EPOCH, RateController, lazy_rate
 from .estimator import DEFAULT_ALPHA, ProtocolError, SourceEstimator
 
@@ -84,26 +84,6 @@ def parse_policy(policy: str) -> tuple[str, Optional[float]]:
     raise ConfigError(f"unknown policy {policy!r}; expected acp_plus, lazy, or fixed:<rate>")
 
 
-class ConfigError(ValueError):
-    """Malformed configuration or input; the message names the field."""
-
-
-def _require_positive(what: str, value) -> None:
-    """Reject zero, negative, infinite and NaN values of a rate or span."""
-    if not (math.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{what} must be positive and finite, got {value}")
-
-
-def _require_int(what: str, value) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-
-
-def _require_number(what: str, value) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-
-
 class CheckedRecord:
     """Mixin over a ``NamedTuple`` base: ``__post_init__`` checks every instance, ``_make``'s and ``_replace``'s too."""
 
@@ -143,16 +123,12 @@ class SourceConfig(CheckedRecord, _SourceConfig):
             raise ConfigError(f"policy must be a string, got {self.policy!r}")
         for name in ("payload_size", "probe_count", "updates_per_epoch"):
             _require_int(name, getattr(self, name))
-        for name in ("probe_timeout", "alpha"):
-            _require_number(name, getattr(self, name))
         parse_policy(self.policy)
-        if self.probe_count < 1:
-            raise ConfigError(f"probe_count must be >= 1, got {self.probe_count}")
-        _require_positive("probe_timeout", self.probe_timeout)
+        for name in ("probe_count", "updates_per_epoch", "probe_timeout"):
+            _require_positive(name, getattr(self, name))
         if not 0 <= self.payload_size <= wire.MAX_PAYLOAD:
             raise ConfigError(f"payload_size must be in [0, {wire.MAX_PAYLOAD}], got {self.payload_size}")
-        if self.updates_per_epoch < 1:
-            raise ConfigError(f"updates_per_epoch must be >= 1, got {self.updates_per_epoch}")
+        _require_number("alpha", self.alpha)
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
 
@@ -564,6 +540,7 @@ class UdpLink:
 
 def substream_seed(master_seed: int, name: str) -> int:
     """Stable 64-bit seed for a named substream of a master seed."""
+    _require_int("seed", master_seed)
     digest = hashlib.sha256(f"{master_seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -597,15 +574,16 @@ class DrawStream:
 
 def _delay_sampler(name: str, spec, seed: int) -> Callable[[], float]:
     """Per-direction delay model, a number of seconds or ``("exp", mean)``, bound once."""
-    constant = isinstance(spec, (int, float))
-    if not constant:
+    drawn = isinstance(spec, (tuple, list)) and len(spec) == 2
+    if drawn:
         kind, spec = spec
         if kind != "exp":
-            raise ValueError(f"{name} must be a number or ('exp', mean), got kind {kind!r}")
+            raise ConfigError(f"{name} must be a number or ('exp', mean), got kind {kind!r}")
+    _require_number(name, spec)
     value = float(spec)
     if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be non-negative and finite, got {value}")
-    return (lambda: value) if constant else DrawStream(seed, value).draw
+        raise ConfigError(f"{name} must be non-negative and finite, got {value}")
+    return DrawStream(seed, value).draw if drawn else (lambda: value)
 
 
 class SimulatedPath:
@@ -623,8 +601,9 @@ class SimulatedPath:
     """
 
     def __init__(self, fwd_delay=0.01, rev_delay=0.01, loss: float = 0.0, seed: int = 0):
+        _require_number("loss probability", loss)
         if not 0.0 <= loss < 1.0:
-            raise ValueError(f"loss probability must be in [0, 1), got {loss}")
+            raise ConfigError(f"loss probability must be in [0, 1), got {loss}")
         self.monitor = MonitorSession()
         self._fwd_delay = _delay_sampler("fwd_delay", fwd_delay, substream_seed(seed, "fwd_delay"))
         self._rev_delay = _delay_sampler("rev_delay", rev_delay, substream_seed(seed, "rev_delay"))

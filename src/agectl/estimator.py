@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from . import ConfigError, _require_number
+
 DEFAULT_ALPHA = 0.25
 # unacknowledged sends kept: over ten times the most any bundled config,
 # benchmark workload or test reaches
@@ -69,8 +71,9 @@ class SourceEstimator:
     """Reconstructs the age/backlog sample paths seen from the source."""
 
     def __init__(self, alpha: float = DEFAULT_ALPHA):
+        _require_number("alpha", alpha)
         if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+            raise ConfigError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
         self.highest_sent = 0
         self.highest_acked = 0

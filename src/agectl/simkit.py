@@ -77,9 +77,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import wire
-from .endpoints import CheckedRecord, ConfigError, DrawStream, MonitorSession, SourceConfig, SourceSession
-from .endpoints import _require_int, _require_number, _require_positive, age_areas, age_time_average, substream_seed
+from . import ConfigError, _require_int, _require_number, _require_positive, wire
+from .endpoints import CheckedRecord, DrawStream, MonitorSession, SourceConfig, SourceSession
+from .endpoints import age_areas, age_time_average, substream_seed
 
 SERVICE_KINDS = ("exp", "det", "link")
 ARRIVAL_KINDS = ("poisson", "periodic")
@@ -105,7 +105,8 @@ def _reject_unknown(doc: dict, known: tuple, where: str) -> None:
 
 
 def _require_warmup_frac(warmup_frac) -> None:
-    if isinstance(warmup_frac, bool) or not (isinstance(warmup_frac, (int, float)) and 0.0 <= warmup_frac < 1.0):
+    _require_number("warmup_frac", warmup_frac)
+    if not 0.0 <= warmup_frac < 1.0:
         raise ConfigError(f"warmup_frac must be in [0, 1), got {warmup_frac!r}")
 
 
@@ -160,11 +161,12 @@ class CrossTraffic(CheckedRecord, _CrossTraffic):
     __slots__ = ()
 
     def __post_init__(self):
+        _require_int("cross-traffic entry", self.entry)
         if self.entry < 0:
             raise ConfigError(f"cross-traffic entry node must be >= 0, got {self.entry}")
         _require_positive("cross-traffic rate_bps", self.rate_bps)
-        if self.packet_bytes <= 0:
-            raise ConfigError(f"cross-traffic packet_bytes must be positive, got {self.packet_bytes}")
+        _require_int("cross-traffic packet_bytes", self.packet_bytes)
+        _require_positive("cross-traffic packet_bytes", self.packet_bytes)
 
     @property
     def rate_pps(self) -> float:
@@ -185,8 +187,15 @@ class QueueNetwork(CheckedRecord, _QueueNetwork):
     __slots__ = ()
 
     def __post_init__(self):
+        for name, kind in (("forward", ServiceSpec), ("reverse", ServiceSpec), ("cross_traffic", CrossTraffic)):
+            members = getattr(self, name)
+            if not (isinstance(members, tuple) and all(isinstance(m, kind) for m in members)):
+                raise ConfigError(f"{name} must be a tuple of {kind.__name__}, got {members!r}")
         if not self.forward:
             raise ConfigError("network needs at least one forward node")
+        for name in ("update_bytes", "ack_bytes"):
+            _require_int(name, getattr(self, name))
+            _require_positive(name, getattr(self, name))
         for flow in self.cross_traffic:
             if flow.entry >= len(self.forward):
                 raise ConfigError(
@@ -204,14 +213,8 @@ class QueueNetwork(CheckedRecord, _QueueNetwork):
         forward = tuple(_parse_service(n, f"forward[{i}]") for i, n in enumerate(_list_field(doc, "forward")))
         reverse = tuple(_parse_service(n, f"reverse[{i}]") for i, n in enumerate(_list_field(doc, "reverse")))
         cross = tuple(_parse_cross(c, f"cross_traffic[{i}]") for i, c in enumerate(_list_field(doc, "cross_traffic")))
-        kwargs = {}
-        for key in ("update_bytes", "ack_bytes"):
-            if key in doc:
-                _require_int(f"'{key}'", doc[key])
-                if doc[key] <= 0:
-                    raise ConfigError(f"'{key}' must be positive, got {doc[key]!r}")
-                kwargs[key] = doc[key]
-        return QueueNetwork(forward=forward, reverse=reverse, cross_traffic=cross, **kwargs)
+        sizes = {key: doc[key] for key in ("update_bytes", "ack_bytes") if key in doc}
+        return QueueNetwork(forward=forward, reverse=reverse, cross_traffic=cross, **sizes)
 
     def cross_load(self, node_index: int) -> float:
         """Fraction of node capacity consumed by cross flows through it."""
@@ -232,9 +235,8 @@ def _parse_service(node, where: str) -> ServiceSpec:
     except KeyError as missing:
         raise ConfigError(f"{where} missing required field {missing.args[0]!r}") from None
     _reject_unknown(node, ("service", "rate"), where)
-    _require_number(f"{where}.rate", rate)
     try:
-        return ServiceSpec(kind=kind, rate=float(rate))
+        return ServiceSpec(kind=kind, rate=rate)
     except ConfigError as err:
         raise ConfigError(f"{where}: {err}") from None
 
@@ -245,13 +247,8 @@ def _parse_cross(flow, where: str) -> CrossTraffic:
     if "rate_bps" not in flow:
         raise ConfigError(f"{where} missing required field 'rate_bps'")
     _reject_unknown(flow, ("entry", "rate_bps", "packet_bytes"), where)
-    entry, rate_bps = flow.get("entry", 0), flow["rate_bps"]
-    packet_bytes = flow.get("packet_bytes", DEFAULT_UPDATE_BYTES)
-    _require_int(f"{where}.entry", entry)
-    _require_number(f"{where}.rate_bps", rate_bps)
-    _require_int(f"{where}.packet_bytes", packet_bytes)
     try:
-        return CrossTraffic(entry=entry, rate_bps=rate_bps, packet_bytes=packet_bytes)
+        return CrossTraffic(flow.get("entry", 0), flow["rate_bps"], flow.get("packet_bytes", DEFAULT_UPDATE_BYTES))
     except ConfigError as err:
         raise ConfigError(f"{where}: {err}") from None
 
@@ -591,6 +588,8 @@ def _open_loop(
     seed: int,
     warmup_frac: float,
 ) -> tuple[AoiMetrics, np.ndarray, np.ndarray]:
+    if not isinstance(net, QueueNetwork):
+        raise ConfigError(f"net must be a QueueNetwork, got {net!r}")
     _require_positive("lambda", lam)
     _require_positive("duration", duration)
     if arrival not in ARRIVAL_KINDS:
@@ -744,7 +743,10 @@ def sweep_lambda(
     interval.  The minimizer is taken over the points with a defined age;
     if none has one, ``best_lambda`` and ``best_age`` are NaN.
     """
-    grid = [float(g) for g in grid]
+    try:
+        grid = list(grid)
+    except TypeError:
+        raise ConfigError(f"sweep grid must be a sequence of rates, got {grid!r}") from None
     if not grid:
         raise ConfigError("sweep grid must not be empty")
     rows = []
@@ -757,7 +759,7 @@ def sweep_lambda(
             half = 1.96 * float(np.std(means, ddof=1)) / math.sqrt(len(means))
         else:
             half = math.nan
-        rows.append((lam, metrics.avg_age, half))
+        rows.append((float(lam), metrics.avg_age, half))
     defined = [row for row in rows if not math.isnan(row[1])]
     best = min(defined, key=lambda r: r[1]) if defined else (math.nan, math.nan)
     return SweepResult(best_lambda=best[0], best_age=best[1], rows=tuple(rows))
@@ -822,14 +824,18 @@ def run_closed_loop(
     bytes, so a ``net.update_bytes`` of any other size is a ConfigError.
     An explicit 1040 cannot be told apart from the default, and passes.
     """
+    if not isinstance(net, QueueNetwork):
+        raise ConfigError(f"net must be a QueueNetwork, got {net!r}")
     if not net.reverse:
         raise ConfigError("closed-loop runs need a reverse chain for ACKs")
-    if not isinstance(n_sources, int) or isinstance(n_sources, bool) or n_sources < 1:
-        raise ConfigError(f"n_sources must be a positive integer, got {n_sources!r}")
+    _require_int("n_sources", n_sources)
+    _require_positive("n_sources", n_sources)
     _require_positive("duration", duration)
     _require_warmup_frac(warmup_frac)
     if cfg is None:
         cfg = SourceConfig(policy=policy)
+    elif not isinstance(cfg, SourceConfig):
+        raise ConfigError(f"cfg must be a SourceConfig, got {cfg!r}")
     elif cfg.policy != policy:
         raise ConfigError(f"cfg.policy {cfg.policy!r} disagrees with policy {policy!r}")
     # every frame a source sends has the same size, which _queue_free reads
