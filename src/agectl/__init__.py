@@ -2,8 +2,9 @@
 and closed-form age-of-information analytics that cross-validate.
 
 The input rules are defined here, once, for every module: an int is an
-``int`` and not a ``bool``, and a number an ``int`` or ``float`` and not a
-``bool``; a value that breaks one raises ``ConfigError``."""
+``int`` and not a ``bool``, and a number an ``int`` or ``float`` that is
+not a ``bool`` and fits in a float; a value that breaks one raises
+``ConfigError``."""
 
 import math
 
@@ -22,6 +23,10 @@ def _require_int(what: str, value) -> None:
 def _require_number(what: str, value) -> None:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # not shown: past 4,300 digits an int has no str by default
+        raise ConfigError(f"{what} must be a number, got an integer too large for a float") from None
 
 
 def _require_positive(what: str, value) -> None:

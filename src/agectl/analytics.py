@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _require_number
+from . import ConfigError, _require_number
 
 # stability margin: parameters this close to saturation are rejected rather
 # than returning astronomically large ages of no numeric value
@@ -144,12 +144,14 @@ def optimal_lambda(age_fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section minimizer of a unimodal age curve over [lo, hi].
 
     Returns (rate, age at that rate) once the bracket is narrower than
-    1e-6 of the rate.  The bounds must lie inside the stability region
-    of ``age_fn``; evaluation outside it raises StabilityError, which is
-    propagated.
+    1e-6 of the rate.  The bounds must be numbers with ``lo < hi``, else
+    ConfigError, and lie inside the stability region of ``age_fn``;
+    evaluation outside it raises StabilityError, which is propagated.
     """
+    _require_number("lo", lo)
+    _require_number("hi", hi)
     if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        raise ConfigError(f"need lo < hi, got [{lo}, {hi}]")
     a, b = lo, hi
     # probe the endpoints up front so out-of-domain bounds fail loudly
     age_fn(a)

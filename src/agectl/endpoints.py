@@ -165,6 +165,8 @@ class SourceSession:
     """
 
     def __init__(self, cfg: SourceConfig, trace_writer: Optional[Callable[[dict], None]] = None):
+        if not isinstance(cfg, SourceConfig):
+            raise ConfigError(f"cfg must be a SourceConfig, got {cfg!r}")
         self.cfg = cfg
         self.policy_kind, self._fixed_rate = parse_policy(cfg.policy)
         self._updates_per_epoch = cfg.updates_per_epoch
@@ -455,26 +457,41 @@ def age_time_average(gen_times, deliver_times, lo: float, hi: float) -> float:
     ``gen_times``/``deliver_times`` are the accepted age resets in
     delivery order: equal lengths and non-decreasing delivery times, else
     ``ValueError``.  Measurement starts no earlier than the first reset;
-    NaN if the window never sees a defined age.  Beside its inputs it
-    holds three float arrays of their length.
+    NaN if the window never sees a defined age.  It is the sum of
+    ``clipped_age_areas`` over the length of the span they cover.
+    """
+    areas, lo = clipped_age_areas(gen_times, deliver_times, lo, hi)
+    return math.nan if areas is None else float(np.sum(areas)) / (hi - lo)
+
+
+def clipped_age_areas(gen_times, deliver_times, lo: float, hi: float):
+    """The age area of each reset over the part of [lo, hi] it is in force.
+
+    Takes ``age_time_average``'s inputs and checks them as it does.
+    Returns (areas, start): ``start`` is ``lo`` or the first delivery if
+    later, and ``areas`` a new float array of one area per reset, zero for
+    a reset wholly outside [start, hi], or None if that span is empty.  A
+    reset in force over an interval inside the span gets the area
+    ``age_areas`` computes on it.  Beside its inputs it holds three float
+    arrays of their length at its peak and returns one.
     """
     gen = np.asarray(gen_times, dtype=float)
     dlv = np.asarray(deliver_times, dtype=float)
     if gen.ndim != 1 or gen.shape != dlv.shape:
         raise ValueError(f"need two equal-length 1-d sequences, got shapes {gen.shape} and {dlv.shape}")
     if len(dlv) == 0:
-        return math.nan
+        return None, lo
     if np.any(dlv[1:] < dlv[:-1]):
         raise ValueError("delivery times must not decrease")
     lo = max(lo, float(dlv[0]))
     if hi <= lo:
-        return math.nan
+        return None, lo
     seg_start = np.clip(dlv, lo, hi)
     seg_end = np.empty_like(seg_start)
     seg_end[:-1] = dlv[1:]
     seg_end[-1] = hi
     np.clip(seg_end, lo, hi, out=seg_end)
-    return float(np.sum(age_areas(gen, seg_start, seg_end, out=seg_end))) / (hi - lo)
+    return age_areas(gen, seg_start, seg_end, out=seg_end), lo
 
 
 def age_areas(gen, start, end, out=None):

@@ -24,8 +24,9 @@ packets that leave a node by the end of the run are a prefix, taken as
 a view, not through a mask.  Until a
 cross flow enters, every packet is an update and a run holds at most
 five float arrays per update: generation instants, a node's arrivals,
-service times and departures (or, at the end, ``age_time_average``'s
-three beside the generation and delivery instants).  From the first
+service times and departures (or, at the end, ``clipped_age_areas``'s
+three beside the generation and delivery instants, one of which, the
+areas, it keeps).  From the first
 merge on, the updates are tracked by their positions in service order,
 one int64 index built at each merge, and a node also holds the packets'
 sizes if they differ: a node takes the updates' departures from its own
@@ -61,8 +62,12 @@ that span must end within the warm-up.
 The sink applies the freshest-wins rule: a delivered update resets the
 age process only if it is newer than everything delivered before it.
 Metrics are computed from the delivery log after the run, excluding a
-configurable warm-up window; a sweep point's batch-means windows share
-one pass over the age areas.  Per-node backlog figures count update
+configurable warm-up window.  A sweep point's run average and its
+batch-means windows share one pass over the age areas: each window sums
+the run's areas in place, with its two end areas put in for the sum.  A
+sweep does the per-net set-up once (``_open_plan``) and frees each
+point's arrays before the next point runs, so no two points are in memory
+at once.  Per-node backlog figures count update
 packets only (not cross traffic, not ACKs), so a closed loop reports
 them for the forward chain alone.
 """
@@ -79,7 +84,8 @@ import numpy as np
 
 from . import ConfigError, _require_int, _require_number, _require_positive, wire
 from .endpoints import CheckedRecord, DrawStream, MonitorSession, SourceConfig, SourceSession
-from .endpoints import age_areas, age_time_average, substream_seed
+from .endpoints import age_time_average  # noqa: F401 (callers bind simkit.age_time_average)
+from .endpoints import clipped_age_areas, substream_seed
 
 SERVICE_KINDS = ("exp", "det", "link")
 ARRIVAL_KINDS = ("poisson", "periodic")
@@ -566,18 +572,30 @@ def _update_figures(leave, scratch, updates, upd_in, warmup: float, duration: fl
     all updates clipped to [warmup, duration].
     """
     upd_out = leave if updates is None else leave.take(updates)
-    left = int(np.searchsorted(upd_out, duration, side="right"))
-    early = min(int(np.searchsorted(upd_in, warmup)), left)  # left by duration, arrived before warmup
+    left = int(upd_out.searchsorted(duration, "right"))
+    early = min(int(upd_in.searchsorted(warmup)), left)  # left by duration, arrived before warmup
     scratch = scratch[: len(upd_out)]
-    time_sum = float(np.sum(np.subtract(upd_out[:left], upd_in[:left], out=scratch[:left])))
+    time_sum = float(np.subtract(upd_out[:left], upd_in[:left], out=scratch[:left]).sum())
     # each stay is min(leave, duration) - max(arrive, warmup), at least 0: for
     # the updates that arrived after warmup and left by duration, their time
     # in system, in place from the sum above
     np.subtract(upd_out[:early], warmup, out=scratch[:early])
     np.maximum(upd_in[left:], warmup, out=scratch[left:])
     np.subtract(duration, scratch[left:], out=scratch[left:])
-    stay_sum = float(np.sum(np.maximum(scratch, 0.0, out=scratch)))
+    stay_sum = float(np.maximum(scratch, 0.0, out=scratch).sum())
     return upd_out, left, time_sum, stay_sum
+
+
+def _open_plan(net: QueueNetwork) -> tuple[tuple[bool, ...], int, float]:
+    """What an open-loop run takes from ``net`` alone, whatever its rate,
+    seed and span: its forward chain's ``_queue_free`` marks, their
+    ``_tail``, and the update rate from which some node is overloaded."""
+    if not isinstance(net, QueueNetwork):
+        raise ConfigError(f"net must be a QueueNetwork, got {net!r}")
+    free = _queue_free(net.forward, net.update_bytes, net.cross_traffic)
+    update_size = float(net.update_bytes)
+    capacity = min(spec.effective_rate(update_size) * (1.0 - net.cross_load(i)) for i, spec in enumerate(net.forward))
+    return free, _tail(free), capacity
 
 
 def _open_loop(
@@ -587,16 +605,19 @@ def _open_loop(
     duration: float,
     seed: int,
     warmup_frac: float,
-) -> tuple[AoiMetrics, np.ndarray, np.ndarray]:
-    if not isinstance(net, QueueNetwork):
-        raise ConfigError(f"net must be a QueueNetwork, got {net!r}")
+    plan: Optional[tuple] = None,
+) -> tuple[AoiMetrics, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """One open-loop run: its metrics, the updates' generation and delivery
+    instants, and the ``clipped_age_areas`` of those deliveries over
+    [warmup, duration] behind ``avg_age``.  ``plan`` is ``_open_plan(net)``,
+    if the caller has it."""
+    free, tail, capacity = _open_plan(net) if plan is None else plan
     _require_positive("lambda", lam)
     _require_positive("duration", duration)
     if arrival not in ARRIVAL_KINDS:
         raise ConfigError(f"arrival must be one of {ARRIVAL_KINDS}, got {arrival!r}")
     _require_warmup_frac(warmup_frac)
 
-    n_fwd = len(net.forward)
     warmup = warmup_frac * duration
     window = duration - warmup
     update_size = float(net.update_bytes)
@@ -607,9 +628,6 @@ def _open_loop(
         (flow, _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}"))[1:])
         for i, flow in enumerate(net.cross_traffic)
     ]
-    free = _queue_free(net.forward, net.update_bytes, net.cross_traffic)
-    # the updates' departures from the tail on need no other packet
-    tail = _tail(free)
 
     # packets reaching the current node, in the order it serves them, and the
     # updates among them; until a cross flow enters, and from the tail on, all
@@ -624,20 +642,22 @@ def _open_loop(
             arrive, updates, sizes = upd_in, None, update_size
         entering = [(flow, times) for flow, times in cross if flow.entry == i]
         if entering:
-            is_update = np.zeros(len(arrive) + sum(len(times) for _, times in entering), dtype=bool)
-            if updates is None:
-                is_update[: len(arrive)] = True
-            else:
-                is_update[updates] = True
             parts = [(arrive, sizes)] + [(times, float(flow.packet_bytes)) for flow, times in entering]
+            through = len(arrive)
             # a stable sort keeps through traffic ahead of cross traffic, and
             # flows in index order, at equal instants
             arrive = np.concatenate([times for times, _ in parts])
-            order = np.argsort(arrive, kind="stable")
+            order = arrive.argsort(kind="stable")
             arrive = arrive[order]
             if isinstance(sizes, np.ndarray) or any(size != update_size for _, size in parts[1:]):
                 sizes = np.concatenate([np.broadcast_to(size, len(times)) for times, size in parts])[order]
-            updates = np.flatnonzero(is_update[order])
+            if updates is None:  # all through packets are updates, and come first
+                updates = np.flatnonzero(order < through)
+            else:
+                is_update = np.zeros(len(arrive), dtype=bool)
+                is_update[updates] = True
+                updates = np.flatnonzero(is_update[order])
+            del parts, order  # freed before the node allocates
         if free[i]:  # a pure delay; the arrivals' buffer, read by then, is the scratch
             leave, scratch = np.add(arrive, _fixed_service(spec, sizes)), arrive
         else:  # the service times' buffer takes the recursion's temporaries, then the scratch
@@ -648,22 +668,20 @@ def _open_loop(
         departs.append(left)
         time_sums.append(time_sum)
         backlogs.append(stay_sum / window)
-        arrive, upd_in = leave[: int(np.searchsorted(leave, duration, side="right"))], upd_out[:left]
+        arrive, upd_in = leave[: int(leave.searchsorted(duration, "right"))], upd_out[:left]
         if updates is not None:
-            updates = updates[: int(np.searchsorted(updates, len(arrive)))]
+            updates = updates[: int(updates.searchsorted(len(arrive)))]
             if isinstance(sizes, np.ndarray):
                 sizes = sizes[: len(arrive)]
 
     dlv = upd_in
     gen = gen[: len(dlv)]  # FCFS: updates leave the chain in the order they entered
-    first = int(np.searchsorted(dlv, warmup, side="left"))  # deliveries in the window are a suffix
+    first = int(dlv.searchsorted(warmup))  # deliveries in the window are a suffix
     delivered = len(dlv) - first
-    avg_sys = float(np.mean(dlv[first:] - gen[first:])) if delivered else math.nan
-    capacity = min(
-        net.forward[i].effective_rate(update_size) * (1.0 - net.cross_load(i)) for i in range(n_fwd)
-    )
+    avg_sys = float((dlv[first:] - gen[first:]).mean()) if delivered else math.nan
+    areas, start = clipped_age_areas(gen, dlv, warmup, duration)
     metrics = AoiMetrics(
-        avg_age=age_time_average(gen, dlv, warmup, duration),
+        avg_age=math.nan if areas is None else float(areas.sum()) / (duration - start),
         avg_backlog_per_node=tuple(backlogs),
         avg_system_time=avg_sys,
         throughput_updates=delivered / window,
@@ -675,7 +693,7 @@ def _open_loop(
         node_time_in_system_sum=tuple(time_sums),
         node_departs=tuple(departs),
     )
-    return metrics, gen, dlv
+    return metrics, gen, dlv, areas
 
 
 def run_fixed_rate(
@@ -701,28 +719,32 @@ class SweepResult(NamedTuple):
     rows: tuple[tuple[float, float, float], ...]  # (lambda, avg_age, ci_halfwidth)
 
 
-def _window_ages(gen: np.ndarray, dlv: np.ndarray, edges: np.ndarray) -> list[float]:
+def _window_ages(gen: np.ndarray, dlv: np.ndarray, areas: Optional[np.ndarray], edges: np.ndarray) -> list[float]:
     """``age_time_average`` over each window ``[edges[i], edges[i + 1]]``.
 
     Bit for bit the call on the resets from the one in force at the
-    window's start to the last one by its end: all its areas but the first
-    and last are those of the whole run, computed once.  ``dlv`` must not
-    decrease, as ``age_time_average`` checks on the whole run.
+    window's start to the last one by its end.  ``areas`` is
+    ``clipped_age_areas(gen, dlv, edges[0], edges[-1])[0]``: every area of a
+    window but its first and last is one of them.  Each window's two end
+    areas are computed as ``age_areas`` does, in built-in floats, and put
+    in their places in ``areas`` for the sum, then the old values back.
     """
-    areas = age_areas(gen[:-1], dlv[:-1], dlv[1:])
-    cut = np.searchsorted(dlv, edges, side="right").tolist()
+    cut = dlv.searchsorted(edges, "right").tolist()
     ages = []
     for i, j, lo, hi in zip(cut, cut[1:], edges.tolist(), edges[1:].tolist()):
         a = max(i - 1, 0)  # the reset in force at the window's start, or the first
-        lo = max(lo, float(dlv[a])) if j > a else hi  # no age before the first reset
+        lo = max(lo, dlv.item(a)) if j > a else hi  # no age before the first reset
         if hi <= lo:
             ages.append(math.nan)
             continue
-        window = np.empty(j - a)
-        window[:-1] = areas[a : j - 1]
-        window[-1] = age_areas(gen[j - 1], dlv[j - 1], hi)
-        window[0] = age_areas(gen[a], lo, dlv[a + 1] if j - a > 1 else hi)
-        ages.append(float(window.sum()) / (hi - lo))
+        d = dlv.item(j - 1)
+        last = (hi - d) * ((d + hi) * 0.5 - gen.item(j - 1))
+        end = dlv.item(a + 1) if j - a > 1 else hi
+        first = (end - lo) * ((lo + end) * 0.5 - gen.item(a))
+        saved = areas[a], areas[j - 1]
+        areas[j - 1], areas[a] = last, first  # one reset in the window: its first area holds
+        ages.append(float(areas[a:j].sum()) / (hi - lo))
+        areas[a], areas[j - 1] = saved
     return ages
 
 
@@ -749,12 +771,16 @@ def sweep_lambda(
         raise ConfigError(f"sweep grid must be a sequence of rates, got {grid!r}") from None
     if not grid:
         raise ConfigError("sweep grid must not be empty")
+    plan = _open_plan(net)
+    _require_positive("duration", duration)
+    _require_warmup_frac(warmup_frac)
+    edges = np.linspace(warmup_frac * duration, duration, _SWEEP_BATCHES + 1)
     rows = []
     for idx, lam in enumerate(grid):
         point_seed = substream_seed(seed, f"sweep/{idx}")
-        metrics, gen, dlv = _open_loop(net, lam, arrival, duration, point_seed, warmup_frac)
-        edges = np.linspace(metrics.warmup, duration, _SWEEP_BATCHES + 1)
-        means = [m for m in _window_ages(gen, dlv, edges) if not math.isnan(m)]
+        metrics, gen, dlv, areas = _open_loop(net, lam, arrival, duration, point_seed, warmup_frac, plan)
+        means = [m for m in _window_ages(gen, dlv, areas, edges) if not math.isnan(m)]
+        del gen, dlv, areas  # freed before the next point allocates
         if len(means) >= 2:
             half = 1.96 * float(np.std(means, ddof=1)) / math.sqrt(len(means))
         else:

@@ -508,6 +508,25 @@ def test_sweep_rejects_non_integer_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["rate", "lambda"])
+def test_sim_rejects_an_int_too_large_for_a_float(tmp_path, field):
+    # JSON reads the 401 digits as an int; the run once ended in an
+    # OverflowError traceback
+    doc = json.loads(small_sim_config(tmp_path).read_text())
+    if field == "rate":
+        doc["net"]["forward"][0]["rate"] = 10**400
+    else:
+        doc["lambda"] = 10**400
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "x.json"
+    proc = run_cli("sim", "--config", str(cfg), "--out", str(out))
+    assert proc.returncode == EXIT_RUNTIME
+    assert proc.stderr.startswith("error:") and "too large for a float" in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # -- sweep command -----------------------------------------------------------------------
 
 

@@ -14,9 +14,9 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from agectl import ConfigError, wire
-from agectl.analytics import StabilityError, aoi_dm1, aoi_md1, aoi_mm1, aoi_tandem
+from agectl.analytics import StabilityError, aoi_dm1, aoi_md1, aoi_mm1, aoi_tandem, optimal_lambda
 from agectl.controller import RateController
-from agectl.endpoints import SimulatedPath, SourceConfig, require_monitor_limits
+from agectl.endpoints import SimulatedPath, SourceConfig, require_monitor_limits, run_source
 from agectl.estimator import SourceEstimator
 from agectl.simkit import CrossTraffic, QueueNetwork, ServiceSpec, run_closed_loop, run_fixed_rate, sweep_lambda
 
@@ -66,6 +66,11 @@ def _round_trip(**path_kwargs):
     return path.recv(10.0)
 
 
+def _source(cfg, duration):
+    """The summary of a live-driver run over a fresh ``SimulatedPath``."""
+    return run_source(SimulatedPath(), cfg, duration)[0]
+
+
 def _controller(initial_rate, updates_per_epoch):
     ctl = RateController(initial_rate, updates_per_epoch)
     return ctl.rate, ctl.epoch_length()
@@ -106,6 +111,7 @@ ENTRIES = {
         "fwd_delay": (0.01, _float), "rev_delay": (0.01, _float), "loss": (0.0, _float), "seed": (1, _int),
     }),
     "SimulatedPath exp mean": (lambda mean: _round_trip(fwd_delay=("exp", mean)), {"mean": (0.01, _float)}),
+    "run_source": (_source, {"cfg": (SourceConfig(), _never), "duration": (1.0, _float)}),
     "RateController": (_controller, {"initial_rate": (1.0, _float), "updates_per_epoch": (10, _int)}),
     "SourceEstimator": (_estimator, {"alpha": (0.25, _float)}),
     "require_monitor_limits": (require_monitor_limits, {
@@ -115,6 +121,9 @@ ENTRIES = {
     "aoi_tandem": (aoi_tandem, {"lam": (0.5, _float), "mu1": (1.0, _float), "mu2": (2.0, _float)}),
     "aoi_dm1": (aoi_dm1, {"lam": (0.5, _float), "mu": (1.0, _float)}),
     "aoi_md1": (aoi_md1, {"lam": (0.5, _float), "mu": (1.0, _float)}),
+    "optimal_lambda": (lambda lo, hi: optimal_lambda(lambda lam: aoi_mm1(lam, 1.0), lo, hi), {
+        "lo": (0.1, _float), "hi": (0.9, _float),
+    }),
 }
 
 
@@ -131,3 +140,24 @@ def test_every_entry_rejects_garbage_with_a_typed_error_or_runs_its_valid_equiva
                 continue
             want = entry(**{**valid, arg: equivalent(bad)})
             assert got == want or repr(got) == repr(want), (name, arg, bad)
+
+
+# An int too large for a float is a valid int (a seed may be one) but no
+# number: int arguments take it, so it is not among GARBAGE.
+HUGE = 10**400
+
+
+def test_an_int_too_large_for_a_float_is_a_config_error():
+    calls = {
+        "ServiceSpec": lambda: ServiceSpec("exp", HUGE),
+        "run_fixed_rate": lambda: run_fixed_rate(NET, HUGE, duration=20.0),
+        "aoi_mm1 lam": lambda: aoi_mm1(HUGE, 1.0),
+        "aoi_mm1 mu": lambda: aoi_mm1(0.5, HUGE),
+    }
+    for name, call in calls.items():
+        try:
+            call()
+        except ConfigError as err:
+            assert "too large for a float" in str(err), name
+        else:
+            raise AssertionError(f"{name} accepted an int of 401 digits")

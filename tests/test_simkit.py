@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from agectl import analytics, simkit
 from agectl.cli import load_config
 from agectl.endpoints import InitializationError, MonitorSession, SourceConfig, SourceSession
+from agectl.endpoints import age_areas, clipped_age_areas
 from agectl.simkit import (
     ARRIVAL_KINDS,
     SERVICE_KINDS,
@@ -80,6 +81,18 @@ def test_age_time_average_hand_case():
     dlv = [1.0, 2.0]
     got = age_time_average(gen, dlv, 0.0, 3.0)
     assert got == pytest.approx((1.0 * 1.0 + 0.7 * 1.0) / 2.0)
+
+
+def test_clipped_age_areas_hand_case():
+    # resets at t=0.2, 1 and 2 over [1.5, 2.5]: the first is replaced before
+    # the window opens, the second is in force on [1.5, 2] (age 1..1.5) and
+    # the third on [2, 2.5] (age 0.2..0.7)
+    areas, start = clipped_age_areas([0.0, 0.5, 1.8], [0.2, 1.0, 2.0], 1.5, 2.5)
+    assert start == 1.5
+    assert areas.tolist() == pytest.approx([0.0, 0.625, 0.225])
+    assert clipped_age_areas([0.5, 1.8], [1.0, 2.0], 0.0, 3.0)[1] == 1.0  # no age before the first reset
+    assert clipped_age_areas([], [], 0.0, 1.0) == (None, 0.0)
+    assert clipped_age_areas([0.0], [5.0], 0.0, 1.0) == (None, 5.0)
 
 
 def test_age_time_average_empty_window():
@@ -462,7 +475,7 @@ def _count_slack(run, got, want, edge_departures: int) -> dict:
 # net_a's forward chain: six identical links behind a cross flow at node 0
 @example((QueueNetwork.from_dict(load_config("net_a")[0]["net"]), 80.0, "poisson", 20.0, 1, 0.1))
 def test_open_loop_matches_event_reference(run):
-    got, gen, dlv = simkit._open_loop(*run)
+    got, gen, dlv, _ = simkit._open_loop(*run)
     want, want_gen, want_dlv, departures = open_loop_events(*run)
     k = _edge_departures(departures, want.warmup, want.duration)
     slack = _count_slack(run, got, want, k) if k else {}
@@ -510,7 +523,7 @@ def _open_loop_per_node(net, lam, arrival, duration, seed):
 
 
 def _assert_matches_per_node(net, lam, duration):
-    got, _, dlv = simkit._open_loop(net, lam, "poisson", duration, 7, 0.1)
+    got, _, dlv, _ = simkit._open_loop(net, lam, "poisson", duration, 7, 0.1)
     want_dlv, departs, time_sums = _open_loop_per_node(net, lam, "poisson", duration, 7)
     assert got.node_departs[-1] > 1000  # queues form and most updates arrive
     assert dlv.tobytes() == want_dlv.tobytes()
@@ -648,7 +661,7 @@ def test_one_size_link_chain_is_the_det_chain(rates, entries):
 def test_open_loop_peak_memory_per_update():
     # at its peak the open loop holds five float arrays of the updates'
     # length: generation instants, a node's arrivals, service times and
-    # departures, or age_time_average's three beside its inputs (40 B per
+    # departures, or clipped_age_areas's three beside its inputs (40 B per
     # update); before its buffers were reused it held about 14 (117 B)
     lam, duration = 0.5, 2.5e5
     run_fixed_rate(TANDEM, lam, duration=1000.0, seed=1)  # imports and caches outside the trace
@@ -666,8 +679,9 @@ def test_open_loop_peak_memory_per_update_with_cross_traffic():
     # once cross traffic enters, the open loop also holds the updates' int64
     # positions among the merged packets (8 B per update), and their sizes
     # only if they differ; on the net_a forward chain, whose packets have one
-    # size and whose nodes past the first hold no queue, about 70 B per
-    # update (88 B while every node ran the recursion on the merged packets)
+    # size and whose nodes past the first hold no queue, about 58 B per
+    # update (70 B while a merge's sort order lived on through the node, 88 B
+    # while every node ran the recursion on the merged packets)
     net = QueueNetwork(
         forward=(ServiceSpec("link", 1e6),) * 6,
         cross_traffic=(CrossTraffic(entry=0, rate_bps=200_000, packet_bytes=1040),),
@@ -762,13 +776,13 @@ def test_window_ages_match_whole_array_calls():
         ),
     )
     duration = 200.0
-    _, gen, dlv = simkit._open_loop(net, 1.0, "poisson", duration, 1, 0.0)
+    _, gen, dlv, areas = simkit._open_loop(net, 1.0, "poisson", duration, 1, 0.0)
     # a window strictly inside the widest gap between two resets holds none
     gap = int(np.argmax(np.diff(dlv)))
     quiet = dlv[gap] + np.array([0.25, 0.75]) * (dlv[gap + 1] - dlv[gap])
     edges = np.sort(np.concatenate([np.linspace(0.0, duration, 11), quiet]))
     assert edges[0] < dlv[0]  # the first window opens before the first delivery
-    got = simkit._window_ages(gen, dlv, edges)
+    got = simkit._window_ages(gen, dlv, areas, edges)
     want = [age_time_average(gen, dlv, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     assert not any(math.isnan(w) for w in want)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -796,8 +810,84 @@ def test_window_ages_equal_the_calls_on_their_resets(windows):
         age_time_average(gen[max(i - 1, 0) : j], dlv[max(i - 1, 0) : j], lo, hi)
         for i, j, lo, hi in zip(cut, cut[1:], edges, edges[1:])
     ]
+    areas, _ = clipped_age_areas(gen, dlv, edges[0], edges[-1])
     # bit for bit, NaN included
-    assert [float(x).hex() for x in simkit._window_ages(gen, dlv, edges)] == [float(x).hex() for x in want]
+    assert [float(x).hex() for x in simkit._window_ages(gen, dlv, areas, edges)] == [float(x).hex() for x in want]
+
+
+def _window_ages_reference(gen, dlv, edges):
+    """The batch-means windows' ages as they were computed before the
+    windows summed the run's clipped areas in place: the areas of the whole
+    run computed apart, and each window copied into an array of its own."""
+    areas = age_areas(gen[:-1], dlv[:-1], dlv[1:])
+    cut = np.searchsorted(dlv, edges, side="right").tolist()
+    ages = []
+    for i, j, lo, hi in zip(cut, cut[1:], edges.tolist(), edges[1:].tolist()):
+        a = max(i - 1, 0)
+        lo = max(lo, float(dlv[a])) if j > a else hi
+        if hi <= lo:
+            ages.append(math.nan)
+            continue
+        window = np.empty(j - a)
+        window[:-1] = areas[a : j - 1]
+        window[-1] = age_areas(gen[j - 1], dlv[j - 1], hi)
+        window[0] = age_areas(gen[a], lo, dlv[a + 1] if j - a > 1 else hi)
+        ages.append(float(window.sum()) / (hi - lo))
+    return ages
+
+
+# an exp, a link and a det node, with cross traffic of two sizes entering at two nodes
+CROSS_AT_TWO_NODES = QueueNetwork(
+    forward=(ServiceSpec("exp", 3.0), ServiceSpec("link", 40_000.0), ServiceSpec("det", 4.0)),
+    cross_traffic=(
+        CrossTraffic(entry=1, rate_bps=4000.0, packet_bytes=500),
+        CrossTraffic(entry=2, rate_bps=3000.0, packet_bytes=200),
+    ),
+)
+
+
+@pytest.mark.parametrize("name", ["mm1", "tandem", "net_a", "net_b", "net_c", "net_d", "net_e", "cross_at_two_nodes"])
+def test_sweep_points_equal_their_runs_bit_for_bit(name):
+    # each point's age is its run's, and its half-width the one the reference
+    # windows give on that run's instants; the grid runs from a few updates
+    # in the whole run to past the capacity
+    net = CROSS_AT_TWO_NODES if name == "cross_at_two_nodes" else QueueNetwork.from_dict(load_config(name)[0]["net"])
+    capacity = simkit._open_plan(net)[2]
+    grid = [capacity * f for f in (0.002, 0.1, 0.5, 0.9, 1.2)]
+    duration, seed = 2000.0 / capacity, 5
+    rows = sweep_lambda(net, grid, duration, seed=seed).rows
+    for idx, (lam, age, half) in enumerate(rows):
+        point_seed = substream_seed(seed, f"sweep/{idx}")
+        assert repr(age) == repr(run_fixed_rate(net, lam, duration=duration, seed=point_seed).avg_age)
+        metrics, gen, dlv, _ = simkit._open_loop(net, lam, "poisson", duration, point_seed, simkit.DEFAULT_WARMUP_FRAC)
+        edges = np.linspace(metrics.warmup, duration, simkit._SWEEP_BATCHES + 1)
+        means = [m for m in _window_ages_reference(gen, dlv, edges) if not math.isnan(m)]
+        want = 1.96 * float(np.std(means, ddof=1)) / math.sqrt(len(means)) if len(means) >= 2 else math.nan
+        assert repr(half) == repr(want), idx
+
+
+def test_sweep_peak_memory_is_its_top_point():
+    # a point's instants and areas are freed before the next point allocates,
+    # so a sweep over a rising grid holds no more at its peak than its top
+    # point alone, beside its rows and the interpreter's own caches (1-3 kB
+    # here); periodic updates through det nodes make the top point the same
+    # run at any seed.  While each point's arrays lived on through the next
+    # point's run, the sweep held 1.4 MB more here, the previous point's
+    # instants
+    net = QueueNetwork(forward=(ServiceSpec("det", 100.0), ServiceSpec("det", 50.0)))
+    grid, duration = [10.0, 20.0, 30.0, 40.0], 3000.0
+    sweep_lambda(net, grid, duration=duration, arrival="periodic")  # imports and caches outside the trace
+
+    def peak(rates):
+        tracemalloc.start()
+        try:
+            sweep_lambda(net, rates, duration=duration, arrival="periodic")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = peak(grid[-1:])
+    assert peak(grid) <= alone + 16_384
 
 
 def test_sweep_tandem_argmin_near_analytic():
