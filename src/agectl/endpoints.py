@@ -64,6 +64,11 @@ __all__ = [
 _INIT = "init"
 _RUN = "run"
 
+# values per block of the array kernels that work block by block
+# (``clipped_age_areas`` and the open loop's nodes): their temporaries are
+# this long, not as long as the run
+_BLOCK = 16_384
+
 
 class InitializationError(Exception):
     """The initialization phase found no initial rate: every probe timed
@@ -456,7 +461,8 @@ def age_time_average(gen_times, deliver_times, lo: float, hi: float) -> float:
 
     ``gen_times``/``deliver_times`` are the accepted age resets in
     delivery order: equal lengths and non-decreasing delivery times, else
-    ``ValueError``.  Measurement starts no earlier than the first reset;
+    ``ValueError``; ``lo`` and ``hi`` are finite numbers, else
+    ``ConfigError``.  Measurement starts no earlier than the first reset;
     NaN if the window never sees a defined age.  It is the sum of
     ``clipped_age_areas`` over the length of the span they cover.
     """
@@ -472,32 +478,46 @@ def clipped_age_areas(gen_times, deliver_times, lo: float, hi: float):
     later, and ``areas`` a new float array of one area per reset, zero for
     a reset wholly outside [start, hi], or None if that span is empty.  A
     reset in force over an interval inside the span gets the area
-    ``age_areas`` computes on it.  Beside its inputs it holds three float
-    arrays of their length at its peak and returns one.
+    ``age_areas`` computes on it.  Beside its inputs it holds the areas it
+    returns and two temporaries of ``_BLOCK`` values, one block at a time.
     """
+    for name, bound in (("lo", lo), ("hi", hi)):
+        _require_number(name, bound)
+        if not math.isfinite(bound):
+            raise ConfigError(f"{name} must be finite, got {bound}")
     gen = np.asarray(gen_times, dtype=float)
     dlv = np.asarray(deliver_times, dtype=float)
     if gen.ndim != 1 or gen.shape != dlv.shape:
         raise ValueError(f"need two equal-length 1-d sequences, got shapes {gen.shape} and {dlv.shape}")
-    if len(dlv) == 0:
+    n = len(dlv)
+    if n == 0:
         return None, lo
-    if np.any(dlv[1:] < dlv[:-1]):
-        raise ValueError("delivery times must not decrease")
+    # one pass, which a NaN fails as a decrease does
+    if math.isnan(dlv[0]) or not (dlv[1:] >= dlv[:-1]).all():
+        raise ValueError("delivery times must be numbers that never decrease")
     lo = max(lo, float(dlv[0]))
     if hi <= lo:
         return None, lo
-    seg_start = np.clip(dlv, lo, hi)
-    seg_end = np.empty_like(seg_start)
-    seg_end[:-1] = dlv[1:]
-    seg_end[-1] = hi
-    np.clip(seg_end, lo, hi, out=seg_end)
-    return age_areas(gen, seg_start, seg_end, out=seg_end), lo
+    areas = np.empty(n)
+    starts, ends = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        start, end = starts[: b - a], ends[: b - a]
+        np.clip(dlv[a:b], lo, hi, out=start)
+        following = dlv[a + 1 : b + 1]  # each reset's successor's delivery, one short in the last block
+        np.clip(following, lo, hi, out=end[: len(following)])
+        if b == n:
+            end[-1] = hi
+        age_areas(gen[a:b], start, end, out=areas[a:b])
+    return areas, lo
 
 
 def age_areas(gen, start, end, out=None):
-    """Age areas ``(end - start) * ((start + end) * 0.5 - gen)`` of resets in force on [start, end]; midpoint in out."""
-    width = end - start
-    mid = np.add(start, end, out=out)
+    """Age areas ``(end - start) * ((start + end) * 0.5 - gen)`` of resets in
+    force on [start, end]; with ``out`` given they go there, and the
+    midpoints overwrite ``end``."""
+    width = np.subtract(end, start, out=out)
+    mid = np.add(start, end, out=None if out is None else end)
     mid *= 0.5
     mid -= gen
     width *= mid

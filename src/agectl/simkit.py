@@ -10,23 +10,26 @@ perturb the draws of another.
 
 Open-loop runs need no event loop.  Arrival instants are cumulative sums
 of the arrival draws; each node merges its through traffic with the
-cross flows entering there and applies Lindley's recursion
-``D_k = max(A_k, D_{k-1}) + S_k`` in closed form over whole arrays,
-its temporaries in the service times' buffer and the departures in the
-buffer of their running sum.  A node ``_queue_free`` marks never holds
-a queue (its docstring has the rule and the argument): its departures
-are its arrivals plus service, with no running sum or max, and no
-service array when its packets have one size; past the last node that
-can queue (``_tail``), the run carries the updates alone.  FCFS
-departures never decrease (with several sizes at a pure delay, unless
-its service times are within the instants' rounding error), so the
-packets that leave a node by the end of the run are a prefix, taken as
-a view, not through a mask.  Until a
-cross flow enters, every packet is an update and a run holds at most
-five float arrays per update: generation instants, a node's arrivals,
-service times and departures (or, at the end, ``clipped_age_areas``'s
-three beside the generation and delivery instants, one of which, the
-areas, it keeps).  From the first
+cross flows entering there, drops those flows' instants, and applies
+Lindley's recursion ``D_k = max(A_k, D_{k-1}) + S_k`` in closed form
+(``_fcfs_node``), one block of ``_BLOCK`` packets at a time: the
+service times, their running sum and the recursion's temporaries live in
+two buffers of one block, and only the departures are as long as the
+run.  A node ``_queue_free`` marks never holds a queue (its docstring has
+the rule and the argument): its departures are its arrivals plus
+service, with no running sum or max, and no service array when its
+packets have one size; past the last node that can queue (``_tail``),
+the run carries the updates alone.  FCFS departures never decrease (with
+several sizes at a pure delay, unless its service times are within the
+instants' rounding error), so the packets that leave a node by the end
+of the run are a prefix, taken as a view, not through a mask.  A node's
+figures take the arrivals' buffer as scratch once the departures are
+out, except at node 0, whose arrivals may be the generation instants.
+Until a cross flow enters, every packet is an update and a run holds at
+most three float arrays per update: generation instants, a node's
+arrivals (or node 0's scratch) and its departures, or, at the end, the
+generation and delivery instants and ``clipped_age_areas``'s areas,
+which it builds a block at a time.  From the first
 merge on, the updates are tracked by their positions in service order,
 one int64 index built at each merge, and a node also holds the packets'
 sizes if they differ: a node takes the updates' departures from its own
@@ -85,7 +88,7 @@ import numpy as np
 from . import ConfigError, _require_int, _require_number, _require_positive, wire
 from .endpoints import CheckedRecord, DrawStream, MonitorSession, SourceConfig, SourceSession
 from .endpoints import age_time_average  # noqa: F401 (callers bind simkit.age_time_average)
-from .endpoints import clipped_age_areas, substream_seed
+from .endpoints import _BLOCK, clipped_age_areas, substream_seed
 
 SERVICE_KINDS = ("exp", "det", "link")
 ARRIVAL_KINDS = ("poisson", "periodic")
@@ -487,18 +490,6 @@ def _fixed_service(spec: ServiceSpec, size):
     return 1.0 / spec.rate if spec.kind == "det" else 8.0 * size / spec.rate
 
 
-def _service_times(spec: ServiceSpec, count: int, sizes, seed: int) -> np.ndarray:
-    """Service time of each of ``count`` packets, in the order the node
-    serves them, in a new buffer; ``sizes`` is one size for all or an array."""
-    if spec.kind == "exp":
-        service = np.empty(count)
-        np.random.Generator(np.random.PCG64(seed)).standard_exponential(out=service)
-        service /= spec.rate
-        return service
-    service = _fixed_service(spec, sizes)
-    return service if isinstance(service, np.ndarray) else np.full(count, service)
-
-
 def _queue_free(chain, size: float, cross=()) -> tuple[bool, ...]:
     """Which nodes of a chain can never hold a queue, when packets of
     ``size`` bytes enter at node 0 and the flows in ``cross`` further on.
@@ -537,25 +528,50 @@ def _tail(free) -> int:
     return max(i for i, delay in enumerate(free) if not delay) + 1
 
 
-def _fcfs_node(arrive: np.ndarray, service: np.ndarray) -> np.ndarray:
-    """Departure instants of one FCFS server that may hold a queue.
+def _fcfs_node(spec: ServiceSpec, arrive: np.ndarray, sizes, seed: int) -> np.ndarray:
+    """Departure instants, in a new array, of one FCFS node that may hold a
+    queue, from its packets' arrival instants in the order it serves them;
+    ``sizes`` is one size for all or an array, and ``seed`` the node's
+    substream, whose ``exp`` draws give the service times in that order.
 
-    Lindley's recursion ``D_k = max(A_k, D_{k-1}) + S_k`` in closed form:
-    ``served + fmax.accumulate(arrive - (served - service))`` with
-    ``served = cumsum(service)``.  The temporaries take ``service``'s
-    buffer and the departures ``served``'s.  Departures never decrease, in
-    floating point too (a running max plus a cumsum of non-negative
-    times).  A node ``_queue_free`` marks needs no running sum or max: no
-    packet waits there (its docstring has why), so its departures are its
-    arrivals plus service.
+    Lindley's recursion ``D_k = max(A_k, D_{k-1}) + S_k`` in closed form,
+    ``served + fmax.accumulate(arrive - (served - service))`` with ``served
+    = cumsum(service)``, one block of ``_BLOCK`` packets at a time.  The
+    running sum and the running max go from block to block as the first
+    value of the buffer each is accumulated in, so each departure is the
+    float the whole-array expression gives.  Departures never decrease, in
+    floating point too (a running max plus a cumsum of non-negative times).
+    A node ``_queue_free`` marks needs no running sum or max: no packet
+    waits there (its docstring has why), so its departures are its arrivals
+    plus service.
     """
-    served = np.cumsum(service)
-    np.subtract(served, service, out=service)
-    np.subtract(arrive, service, out=service)
-    # fmax, faster than maximum, differs from it only on NaN; every value
-    # here is finite, as _require_positive rejects non-finite rates and spans
-    np.fmax.accumulate(service, out=service)
-    return np.add(served, service, out=served)
+    n = len(arrive)
+    leave = np.empty(n)
+    draw = np.random.Generator(np.random.PCG64(seed)).standard_exponential if spec.kind == "exp" else None
+    sized = isinstance(sizes, np.ndarray)
+    work = np.empty(min(n, _BLOCK) + 1)  # [carry, service times], then the recursion's temporaries
+    served = np.empty(len(work))
+    total, peak = 0.0, -math.inf
+    for a in range(0, n, _BLOCK):
+        b = min(a + _BLOCK, n)
+        block = work[: b - a + 1]
+        service = block[1:]
+        if draw is None:
+            service[:] = _fixed_service(spec, sizes[a:b] if sized else sizes)
+        else:
+            draw(out=service)
+            service /= spec.rate
+        block[0] = total
+        run = np.cumsum(block, out=served[: len(block)])[1:]
+        np.subtract(run, service, out=service)
+        np.subtract(arrive[a:b], service, out=service)
+        # fmax, faster than maximum, differs from it only on NaN; every value
+        # here is finite, as _require_positive rejects non-finite rates and spans
+        block[0] = peak
+        np.fmax.accumulate(block, out=block)
+        np.add(run, service, out=leave[a:b])
+        total, peak = run[-1], service[-1]
+    return leave
 
 
 def _update_figures(leave, scratch, updates, upd_in, warmup: float, duration: float):
@@ -624,10 +640,13 @@ def _open_loop(
     fwd_seed = substream_seed(seed, "fwd")
     arrival_seed = substream_seed(seed, "arrivals") if arrival == "poisson" else None
     gen = _renewal_times(lam, duration, arrival_seed)
-    cross = [
-        (flow, _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{i}"))[1:])
-        for i, flow in enumerate(net.cross_traffic)
-    ]
+    # entry node -> [(instants, packet size)] of the flows entering there, in
+    # index order; each node's are dropped once merged
+    cross = {}
+    for k, flow in enumerate(net.cross_traffic):
+        times = _renewal_times(flow.rate_pps, duration, substream_seed(seed, f"cross/{k}"))[1:]
+        cross.setdefault(flow.entry, []).append((times, float(flow.packet_bytes)))
+        del times
 
     # packets reaching the current node, in the order it serves them, and the
     # updates among them; until a cross flow enters, and from the tail on, all
@@ -640,9 +659,8 @@ def _open_loop(
     for i, spec in enumerate(net.forward):
         if i == tail:
             arrive, updates, sizes = upd_in, None, update_size
-        entering = [(flow, times) for flow, times in cross if flow.entry == i]
-        if entering:
-            parts = [(arrive, sizes)] + [(times, float(flow.packet_bytes)) for flow, times in entering]
+        if i in cross:
+            parts = [(arrive, sizes), *cross.pop(i)]
             through = len(arrive)
             # a stable sort keeps through traffic ahead of cross traffic, and
             # flows in index order, at equal instants
@@ -658,11 +676,13 @@ def _open_loop(
                 is_update[updates] = True
                 updates = np.flatnonzero(is_update[order])
             del parts, order  # freed before the node allocates
-        if free[i]:  # a pure delay; the arrivals' buffer, read by then, is the scratch
-            leave, scratch = np.add(arrive, _fixed_service(spec, sizes)), arrive
-        else:  # the service times' buffer takes the recursion's temporaries, then the scratch
-            scratch = _service_times(spec, len(arrive), sizes, substream_seed(fwd_seed, f"service/{i}"))
-            leave = _fcfs_node(arrive, scratch)
+        if free[i]:  # a pure delay
+            leave = np.add(arrive, _fixed_service(spec, sizes))
+        else:
+            leave = _fcfs_node(spec, arrive, sizes, substream_seed(fwd_seed, f"service/{i}"))
+        # the arrivals' buffer, read by now, is the figures' scratch; but node
+        # 0's arrivals may be the generation instants, which the run keeps
+        scratch = np.empty(len(arrive)) if arrive is gen else arrive
         upd_out, left, time_sum, stay_sum = _update_figures(leave, scratch, updates, upd_in, warmup, duration)
         del scratch  # freed with the node, before the next one allocates
         departs.append(left)

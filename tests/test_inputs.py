@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from agectl import ConfigError, wire
 from agectl.analytics import StabilityError, aoi_dm1, aoi_md1, aoi_mm1, aoi_tandem, optimal_lambda
 from agectl.controller import RateController
-from agectl.endpoints import SimulatedPath, SourceConfig, require_monitor_limits, run_source
+from agectl.endpoints import SimulatedPath, SourceConfig, age_time_average, require_monitor_limits, run_source
 from agectl.estimator import SourceEstimator
 from agectl.simkit import CrossTraffic, QueueNetwork, ServiceSpec, run_closed_loop, run_fixed_rate, sweep_lambda
 
@@ -121,6 +121,9 @@ ENTRIES = {
     "aoi_tandem": (aoi_tandem, {"lam": (0.5, _float), "mu1": (1.0, _float), "mu2": (2.0, _float)}),
     "aoi_dm1": (aoi_dm1, {"lam": (0.5, _float), "mu": (1.0, _float)}),
     "aoi_md1": (aoi_md1, {"lam": (0.5, _float), "mu": (1.0, _float)}),
+    "age_time_average": (lambda lo, hi: age_time_average([0.0, 1.0], [1.0, 2.0], lo, hi), {
+        "lo": (0.0, _float), "hi": (3.0, _float),
+    }),
     "optimal_lambda": (lambda lo, hi: optimal_lambda(lambda lam: aoi_mm1(lam, 1.0), lo, hi), {
         "lo": (0.1, _float), "hi": (0.9, _float),
     }),
