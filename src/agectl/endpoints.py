@@ -18,10 +18,10 @@ before; stale updates are discarded *and not acknowledged*, keeping
 both ends' discard rules consistent and saving reverse traffic.
 
 ``SourceSession``/``MonitorSession`` are sans-io state machines: they
-consume datagrams and deadlines and return frames to transmit, which
-makes them drivable by a real socket loop and by a discrete-event
-simulator alike.  Each session is a single logical event loop; callers
-must serialize all calls on it.
+consume datagrams and deadlines and return the frame to transmit or None
+(probing is stop-and-wait, pacing never bursts), so a real socket loop and
+a discrete-event simulator alike can drive them.  Each session is a single
+logical event loop; callers must serialize all calls on it.
 """
 
 from __future__ import annotations
@@ -156,12 +156,13 @@ def require_monitor_limits(duration: Optional[float], max_updates: Optional[int]
 class SourceSession:
     """Sans-io source endpoint: init probing, pacing, epoch control.
 
-    Drive it with ``on_timer`` and ``on_datagram``; every call returns the
-    frames to transmit, and only one that returns frames moves ``deadline``
-    (read-only): due at once when made, then the probe timeout, then the
-    next send.  The call that ends probing also sets ``epochs_began``
-    (read-only) and returns the first epoch's first send.  The instant a
-    caller passes is the only clock; a period lost to rounding is a ValueError.
+    Drive it with ``on_timer`` and ``on_datagram``; every call returns the frame
+    to transmit or None, and only one that returns a frame moves ``deadline``
+    (read-only): due at once when made, then the probe timeout, then the next
+    send.  The call that ends probing also sets ``epochs_began`` (read-only) and
+    returns the first epoch's first send.  The instant a caller passes is the
+    only clock; a period lost to rounding is a ValueError, and an instant that
+    is not a number a ProtocolError (malformed, in a datagram).
 
     Closed epochs are kept in typed columns, about 56 B each: the six
     floats of each record in one ``array("d")`` with stride 6, and its
@@ -245,7 +246,7 @@ class SourceSession:
         gen_ts_us = round(t * 1e6)
         return wire.encode_update(self.estimator.on_send(t, gen_ts_us), gen_ts_us, self._payload)
 
-    def _finish_init(self, t: float) -> list[bytes]:
+    def _finish_init(self, t: float) -> bytes:
         """End probing at ``t`` and begin the first epoch there; returns its first send."""
         # every fresh ACK so far answered a probe
         if not self.fresh_acks:
@@ -268,7 +269,7 @@ class SourceSession:
 
     # -- datagram / timer inputs -------------------------------------------
 
-    def on_datagram(self, t: float, data: bytes) -> list[bytes]:
+    def on_datagram(self, t: float, data: bytes) -> Optional[bytes]:
         """Consume one inbound datagram (expected: an ACK frame).  A frame
         that does not decode, names an update never sent, or echoes a
         timestamp other than its update's counts as malformed."""
@@ -277,34 +278,36 @@ class SourceSession:
             rtt = self.estimator.on_ack(t, seq, echo_ts_us)
         except (wire.WireError, ProtocolError):
             self.malformed += 1
-            return []
+            return None
         if rtt is None:
             self.stale_acks += 1
-            return []
+            return None
         self.fresh_acks += 1
         self._rtt_sum += rtt
         if self.state == _INIT:
             if seq == self.estimator.highest_sent:
                 # current probe answered: next probe, or done probing
                 if seq < self.cfg.probe_count:
-                    return [self._send_probe(t)]
+                    return self._send_probe(t)
                 return self._finish_init(t)
-            return []
+            return None
         if self.policy_kind == "lazy":
             self.rate = lazy_rate(self.estimator.rtt_ewma)
-        return []
+        return None
 
-    def on_timer(self, t: float) -> list[bytes]:
+    def on_timer(self, t: float) -> Optional[bytes]:
         """Handle a due deadline (the start, a probe timeout or a send instant)."""
-        if t < self.deadline:
-            return []
+        if not t >= self.deadline:
+            if t != t:  # NaN, told apart here so that a due call pays nothing for it
+                raise ProtocolError(f"timer instant is not a number: {t}")
+            return None
         if self.state == _INIT:
             if self.sends < self.cfg.probe_count:
-                return [self._send_probe(t)]
+                return self._send_probe(t)
             return self._finish_init(t)
         return self._process_due(t)
 
-    def _process_due(self, t: float) -> list[bytes]:
+    def _process_due(self, t: float) -> bytes:
         # one send, at the call instant; the next falls one period later on
         # the grid, or one period after t if the timer missed a whole period
         if self._epoch_sends == self._updates_per_epoch:
@@ -320,7 +323,7 @@ class SourceSession:
         # stamped, numbered and encoded as in _send_probe, with no call of its
         # own: this is every send once epochs begin
         gen_ts_us = round(t * 1e6)
-        return [wire.encode_update(self.estimator.on_send(t, gen_ts_us), gen_ts_us, self._payload)]
+        return wire.encode_update(self.estimator.on_send(t, gen_ts_us), gen_ts_us, self._payload)
 
     def _close_epoch(self, t: float) -> None:
         est = self.estimator
@@ -460,14 +463,21 @@ def age_time_average(gen_times, deliver_times, lo: float, hi: float) -> float:
     """Time-average of the freshest-wins age sawtooth over [lo, hi].
 
     ``gen_times``/``deliver_times`` are the accepted age resets in
-    delivery order: equal lengths and non-decreasing delivery times, else
-    ``ValueError``; ``lo`` and ``hi`` are finite numbers, else
-    ``ConfigError``.  Measurement starts no earlier than the first reset;
-    NaN if the window never sees a defined age.  It is the sum of
-    ``clipped_age_areas`` over the length of the span they cover.
+    delivery order: equal lengths, non-decreasing delivery times and
+    finite generation instants, else ``ValueError``; ``lo`` and ``hi`` are
+    finite numbers, else ``ConfigError``.  Measurement starts no earlier
+    than the first reset; NaN if the window never sees a defined age.  It
+    is the sum of ``clipped_age_areas`` over the length of the span they
+    cover, which checks the generation instants with no pass of its own: a
+    NaN or infinite one poisons it, even outside the window (0 * NaN is
+    NaN).  One after its delivery passes: a wire stamp rounded to the
+    microsecond can lie 0.5 us after a delivery with no delay.
     """
     areas, lo = clipped_age_areas(gen_times, deliver_times, lo, hi)
-    return math.nan if areas is None else float(np.sum(areas)) / (hi - lo)
+    total = 0.0 if areas is None else float(np.sum(areas))
+    if not math.isfinite(total):
+        raise ValueError(f"generation instants must be finite numbers: the age area is {total}")
+    return math.nan if areas is None else total / (hi - lo)
 
 
 def clipped_age_areas(gen_times, deliver_times, lo: float, hi: float):
@@ -701,17 +711,17 @@ def run_source(
     session = SourceSession(cfg, trace_writer)
     send, recv, on_timer, on_datagram = link.send, link.recv, session.on_timer, session.on_datagram
     now = link.now()
-    frames = on_timer(now)
+    frame = on_timer(now)
     while True:
         # send first: a send at the end instant still goes out
-        for frame in frames:
+        if frame is not None:
             send(frame)
         end = session.epochs_began + duration  # inf while probing
         if now >= end:
             return session.summary(), session
         deadline = session.deadline
         data, now = recv(end if end < deadline else deadline)
-        frames = on_timer(now) if data is None else on_datagram(now, data)
+        frame = on_timer(now) if data is None else on_datagram(now, data)
 
 
 def run_monitor(

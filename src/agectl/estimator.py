@@ -28,7 +28,7 @@ undefined; its integral contribution is zero by convention and
 ``age_at`` raises ``NoEstimateError``.
 
 All mutating calls must be serialized by the owner and carry a
-non-decreasing clock.
+non-decreasing clock; an instant that is not a number fails that check.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ MAX_PENDING = 4096
 
 
 class ProtocolError(Exception):
-    """Sequence/clock discipline violated (clock moved backwards, ACK for an
-    unknown seq or with a wrong echo)."""
+    """Sequence/clock discipline violated (clock moved backwards or is not
+    a number, ACK for an unknown seq or with a wrong echo)."""
 
 
 class NoEstimateError(Exception):
@@ -95,8 +95,8 @@ class SourceEstimator:
         return self.highest_sent - self.highest_acked
 
     def _advance(self, t: float) -> None:
-        if t < self._clock:
-            raise ProtocolError(f"clock moved backwards: {t} < {self._clock}")
+        if not t >= self._clock:
+            raise ProtocolError(f"clock moved backwards or is not a number: {t} < {self._clock}")
         dt = t - self._clock
         if dt > 0.0:
             self._backlog_area += dt * self.backlog
@@ -112,8 +112,8 @@ class SourceEstimator:
         sent = self.highest_sent
         # _advance(t), inlined on the per-packet calls
         clock = self._clock
-        if t < clock:
-            raise ProtocolError(f"clock moved backwards: {t} < {clock}")
+        if not t >= clock:
+            raise ProtocolError(f"clock moved backwards or is not a number: {t} < {clock}")
         dt = t - clock
         if dt > 0.0:
             acked = self.highest_acked
@@ -146,8 +146,8 @@ class SourceEstimator:
             raise ProtocolError(f"ACK for seq {seq} echoes {echo_ts_us}, update carried {gen_ts_us}")
         # _advance(t), inlined on the per-packet calls
         clock = self._clock
-        if t < clock:
-            raise ProtocolError(f"clock moved backwards: {t} < {clock}")
+        if not t >= clock:
+            raise ProtocolError(f"clock moved backwards or is not a number: {t} < {clock}")
         dt = t - clock
         if dt > 0.0:
             self._backlog_area += dt * (sent - acked)
@@ -182,8 +182,8 @@ class SourceEstimator:
 
     def close_epoch(self, t: float) -> EpochStats:
         """Finish the running epoch at ``t`` and start the next one."""
-        if t <= self._epoch_start:
-            raise ValueError(f"epoch must have positive length: {t} <= {self._epoch_start}")
+        if not t > self._epoch_start:
+            raise ValueError(f"epoch must have positive length and a number as its end: {t} <= {self._epoch_start}")
         self._advance(t)
         duration = t - self._epoch_start
         avg_age = self._age_area / duration

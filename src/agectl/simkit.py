@@ -42,19 +42,20 @@ one packet at a time: a packet is walked through its whole FCFS segment
 (the nodes up to the next entry point) when it enters, and an event heap
 that breaks time ties by insertion order holds one entry for its exit
 into the next segment.  The walk follows a list of (node, service time,
-is a delay) triples built from ``_service_fn``.  Routes are resolved per
-packet kind (updates, ACKs, each cross flow) at the start of the run, one
-walk per segment, and each packet carries its route, so no walk is looked
-up per packet; only ``exp`` nodes draw, once per visit.  The open
-loop's rule holds here on both chains: a node that never holds a queue
-is a pure delay, with no max and no server state, and cross traffic's
-route ends at the open loop's ``_tail``, past which nothing reads it.
+is a delay) triples built with ``_fixed_service``.  Routes are resolved
+per packet kind (updates, ACKs, each cross flow) at the start of the run,
+one walk per segment, and each packet carries its route, so no walk is
+looked up per packet; only ``exp`` nodes draw (``_exp_draw``), once per
+visit.  The open loop's rule holds here on both chains: a node that never
+holds a queue is a pure delay, with no max and no server state, and cross
+traffic's route ends at the open loop's ``_tail``, past which nothing
+reads it.
 A packet carries its arrival handler.  An update that ends its route by
 the end of the run arrives within the walk: its monitor runs at the exit
 instant and its ACK is walked through the reverse chain there, so a
 round trip takes two heap entries, the send timer and the ACK's arrival
 at the source.  Cross traffic ends with no entry.  A source's timer
-takes one heap entry per session call that returned frames (the only
+takes one heap entry per session call that returned a frame (the only
 calls that move its deadline), tagged with the source's send count; an
 entry runs only if no update was sent since, and the start is the entry
 tagged 0.  Source k starts at an offset drawn from its own substream,
@@ -262,13 +263,11 @@ def _parse_cross(flow, where: str) -> CrossTraffic:
         raise ConfigError(f"{where}: {err}") from None
 
 
-# Packets move through the node array as tuples
-#   (is_update, size_bytes, route_end, arrive, src, payload, route)
-# route_end is the index one past the last node of the packet's route, where
-# the engine calls (updates) or schedules (ACKs) ``arrive(t, src, payload)``;
-# cross traffic has no ``arrive`` (and no payload) and leaves silently at the
-# forward chain's ``_tail``.  ``route`` is what ``_Engine.route`` resolved for
-# the packet's size, entry point and route end.
+# Packets move through the node array as tuples (is_update, arrive, src,
+# payload, route).  ``route`` is what ``_Engine.route`` resolved for the
+# packet's size, entry point and route end, where the engine calls (updates)
+# or schedules (ACKs) ``arrive(t, src, payload)``; cross traffic has no
+# ``arrive`` (and no payload) and leaves silently at the forward chain's ``_tail``.
 
 
 class _Engine:
@@ -298,17 +297,17 @@ class _Engine:
     there moves (the tie rule below).  In ``run_closed_loop`` updates
     arrive at the reverse chain's head, which only ACKs enter.
 
-    ``_service`` holds each node's ``_service_fn``, the one definition of
-    a service time.  Routes are resolved per packet kind at the start of
-    the run: ``route`` gives, for each head on a route, the walk from that
+    ``_draws`` holds each ``exp`` node's ``_exp_draw`` and None at every
+    other node.  Routes are resolved per packet kind at the start of the
+    run: ``route`` gives, for each head on a route, the walk from that
     head to the end of its segment or of the route, whichever comes
     first, that end, and whether the route goes on past it.  A walk is
     one (node, service time, is a delay) triple per node, built by
-    ``_walk`` from those functions, with None at ``exp`` nodes: only they
-    call their function, drawing once per visit in visit order from their
-    own substream.  Each packet carries its route, so ``enqueue`` reads
-    its walk by the head alone.  Updates take a loop that adds the
-    backlog areas; every other packet takes one without them.
+    ``_walk`` with ``_fixed_service``, with None at ``exp`` nodes: only
+    they draw, once per visit in visit order from their own substream.
+    Each packet carries its route, so ``enqueue`` reads its walk by the
+    head alone.  Updates take a loop that adds the backlog areas; every
+    other packet takes one without them.
 
     ``delays`` marks the nodes that ``_queue_free`` finds can never hold
     a queue; it marks no head, so such a node serves its packets in the
@@ -326,8 +325,10 @@ class _Engine:
 
     def __init__(self, specs, seed: int, heads, warmup: float, duration: float, delays):
         n = len(specs)
-        self._service = [_service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
-        self._draws = [s.kind == "exp" for s in specs]  # nodes that draw once per visit
+        self._specs = specs
+        self._draws = [  # per node, its exp draw (once per visit) or None
+            _exp_draw(s, substream_seed(seed, f"service/{i}")) if s.kind == "exp" else None for i, s in enumerate(specs)
+        ]
         self._delays = delays  # nodes that never hold a queue
         self._segment_end = [min((h for h in heads if h > i), default=n) for i in range(n)]
         self._free = [0.0] * n  # when each server finishes its last packet
@@ -343,8 +344,8 @@ class _Engine:
 
     def _walk(self, size: float, i: int, end: int) -> list:
         """[(node, service time or None where it draws, is a delay)] from ``i`` up to ``end``."""
-        service, draws, delays = self._service, self._draws, self._delays
-        return [(j, None if draws[j] else service[j](size), delays[j]) for j in range(i, end)]
+        specs, draws, delays = self._specs, self._draws, self._delays
+        return [(j, None if draws[j] else _fixed_service(specs[j], size), delays[j]) for j in range(i, end)]
 
     def route(self, size: float, head: int, route_end: int) -> list:
         """The route of a packet of ``size`` bytes from ``head`` to ``route_end``:
@@ -359,9 +360,9 @@ class _Engine:
             i = end
 
     def enqueue(self, t: float, i: int, pkt) -> None:
-        is_update, size, _, arrive, src, payload, route = pkt
+        is_update, arrive, src, payload, route = pkt
         walk, end, goes_on = route[i]
-        free, service = self._free, self._service
+        free, draws = self._free, self._draws
         if is_update:
             area, warmup, duration = self.area, self._warmup, self._duration
             for j, serve, delay in walk:
@@ -370,7 +371,7 @@ class _Engine:
                 else:
                     busy = free[j]
                     if serve is None:
-                        serve = service[j](size)
+                        serve = draws[j]()
                     leave = free[j] = (busy if busy > t else t) + serve
                 stay = (leave if leave < duration else duration) - (t if t > warmup else warmup)
                 if stay > 0.0:
@@ -387,7 +388,7 @@ class _Engine:
             else:
                 busy = free[j]
                 if serve is None:
-                    serve = service[j](size)
+                    serve = draws[j]()
                 t = free[j] = (busy if busy > t else t) + serve
         if goes_on:
             self.push(t, self.enqueue, end, pkt)
@@ -475,13 +476,10 @@ def _renewal_times(rate: float, duration: float, seed: Optional[int]) -> np.ndar
         t = times[-1]
 
 
-def _service_fn(spec: ServiceSpec, seed: int) -> Callable[[float], float]:
-    """Packet size -> service seconds at one node (``exp``: one draw each)."""
-    rate = spec.rate
-    if spec.kind == "exp":
-        draw = DrawStream(seed, 1.0).draw
-        return lambda size: draw() / rate
-    return lambda size: _fixed_service(spec, size)
+def _exp_draw(spec: ServiceSpec, seed: int) -> Callable[[], float]:
+    """Service seconds at an ``exp`` node, one draw per call from substream ``seed``."""
+    draw, rate = DrawStream(seed, 1.0).draw, spec.rate
+    return lambda: draw() / rate
 
 
 def _fixed_service(spec: ServiceSpec, size):
@@ -924,35 +922,24 @@ def run_closed_loop(
     cross_packets = []
     for flow in net.cross_traffic:
         size = float(flow.packet_bytes)
-        cross_packets.append((flow.entry, (False, size, tail, None, -1, None, engine.route(size, flow.entry, tail))))
+        cross_packets.append((flow.entry, (False, None, -1, None, engine.route(size, flow.entry, tail))))
 
     # each timer entry is tagged with its source's send count when pushed
     # (``estimator.highest_sent``, which ``SourceSession.sends`` returns)
     # and runs only if no update was sent since
     estimators = [session.estimator for session in sessions]
 
-    def after_session_call(t: float, src: int, frames) -> None:
-        # called only with frames: only such a call moves the deadline; the
-        # new timer entry goes in before the frames' ACKs, so a send still
-        # runs before an ACK that ties with it
-        session = sessions[src]
-        if session.deadline <= duration:
-            push(session.deadline, on_timer, src, estimators[src].highest_sent)
-        for frame in frames:
-            enqueue(t, 0, (True, update_size, n_fwd, update_arrives, src, frame, update_route))
-
     def on_timer(t: float, src: int, sends: int) -> None:
-        # does after_session_call's work itself: once epochs begin every send
-        # comes from here, and each saves that call's frame
+        # a call that returns a frame moved the deadline: its entry goes in before the
+        # frame's walk, so a send runs before an ACK that ties with it (as in ack_arrives)
         estimator = estimators[src]
         if sends == estimator.highest_sent:
             session = sessions[src]
-            frames = session.on_timer(t)
-            if frames:
+            frame = session.on_timer(t)
+            if frame is not None:
                 if session.deadline <= duration:
                     push(session.deadline, on_timer, src, estimator.highest_sent)
-                for frame in frames:
-                    enqueue(t, 0, (True, update_size, n_fwd, update_arrives, src, frame, update_route))
+                enqueue(t, 0, (True, update_arrives, src, frame, update_route))
 
     def on_cross(t: float, flow_idx: int, k: int) -> None:
         entry, pkt = cross_packets[flow_idx]
@@ -964,13 +951,16 @@ def run_closed_loop(
     def update_arrives(t: float, src: int, frame: bytes) -> None:
         reply = monitors[src].on_datagram(t, frame)
         if reply is not None:
-            enqueue(t, n_fwd, (False, ack_size, n_all, ack_arrives, src, reply, ack_route))
+            enqueue(t, n_fwd, (False, ack_arrives, src, reply, ack_route))
 
-    def ack_arrives(t: float, src: int, frame: bytes) -> None:
-        # once epochs have begun an ACK returns no frames
-        frames = sessions[src].on_datagram(t, frame)
-        if frames:
-            after_session_call(t, src, frames)
+    def ack_arrives(t: float, src: int, ack: bytes) -> None:
+        # once epochs have begun an ACK returns no frame
+        session = sessions[src]
+        frame = session.on_datagram(t, ack)
+        if frame is not None:
+            if session.deadline <= duration:
+                push(session.deadline, on_timer, src, estimators[src].highest_sent)
+            enqueue(t, 0, (True, update_arrives, src, frame, update_route))
 
     for src in range(n_sources):
         start = np.random.Generator(np.random.PCG64(substream_seed(seed, f"start/{src}"))).random()

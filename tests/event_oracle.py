@@ -4,7 +4,9 @@
 node at a time: per-node FIFO queues, one completion event per hop, and
 backlog areas summed in event order.  It takes ``simkit._Engine``'s
 constructor, ignores ``heads`` and ``delays`` (every node runs the FCFS
-recursion), and stands in for it to check the segment walk.
+recursion), and stands in for it to check the segment walk.  Its service
+times come from ``_service_fn``, built from the engine's own
+``_exp_draw`` and ``_fixed_service``.
 
 ``open_loop_events`` simulates an open-loop run packet by packet on it,
 drawing every gap and service time one at a time from the same
@@ -25,6 +27,14 @@ from agectl.endpoints import DrawStream
 from agectl.simkit import AoiMetrics, age_time_average, substream_seed
 
 
+def _service_fn(spec, seed: int):
+    """Packet size -> service seconds at one node (``exp``: one draw each)."""
+    if spec.kind == "exp":
+        draw = simkit._exp_draw(spec, seed)
+        return lambda size: draw()
+    return lambda size: simkit._fixed_service(spec, size)
+
+
 class HopEngine:
     """Event loop plus per-node queue state; heap entries ``(t, order,
     handler, a, b)`` run as ``handler(t, a, b)``, ties in insertion order."""
@@ -32,7 +42,7 @@ class HopEngine:
     def __init__(self, specs, seed: int, heads, warmup: float, duration: float, delays):
         n = len(specs)
         self.queues = [deque() for _ in range(n)]
-        self._service = [simkit._service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
+        self._service = [_service_fn(s, substream_seed(seed, f"service/{i}")) for i, s in enumerate(specs)]
         self._warmup = warmup
         self._duration = duration
         self.upd_count = [0] * n
@@ -46,9 +56,10 @@ class HopEngine:
         self._order += 1
         heapq.heappush(self.heap, (t, self._order, handler, a, b))
 
-    def route(self, size: float, head: int, route_end: int) -> None:
-        """No route to resolve: every packet goes one node at a time to ``pkt[2]``."""
-        return None
+    def route(self, size: float, head: int, route_end: int) -> tuple[float, int]:
+        """No walk to resolve: a packet's route slot holds its size and the
+        end of its route, to which it goes one node at a time."""
+        return size, route_end
 
     def _backlog_step(self, t: float, i: int, delta: int) -> None:
         self.area[i] += (t - self.last_t[i]) * self.upd_count[i]
@@ -61,7 +72,7 @@ class HopEngine:
         queue = self.queues[i]
         queue.append(pkt)
         if len(queue) == 1:
-            self.push(t + self._service[i](pkt[1]), self._complete, i)
+            self.push(t + self._service[i](pkt[4][0]), self._complete, i)
 
     def _complete(self, t: float, i: int, _b) -> None:
         queue = self.queues[i]
@@ -69,11 +80,11 @@ class HopEngine:
         if pkt[0]:
             self._backlog_step(t, i, -1)
         if queue:
-            self.push(t + self._service[i](queue[0][1]), self._complete, i)
-        if i + 1 < pkt[2]:
+            self.push(t + self._service[i](queue[0][4][0]), self._complete, i)
+        if i + 1 < pkt[4][1]:
             self.enqueue(t, i + 1, pkt)
-        elif pkt[3] is not None:
-            pkt[3](t, pkt[4], pkt[5])
+        elif pkt[1] is not None:
+            pkt[1](t, pkt[2], pkt[3])
 
     def _snapshot_warm(self, t_w: float, _a, _b) -> None:
         for i in range(len(self.queues)):
@@ -134,14 +145,14 @@ def open_loop_events(net, lam, arrival, duration, seed, warmup_frac):
 
     # an update carries its generation instant in the payload slot
     def on_source(t, _a, _b):
-        engine.enqueue(t, 0, (True, update_size, n_fwd, on_deliver, 0, t, None))
+        engine.enqueue(t, 0, (True, on_deliver, 0, t, (update_size, n_fwd)))
         gap = arrival_draw.draw() / lam if arrival_draw else 1.0 / lam
         if t + gap <= duration:
             engine.push(t + gap, on_source)
 
     def on_cross(t, flow_idx, _b):
         flow = net.cross_traffic[flow_idx]
-        engine.enqueue(t, flow.entry, (False, float(flow.packet_bytes), n_fwd, None, -1, None, None))
+        engine.enqueue(t, flow.entry, (False, None, -1, None, (float(flow.packet_bytes), n_fwd)))
         gap = cross_draws[flow_idx].draw() / flow.rate_pps
         if t + gap <= duration:
             engine.push(t + gap, on_cross, flow_idx)

@@ -336,7 +336,7 @@ def test_sim_writes_undefined_figures_as_null(tmp_path, capsys):
 def test_source_summary_writes_undefined_figures_as_null(capsys):
     # probing ends on the first ACK and no epoch closes: no estimate yet
     session = SourceSession(SourceConfig(policy="fixed:4", probe_count=1))
-    seq, gen_ts_us = wire.decode_update(session.on_timer(0.0)[0])
+    seq, gen_ts_us = wire.decode_update(session.on_timer(0.0))
     session.on_datagram(0.25, wire.encode_ack(seq, gen_ts_us))
     summary = session.summary()
     assert math.isnan(summary["est_avg_age"])

@@ -29,7 +29,7 @@ from agectl.endpoints import (
     run_source,
     substream_seed,
 )
-from agectl.estimator import MAX_PENDING
+from agectl.estimator import MAX_PENDING, ProtocolError
 
 
 def ack_for(frame: bytes) -> bytes:
@@ -94,12 +94,12 @@ def test_init_rate_constant_rtt():
     # three probes all answered in 0.2 s: initial rate 5/s
     cfg = SourceConfig(probe_count=3)
     sess = SourceSession(cfg)
-    frames = sess.on_timer(0.0)
+    frame = sess.on_timer(0.0)
     t = 0.0
     for _ in range(3):
-        assert len(frames) == 1
+        assert isinstance(frame, bytes)
         t += 0.2
-        frames = sess.on_datagram(t, ack_for(frames[0]))
+        frame = sess.on_datagram(t, ack_for(frame))
     assert sess.state == "run"
     assert sess.initial_rate == pytest.approx(5.0)
 
@@ -108,9 +108,9 @@ def test_init_rate_mean_of_two():
     # RTTs 0.1 and 0.3: arithmetic mean 0.2, rate 5/s
     cfg = SourceConfig(probe_count=2)
     sess = SourceSession(cfg)
-    frames = sess.on_timer(0.0)
-    frames = sess.on_datagram(0.1, ack_for(frames[0]))
-    frames = sess.on_datagram(0.1 + 0.3, ack_for(frames[0]))
+    frame = sess.on_timer(0.0)
+    frame = sess.on_datagram(0.1, ack_for(frame))
+    frame = sess.on_datagram(0.1 + 0.3, ack_for(frame))
     assert sess.state == "run"
     assert sess.initial_rate == pytest.approx(5.0)
 
@@ -121,12 +121,12 @@ def test_init_timeouts_excluded_from_mean():
     first = sess.on_timer(0.0)
     # probe 1 times out, probe 2 answered in 0.4 s, probe 3 times out
     second = sess.on_timer(1.0)
-    assert len(second) == 1
-    third = sess.on_datagram(1.4, ack_for(second[0]))
+    assert isinstance(second, bytes)
+    third = sess.on_datagram(1.4, ack_for(second))
     sess.on_timer(1.4 + 1.0)
     assert sess.state == "run"
     assert sess.initial_rate == pytest.approx(1.0 / 0.4)
-    assert wire.decode_update(first[0])[0] == 1
+    assert wire.decode_update(first)[0] == 1
 
 
 def test_init_total_failure():
@@ -159,8 +159,8 @@ def test_late_probe_ack_still_counts_for_the_mean():
     first = sess.on_timer(0.0)
     second = sess.on_timer(0.5)  # probe 1 timed out, probe 2 out
     # probe 1's ACK arrives late, then probe 2's
-    sess.on_datagram(0.7, ack_for(first[0]))
-    sess.on_datagram(0.8, ack_for(second[0]))
+    sess.on_datagram(0.7, ack_for(first))
+    sess.on_datagram(0.8, ack_for(second))
     assert sess.state == "run"
     assert sess.initial_rate == pytest.approx(2.0 / (0.7 + 0.3))
 
@@ -170,12 +170,42 @@ def test_ack_with_a_wrong_echo_is_malformed():
     # is no evidence that it arrived
     sess = SourceSession(SourceConfig(probe_count=1))
     sess.on_timer(0.0)
-    assert sess.on_datagram(0.1, wire.encode_ack(1, 123456789)) == []
+    assert sess.on_datagram(0.1, wire.encode_ack(1, 123456789)) is None
     assert (sess.malformed, sess.fresh_acks, sess.stale_acks) == (1, 0, 0)
     assert sess.state == "init" and sess.initial_rate is None
     assert sess.estimator.highest_acked == 0 and sess.estimator.rtt_ewma is None
     sess.on_datagram(0.2, wire.encode_ack(1, 0))
     assert sess.state == "run" and sess.initial_rate == pytest.approx(5.0)
+
+
+def _session_state(sess: SourceSession, malformed: int = 0) -> str:
+    """Every field of ``sess``, its estimator and its controller, with
+    ``malformed`` taken off the count of malformed frames."""
+    fields = {k: v for k, v in vars(sess).items() if k not in ("estimator", "controller")}
+    fields["malformed"] -= malformed
+    est = sess.estimator
+    return repr((fields, {**vars(est), "_pending": dict(est._pending)}, sess.controller and vars(sess.controller)))
+
+
+@pytest.mark.parametrize("policy", ["acp_plus", "fixed:4"])
+def test_nan_instants_are_rejected_and_change_nothing(policy):
+    # on_timer(nan) while probing once set the deadline to NaN before
+    # round() raised, after which on_timer(0.5) sent a probe before its 1 s
+    # timeout; on_datagram(nan, ...) for the last probe made the RTT sum NaN
+    sess = SourceSession(SourceConfig(policy=policy, probe_count=2, probe_timeout=1.0, updates_per_epoch=2))
+    probe = sess.on_datagram(0.25, ack_for(sess.on_timer(0.0)))  # probe 2, due to time out at 1.25
+    for _ in range(2):
+        before = _session_state(sess)
+        with pytest.raises(ProtocolError, match="not a number"):
+            sess.on_timer(math.nan)
+        assert _session_state(sess) == before
+        assert sess.on_datagram(math.nan, ack_for(probe)) is None  # one malformed frame
+        assert _session_state(sess, malformed=1) == before
+        if sess.state == "init":
+            assert sess.on_timer(0.5) is None  # not yet timed out
+            probe = sess.on_datagram(0.5, ack_for(probe))  # probing ends
+            assert sess.state == "run"
+    assert sess.on_timer(sess.deadline) is not None
 
 
 def test_zero_mean_probe_rtt_is_an_initialization_error():
@@ -368,25 +398,28 @@ class SourceMachine(RuleBasedStateMachine):
         self._call(self.sess.on_timer)  # a new session is due at once
 
     def _call(self, method, *args):
-        """Call ``method`` at ``self.t`` and record the sends: the call that
-        ends probing also makes the first send of the first epoch.  A call
-        that returns no frames must leave the deadline and the state as they
-        were, and a timer at or after the deadline must return a frame: the
-        closed-loop simulator re-arms a timer only after a call that did."""
+        """Call ``method`` at ``self.t`` and record the send: the call that
+        ends probing also makes the first send of the first epoch.  Every
+        call returns one frame (bytes) or None.  A call that returns None
+        must leave the deadline and the state as they were, and a timer at
+        or after the deadline must return a frame: the closed-loop simulator
+        re-arms a timer only after a call that did."""
         sess = self.sess
         if self.failed:
             return
         before = (sess.deadline, sess.state)
         due = method.__name__ == "on_timer" and self.t >= sess.deadline
         try:
-            frames = method(self.t, *args)
-            sends = self.run_sends if sess.state == "run" else self.probes
-            sends += [(self.t, *wire.decode_update(frame)) for frame in frames]
+            frame = method(self.t, *args)
+            if frame is not None:
+                sends = self.run_sends if sess.state == "run" else self.probes
+                sends.append((self.t, *wire.decode_update(frame)))
         except (ValueError, InitializationError):
             self.failed = True
             return
-        assert frames or not due
-        if not frames:
+        assert frame is None or type(frame) is bytes, (method.__name__, frame)
+        assert frame is not None or not due
+        if frame is None:
             assert (sess.deadline, sess.state) == before, method.__name__
 
     def _sent(self):
@@ -483,14 +516,14 @@ def test_fixed_policy_sawtooth_average():
 def test_pacing_gaps_are_exact_within_epoch():
     cfg = SourceConfig(policy="fixed:4", probe_count=1)
     sess = SourceSession(cfg)
-    frames = sess.on_timer(0.0)
-    frames = sess.on_datagram(0.25, ack_for(frames[0]))  # probing ends: the first epoch opens
-    assert [wire.decode_update(f) for f in frames] == [(2, 250_000)]  # its first send, at the ACK
+    frame = sess.on_timer(0.0)
+    frame = sess.on_datagram(0.25, ack_for(frame))  # probing ends: the first epoch opens
+    assert wire.decode_update(frame) == (2, 250_000)  # its first send, at the ACK
     send_times = [0.25]
     for _ in range(25):
         deadline = sess.deadline
-        got = sess.on_timer(deadline)
-        send_times += [deadline] * len(got)
+        if sess.on_timer(deadline) is not None:
+            send_times.append(deadline)
     gaps = [b - a for a, b in zip(send_times, send_times[1:])]
     assert all(g == pytest.approx(0.25, rel=1e-12) for g in gaps)
 
@@ -499,13 +532,13 @@ def test_epoch_spans_and_averages_by_hand():
     # fixed:4 with 2 updates per epoch: the probe (gen 0.0) is answered at
     # 0.5, so the initial rate is 2/s and epochs of 0.5 s open at 0.5, 1.0
     sess = SourceSession(SourceConfig(policy="fixed:4", probe_count=1, updates_per_epoch=2))
-    probe = sess.on_timer(0.0)[0]
-    sent = sess.on_datagram(0.5, ack_for(probe))  # seq 2 at 0.5
+    probe = sess.on_timer(0.0)
+    sent = [sess.on_datagram(0.5, ack_for(probe))]  # seq 2 at 0.5
     assert sess.initial_rate == 2.0 and sess.epoch_spans == []
     sess.on_datagram(0.625, ack_for(sent[0]))  # age resets to 0.125
-    sent += sess.on_timer(0.75)  # seq 3
-    sent += sess.on_timer(1.0)  # epoch 1 closes, then seq 4
-    sent += sess.on_timer(1.25)  # seq 5
+    sent.append(sess.on_timer(0.75))  # seq 3
+    sent.append(sess.on_timer(1.0))  # epoch 1 closes, then seq 4
+    sent.append(sess.on_timer(1.25))  # seq 5
     sess.on_datagram(1.375, ack_for(sent[2]))  # seq 4: age resets to 0.375
     sess.on_timer(1.5)  # epoch 2 closes
     # epoch 1: age t over [0.5, 0.625], t - 0.5 after -> area 0.1875;
@@ -524,15 +557,15 @@ def test_lazy_pacing_holds_across_epoch_closes():
     # each send is one period of the rate in force at the previous send,
     # also where an epoch closes between the two
     sess = SourceSession(SourceConfig(policy="lazy", probe_count=1, updates_per_epoch=2))
-    frames = sess.on_datagram(0.5, ack_for(sess.on_timer(0.0)[0]))  # epochs open at 0.5
+    frame = sess.on_datagram(0.5, ack_for(sess.on_timer(0.0)))  # epochs open at 0.5
     sends = [(0.5, sess.rate)]  # (instant, rate at that send)
     for share in (0.2, 0.6, 0.3, 0.5, 0.4, 0.25, 0.55):
         # the ACK lands before the next send and moves rtt_ewma, and the rate with it
         t, rate = sends[-1]
-        sess.on_datagram(t + share / rate, ack_for(frames[0]))
+        sess.on_datagram(t + share / rate, ack_for(frame))
         due = sess.deadline
-        frames = sess.on_timer(due)
-        assert len(frames) == 1
+        frame = sess.on_timer(due)
+        assert isinstance(frame, bytes)
         sends.append((due, sess.rate))
     assert sess.epoch_index == 3
     assert len({rate for _, rate in sends}) == len(sends)
@@ -546,12 +579,12 @@ def test_late_timer_skips_missed_sends():
     # restarts from it, so no burst of sends shares one instant
     eta = 2
     sess = SourceSession(SourceConfig(policy="fixed:10", probe_count=1, updates_per_epoch=eta))
-    frames = sess.on_datagram(0.5, ack_for(sess.on_timer(0.0)[0]))  # epochs open at 0.5
+    frame = sess.on_datagram(0.5, ack_for(sess.on_timer(0.0)))  # epochs open at 0.5
     for closes in (0, 1):
         late = sess.deadline + (2 * eta + 2) / sess.rate
-        sess.on_datagram(late, ack_for(frames[0]))
-        frames = sess.on_timer(late)
-        assert len(frames) == 1 and sess.epoch_index == closes
+        sess.on_datagram(late, ack_for(frame))
+        frame = sess.on_timer(late)
+        assert isinstance(frame, bytes) and sess.epoch_index == closes
         assert sess.deadline == late + 1.0 / sess.rate
     assert sess.trace[0]["t"] == late
 
@@ -559,11 +592,11 @@ def test_late_timer_skips_missed_sends():
 @pytest.mark.parametrize("late_periods", [10.0, 0.3])
 def test_late_timer_sends_once_at_the_call_instant(late_periods):
     sess = SourceSession(SourceConfig(policy="fixed:10", probe_count=1, updates_per_epoch=2))
-    sess.on_datagram(0.5, ack_for(sess.on_timer(0.0)[0]))  # epochs open at 0.5
+    sess.on_datagram(0.5, ack_for(sess.on_timer(0.0)))  # epochs open at 0.5
     due = sess.deadline
     late = due + late_periods / sess.rate
-    frames = sess.on_timer(late)
-    assert [wire.decode_update(f)[1] for f in frames] == [round(late * 1e6)]
+    frame = sess.on_timer(late)
+    assert wire.decode_update(frame)[1] == round(late * 1e6)
     assert sess.epoch_index == 0
     # whole missed periods are skipped; a fraction of one keeps the grid
     assert sess.deadline == (late if late_periods >= 1.0 else due) + 1.0 / sess.rate
@@ -575,7 +608,7 @@ def test_send_period_lost_to_rounding_is_rejected(policy, ack_at):
     # instant: probe 1 answered at ack_at sets the rate, probe 2 times out
     # and epochs open at its timeout (1.0 and 1.5), where the period is lost
     sess = SourceSession(SourceConfig(policy=policy, probe_count=2))
-    sess.on_datagram(ack_at, ack_for(sess.on_timer(0.0)[0]))
+    sess.on_datagram(ack_at, ack_for(sess.on_timer(0.0)))
     with pytest.raises(ValueError, match="lost to rounding"):
         sess.on_timer(ack_at + 1.0)
     assert sess.sends == 2 and sess.epoch_index == 0  # the probes only

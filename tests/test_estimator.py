@@ -271,6 +271,27 @@ def test_errors():
         SourceEstimator(alpha=0.0)
 
 
+def test_nan_instants_are_rejected_and_change_nothing():
+    # on_send(nan) once made the clock NaN, and close_epoch(nan) then
+    # returned NaN averages; each comparison now fails for a NaN
+    est = SourceEstimator()
+    est.on_send(1.0, us(1.0))
+    est.on_ack(1.5, 1, us(1.0))
+    est.on_send(2.0, us(2.0))
+    state = lambda: repr({**vars(est), "_pending": dict(est._pending)})  # noqa: E731
+    before = state()
+    for call, error in (
+        (lambda: est.on_send(math.nan, 0), ProtocolError),
+        (lambda: est.on_ack(math.nan, 2, us(2.0)), ProtocolError),
+        (lambda: est.restart_epochs(math.nan), ProtocolError),
+        (lambda: est.close_epoch(math.nan), ValueError),
+    ):
+        with pytest.raises(error, match="not a number|a number as its end"):
+            call()
+        assert state() == before
+    assert est.close_epoch(2.5).avg_backlog == pytest.approx(0.4)  # 0 over [0, 1], 1 over [1, 1.5] and [2, 2.5]
+
+
 def test_fresh_ack_must_echo_the_generation_time():
     est = SourceEstimator()
     est.on_send(0.25, us(0.25))

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from event_oracle import HopEngine, open_loop_events
+from event_oracle import HopEngine, _service_fn, open_loop_events
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +112,12 @@ def test_age_time_average_empty_window():
         ([0.0, 0.5, 1.0], [1.0, math.nan, 2.5], "decrease"),
         ([0.0, 0.5], [math.nan, 1.0], "decrease"),
         ([0.0], [math.nan], "decrease"),
+        # a non-finite generation instant once gave a NaN or -inf age, also
+        # for a reset after the window (0 * NaN is NaN)
+        ([math.nan, 1.0], [1.0, 2.0], "generation instants"),
+        ([math.inf, 1.0], [1.0, 2.0], "generation instants"),
+        ([0.0, -math.inf], [1.0, 2.0], "generation instants"),
+        ([0.0, 1.0, math.nan], [1.0, 2.0, 6.0], "generation instants"),
     ],
 )
 def test_age_time_average_rejects_garbage(gen, dlv, needle):
@@ -322,7 +328,7 @@ def test_backlog_window_opens_on_a_completion_instant():
     engine = simkit._Engine((ServiceSpec("det", 1.0),), 0, (0,), 1.0, 4.0, (False,))
     route = engine.route(1040.0, 0, 1)
     for _ in range(2):
-        engine.enqueue(0.0, 0, (True, 1040.0, 1, lambda t, src, payload: None, 0, None, route))
+        engine.enqueue(0.0, 0, (True, lambda t, src, payload: None, 0, None, route))
     engine.run()
     assert engine.window_backlogs() == (1 / 3,)
 
@@ -333,7 +339,7 @@ def test_segment_exit_takes_its_order_on_entry():
     seen = []
     engine = simkit._Engine((ServiceSpec("det", 1.0),) * 2, 0, (0,), 0.0, 4.0, (False, False))
     route = engine.route(1040.0, 0, 2)
-    engine.enqueue(0.0, 0, (True, 1040.0, 2, lambda t, src, payload: seen.append(("exit", t)), 0, None, route))
+    engine.enqueue(0.0, 0, (True, lambda t, src, payload: seen.append(("exit", t)), 0, None, route))
     engine.push(0.5, lambda t, a, b: engine.push(2.0, lambda t, a, b: seen.append(("handler", t))))
     engine.run()
     assert seen == [("exit", 2.0), ("handler", 2.0)]
@@ -351,10 +357,10 @@ def test_segment_walk_matches_lindley_per_hop_across_sizes():
     engine = simkit._Engine(specs, seed, (0,), warmup, duration, (False,) * len(specs))
     routes = {size: engine.route(size, 0, len(specs)) for _, size in arrivals}
     for k, (t, size) in enumerate(arrivals):
-        engine.enqueue(t, 0, (True, size, len(specs), lambda t, k, _: exits.append((k, t)), k, None, routes[size]))
+        engine.enqueue(t, 0, (True, lambda t, k, _: exits.append((k, t)), k, None, routes[size]))
     engine.run()
 
-    service = [simkit._service_fn(spec, substream_seed(seed, f"service/{i}")) for i, spec in enumerate(specs)]
+    service = [_service_fn(spec, substream_seed(seed, f"service/{i}")) for i, spec in enumerate(specs)]
     free, area, want = [0.0] * len(specs), [0.0] * len(specs), []
     for k, (t, size) in enumerate(arrivals):
         for j in range(len(specs)):
@@ -1175,7 +1181,7 @@ class _TieWatch(HopEngine):
     def push(self, t, handler, a=None, b=None):
         is_exit = False
         if handler == self._complete:
-            is_update, _, route_end, arrive = self.queues[a][0][:4]  # the packet node a serves
+            is_update, arrive, _, _, (_, route_end) = self.queues[a][0]  # the packet node a serves
             if a + 1 < route_end:
                 is_exit = a + 1 in self._heads  # into the next segment
             else:
@@ -1252,10 +1258,10 @@ def test_a_route_over_two_segments_matches_lindley_per_hop():
     routes = {size: engine.route(size, 0, len(specs)) for _, size in arrivals}
     assert [hop and hop[1:] for hop in routes[1040.0]] == [(2, True), None, (3, False)]
     for k, (t, size) in enumerate(arrivals):
-        engine.enqueue(t, 0, (True, size, len(specs), lambda t, k, _: exits.append((k, t)), k, None, routes[size]))
+        engine.enqueue(t, 0, (True, lambda t, k, _: exits.append((k, t)), k, None, routes[size]))
     engine.run()
 
-    service = [simkit._service_fn(spec, substream_seed(seed, f"service/{i}")) for i, spec in enumerate(specs)]
+    service = [_service_fn(spec, substream_seed(seed, f"service/{i}")) for i, spec in enumerate(specs)]
     free, area, want = [0.0] * len(specs), [0.0] * len(specs), []
     for k, (t, size) in enumerate(arrivals):
         for j in range(len(specs)):
@@ -1521,16 +1527,16 @@ def _paced_epochs(run):
             sessions.append(self)
 
         def on_timer(self, t):
-            frames = super().on_timer(t)
+            frame = super().on_timer(t)
             self.calls.append((t, self.estimator.backlog))
-            return frames
+            return frame
 
         def on_datagram(self, t, data):
-            frames = super().on_datagram(t, data)
+            frame = super().on_datagram(t, data)
             self.calls.append((t, self.estimator.backlog))
             if self.paced_acked_at == math.inf and self.estimator.highest_acked > self.cfg.probe_count:
                 self.paced_acked_at = t
-            return frames
+            return frame
 
     with mock.patch.object(simkit, "SourceSession", Recording), contextlib.suppress(InitializationError):
         run_closed_loop(*run)
