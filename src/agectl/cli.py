@@ -356,10 +356,8 @@ def cmd_sim(args) -> int:
         cfg_kwargs = {k: doc[k] for k in ("payload_size", "probe_count", "probe_timeout", "alpha") if k in doc}
         if "eta" in doc:
             cfg_kwargs["updates_per_epoch"] = doc["eta"]
-        source_cfg = SourceConfig(policy=policy, **cfg_kwargs)
-        result = simkit.run_closed_loop(
-            net, policy, n_sources, duration, seed, warmup_frac, cfg=source_cfg
-        )
+        source = SourceConfig(policy=policy, **cfg_kwargs)
+        result = simkit.run_closed_loop(net, source, n_sources, duration, seed, warmup_frac)
         payload = {"mode": mode, "policy": policy, "n_sources": n_sources, "seed": seed,
                    "result": result.to_dict()}
 

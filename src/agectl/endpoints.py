@@ -63,6 +63,7 @@ __all__ = [
 
 _INIT = "init"
 _RUN = "run"
+_INF = math.inf
 
 # values per block of the array kernels that work block by block
 # (``clipped_age_areas`` and the open loop's nodes): their temporaries are
@@ -156,13 +157,13 @@ def require_monitor_limits(duration: Optional[float], max_updates: Optional[int]
 class SourceSession:
     """Sans-io source endpoint: init probing, pacing, epoch control.
 
-    Drive it with ``on_timer`` and ``on_datagram``; every call returns the frame
-    to transmit or None, and only one that returns a frame moves ``deadline``
-    (read-only): due at once when made, then the probe timeout, then the next
-    send.  The call that ends probing also sets ``epochs_began`` (read-only) and
-    returns the first epoch's first send.  The instant a caller passes is the
-    only clock; a period lost to rounding is a ValueError, and an instant that
-    is not a number a ProtocolError (malformed, in a datagram).
+    Drive it with ``on_timer`` and ``on_datagram``; every call returns the frame to
+    transmit or None, and only one that returns a frame moves ``deadline`` (read-only):
+    due at once when made, then the probe timeout, then the next send.  The call that
+    ends probing also sets ``epochs_began`` (read-only) and returns the first epoch's
+    first send.  The instant a caller passes is the only clock; a period lost to
+    rounding is a ValueError, and an instant that is infinite, not a number or before
+    the estimator's clock a ProtocolError (malformed, in a datagram) that moves nothing.
 
     Closed epochs are kept in typed columns, about 56 B each: the six
     floats of each record in one ``array("d")`` with stride 6, and its
@@ -241,13 +242,14 @@ class SourceSession:
 
     # -- init phase -------------------------------------------------------
 
-    def _send_probe(self, t: float) -> bytes:
-        self.deadline = t + self.cfg.probe_timeout
-        gen_ts_us = round(t * 1e6)
-        return wire.encode_update(self.estimator.on_send(t, gen_ts_us), gen_ts_us, self._payload)
-
-    def _finish_init(self, t: float) -> bytes:
-        """End probing at ``t`` and begin the first epoch there; returns its first send."""
+    def _probe(self, t: float) -> bytes:
+        """The next probe at ``t``, or the end of probing and the first epoch's first send.  Either
+        has the estimator take ``t`` before any other field moves, so a rejected instant moves none."""
+        if self.sends < self.cfg.probe_count:
+            gen_ts_us = round(t * 1e6)
+            frame = wire.encode_update(self.estimator.on_send(t, gen_ts_us), gen_ts_us, self._payload)
+            self.deadline = t + self.cfg.probe_timeout
+            return frame
         # every fresh ACK so far answered a probe
         if not self.fresh_acks:
             raise InitializationError(
@@ -258,11 +260,11 @@ class SourceSession:
             raise InitializationError(
                 f"mean RTT of {self.fresh_acks} answered probes is zero; no initial rate follows"
             )
+        self.estimator.restart_epochs(t)  # ahead of the fields below, as it may reject t
         self.initial_rate = 1.0 / mean_rtt
         self.rate = self._fixed_rate or self.initial_rate  # the first rate; _fixed_rate is None unless fixed
         if self.policy_kind == "acp_plus":
             self.controller = RateController(self.rate, updates_per_epoch=self._updates_per_epoch)
-        self.estimator.restart_epochs(t)
         self.state = _RUN
         self.epochs_began = self.deadline = t
         return self._process_due(t)
@@ -285,26 +287,20 @@ class SourceSession:
         self.fresh_acks += 1
         self._rtt_sum += rtt
         if self.state == _INIT:
-            if seq == self.estimator.highest_sent:
-                # current probe answered: next probe, or done probing
-                if seq < self.cfg.probe_count:
-                    return self._send_probe(t)
-                return self._finish_init(t)
-            return None
+            # the current probe answered: the next probe, or done probing
+            return self._probe(t) if seq == self.estimator.highest_sent else None
         if self.policy_kind == "lazy":
             self.rate = lazy_rate(self.estimator.rtt_ewma)
         return None
 
     def on_timer(self, t: float) -> Optional[bytes]:
         """Handle a due deadline (the start, a probe timeout or a send instant)."""
-        if not t >= self.deadline:
-            if t != t:  # NaN, told apart here so that a due call pays nothing for it
-                raise ProtocolError(f"timer instant is not a number: {t}")
-            return None
+        if not self.deadline <= t < _INF:
+            if -_INF < t < self.deadline:  # told apart here so that a due call pays nothing for it
+                return None
+            raise ProtocolError(f"timer instant is infinite or not a number: {t}")
         if self.state == _INIT:
-            if self.sends < self.cfg.probe_count:
-                return self._send_probe(t)
-            return self._finish_init(t)
+            return self._probe(t)
         return self._process_due(t)
 
     def _process_due(self, t: float) -> bytes:
@@ -318,12 +314,13 @@ class SourceSession:
             deadline = t + period
             if deadline == t:
                 raise ValueError(f"send period of rate {self.rate}/s is lost to rounding at t={t}")
+        # stamped, numbered and encoded as a probe is, before the deadline moves,
+        # with no call of its own: this is every send once epochs begin
+        gen_ts_us = round(t * 1e6)
+        frame = wire.encode_update(self.estimator.on_send(t, gen_ts_us), gen_ts_us, self._payload)
         self.deadline = deadline
         self._epoch_sends += 1
-        # stamped, numbered and encoded as in _send_probe, with no call of its
-        # own: this is every send once epochs begin
-        gen_ts_us = round(t * 1e6)
-        return wire.encode_update(self.estimator.on_send(t, gen_ts_us), gen_ts_us, self._payload)
+        return frame
 
     def _close_epoch(self, t: float) -> None:
         est = self.estimator
@@ -402,7 +399,9 @@ class MonitorSession:
     it) and ``gen_times`` (``gen_ts_us / 1e6``) as ``array("d")``, and
     ``seqs`` as ``array("Q")``, 24 B per update.  ``trace`` shows them as
     records and is built on each access; ``trace_writer``, if set, gets each
-    record as its update is accepted, before the ACK is returned.
+    record as its update is accepted, before the ACK is returned.  A call at
+    an instant that is infinite, not a number, or before that of the last call
+    not malformed (0.0 at first) counts as malformed and changes nothing else.
     """
 
     def __init__(self, trace_writer: Optional[Callable[[dict], None]] = None):
@@ -413,6 +412,7 @@ class MonitorSession:
         self.seqs = array("Q")
         self.stale = 0
         self.malformed = 0
+        self._clock = 0.0  # the instant of the last call that was not malformed
 
     @property
     def accepted(self) -> int:
@@ -433,6 +433,10 @@ class MonitorSession:
         except wire.WireError:
             self.malformed += 1
             return None
+        if not self._clock <= t < _INF:  # before the last call, infinite or not a number
+            self.malformed += 1
+            return None
+        self._clock = t
         if seq <= self.freshest_seq:
             # out-of-sequence: an older measurement than what we hold
             self.stale += 1

@@ -27,12 +27,13 @@ exact, not sampled.  Before the first fresh ACK the age process is
 undefined; its integral contribution is zero by convention and
 ``age_at`` raises ``NoEstimateError``.
 
-All mutating calls must be serialized by the owner and carry a
-non-decreasing clock; an instant that is not a number fails that check.
+All mutating calls must be serialized by the owner and carry a finite,
+non-decreasing clock; an instant that is infinite or NaN fails that check.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional
 
 from . import ConfigError, _require_number
@@ -41,11 +42,12 @@ DEFAULT_ALPHA = 0.25
 # unacknowledged sends kept: over ten times the most any bundled config,
 # benchmark workload or test reaches
 MAX_PENDING = 4096
+_INF = math.inf
 
 
 class ProtocolError(Exception):
-    """Sequence/clock discipline violated (clock moved backwards or is not
-    a number, ACK for an unknown seq or with a wrong echo)."""
+    """Sequence/clock discipline violated (clock moved backwards, infinite or
+    not a number, ACK for an unknown seq or with a wrong echo)."""
 
 
 class NoEstimateError(Exception):
@@ -95,8 +97,8 @@ class SourceEstimator:
         return self.highest_sent - self.highest_acked
 
     def _advance(self, t: float) -> None:
-        if not t >= self._clock:
-            raise ProtocolError(f"clock moved backwards or is not a number: {t} < {self._clock}")
+        if not self._clock <= t < _INF:
+            raise ProtocolError(f"clock moved backwards or is infinite or not a number: {t}, was {self._clock}")
         dt = t - self._clock
         if dt > 0.0:
             self._backlog_area += dt * self.backlog
@@ -112,8 +114,8 @@ class SourceEstimator:
         sent = self.highest_sent
         # _advance(t), inlined on the per-packet calls
         clock = self._clock
-        if not t >= clock:
-            raise ProtocolError(f"clock moved backwards or is not a number: {t} < {clock}")
+        if not clock <= t < _INF:
+            raise ProtocolError(f"clock moved backwards or is infinite or not a number: {t}, was {clock}")
         dt = t - clock
         if dt > 0.0:
             acked = self.highest_acked
@@ -146,8 +148,8 @@ class SourceEstimator:
             raise ProtocolError(f"ACK for seq {seq} echoes {echo_ts_us}, update carried {gen_ts_us}")
         # _advance(t), inlined on the per-packet calls
         clock = self._clock
-        if not t >= clock:
-            raise ProtocolError(f"clock moved backwards or is not a number: {t} < {clock}")
+        if not clock <= t < _INF:
+            raise ProtocolError(f"clock moved backwards or is infinite or not a number: {t}, was {clock}")
         dt = t - clock
         if dt > 0.0:
             self._backlog_area += dt * (sent - acked)
@@ -182,8 +184,8 @@ class SourceEstimator:
 
     def close_epoch(self, t: float) -> EpochStats:
         """Finish the running epoch at ``t`` and start the next one."""
-        if not t > self._epoch_start:
-            raise ValueError(f"epoch must have positive length and a number as its end: {t} <= {self._epoch_start}")
+        if not self._epoch_start < t < _INF:
+            raise ValueError(f"epoch needs positive length and a number as its end, not inf: {self._epoch_start}, {t}")
         self._advance(t)
         duration = t - self._epoch_start
         avg_age = self._age_area / duration

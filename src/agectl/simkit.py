@@ -849,12 +849,11 @@ class ClosedLoopResult(NamedTuple):
 
 def run_closed_loop(
     net: QueueNetwork,
-    policy: str = "acp_plus",
+    source: str | SourceConfig = "acp_plus",
     n_sources: int = 1,
     duration: float = 300.0,
     seed: int = 0,
     warmup_frac: float = DEFAULT_WARMUP_FRAC,
-    cfg: Optional[SourceConfig] = None,
 ) -> ClosedLoopResult:
     """Run source/monitor endpoint pairs over the simulated network.
 
@@ -864,8 +863,9 @@ def run_closed_loop(
     ``net.ack_bytes``-sized packets.  Per-node backlog figures count
     update packets across all sources.
 
-    The updates are frames of ``wire.HEADER_LEN + cfg.payload_size``
-    bytes, so a ``net.update_bytes`` of any other size is a ConfigError.
+    ``source`` is a policy name or a ``SourceConfig``.  The updates are frames
+    of ``wire.HEADER_LEN + payload_size`` bytes, so a ``net.update_bytes`` of
+    any other size is a ConfigError.
     An explicit 1040 cannot be told apart from the default, and passes.
     """
     if not isinstance(net, QueueNetwork):
@@ -876,12 +876,9 @@ def run_closed_loop(
     _require_positive("n_sources", n_sources)
     _require_positive("duration", duration)
     _require_warmup_frac(warmup_frac)
-    if cfg is None:
-        cfg = SourceConfig(policy=policy)
-    elif not isinstance(cfg, SourceConfig):
-        raise ConfigError(f"cfg must be a SourceConfig, got {cfg!r}")
-    elif cfg.policy != policy:
-        raise ConfigError(f"cfg.policy {cfg.policy!r} disagrees with policy {policy!r}")
+    cfg = SourceConfig(policy=source) if isinstance(source, str) else source
+    if not isinstance(cfg, SourceConfig):
+        raise ConfigError(f"source must be a policy name or a SourceConfig, got {source!r}")
     # every frame a source sends has the same size, which _queue_free reads
     update_size = float(wire.HEADER_LEN + cfg.payload_size)
     if net.update_bytes not in (DEFAULT_UPDATE_BYTES, update_size):

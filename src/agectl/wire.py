@@ -37,10 +37,9 @@ VERSION = 1
 KIND_UPDATE = 0
 KIND_ACK = 1
 
-HEADER = struct.Struct("!2sBBIQ")
-HEADER_LEN = HEADER.size  # 16
-# the same 16 bytes with magic, version and kind read as one big-endian word
+# the header: magic, version and kind as one big-endian word, seq, timestamp
 _FRAME = struct.Struct("!IIQ")
+HEADER_LEN = _FRAME.size  # 16
 _UPDATE_WORD = int.from_bytes(MAGIC + bytes((VERSION, KIND_UPDATE)), "big")
 _ACK_WORD = int.from_bytes(MAGIC + bytes((VERSION, KIND_ACK)), "big")
 
@@ -113,7 +112,7 @@ def _rejected(b: bytes, want_kind: int) -> DecodeError:
     full check order: length, magic, version, kind, then an ACK's length."""
     if len(b) < HEADER_LEN:
         return ShortBufferError(f"frame is {len(b)} bytes, need at least {HEADER_LEN}")
-    magic, version, kind, _, _ = HEADER.unpack_from(b)
+    magic, version, kind = bytes(b[:2]), b[2], b[3]
     if magic != MAGIC:
         return BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:

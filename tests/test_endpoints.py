@@ -189,23 +189,50 @@ def _session_state(sess: SourceSession, malformed: int = 0) -> str:
 
 @pytest.mark.parametrize("policy", ["acp_plus", "fixed:4"])
 def test_nan_instants_are_rejected_and_change_nothing(policy):
-    # on_timer(nan) while probing once set the deadline to NaN before
-    # round() raised, after which on_timer(0.5) sent a probe before its 1 s
-    # timeout; on_datagram(nan, ...) for the last probe made the RTT sum NaN
+    # on_timer(nan) or on_timer(inf) while probing once set the deadline to
+    # NaN or inf before round() raised, after which the session sent at the
+    # wrong instant or never again; on_datagram(nan or inf, ...) for a probe
+    # made the RTT sum NaN or inf; a running on_timer(inf) raised ValueError;
+    # a first timer at -1.0 moved the deadline to 0.0 before on_send raised
     sess = SourceSession(SourceConfig(policy=policy, probe_count=2, probe_timeout=1.0, updates_per_epoch=2))
-    probe = sess.on_datagram(0.25, ack_for(sess.on_timer(0.0)))  # probe 2, due to time out at 1.25
-    for _ in range(2):
-        before = _session_state(sess)
-        with pytest.raises(ProtocolError, match="not a number"):
-            sess.on_timer(math.nan)
-        assert _session_state(sess) == before
-        assert sess.on_datagram(math.nan, ack_for(probe)) is None  # one malformed frame
-        assert _session_state(sess, malformed=1) == before
-        if sess.state == "init":
-            assert sess.on_timer(0.5) is None  # not yet timed out
-            probe = sess.on_datagram(0.5, ack_for(probe))  # probing ends
-            assert sess.state == "run"
-    assert sess.on_timer(sess.deadline) is not None
+    before = _session_state(sess)
+    with pytest.raises(ProtocolError):
+        sess.on_timer(-1.0)  # before the estimator's clock, which starts at 0.0
+    assert _session_state(sess) == before and sess.deadline == -math.inf
+    probe = sess.on_timer(0.0)  # probe 1, due to time out at 1.0
+    for ack_at in (0.25, 0.5, None):
+        for bad in (math.nan, math.inf, -math.inf):
+            before = _session_state(sess)
+            with pytest.raises(ProtocolError, match="not a number"):
+                sess.on_timer(bad)
+            assert _session_state(sess) == before
+            assert sess.on_datagram(bad, ack_for(probe)) is None  # one malformed frame
+            assert _session_state(sess, malformed=1) == before
+        if ack_at is not None:
+            assert sess.on_timer(ack_at) is None  # not yet timed out
+            probe = sess.on_datagram(ack_at, ack_for(probe))  # probe 2, then probing ends
+    assert sess.state == "run" and sess.deadline == 0.75  # the first send left at 0.5, at rate 4
+    assert sess.on_datagram(0.9, ack_for(probe)) is None  # its ACK moves the clock past the deadline
+    before = _session_state(sess)
+    with pytest.raises(ProtocolError):
+        sess.on_timer(0.8)  # due, but before the clock: this once moved the deadline before on_send raised
+    assert _session_state(sess) == before
+    assert sess.on_timer(0.9) is not None
+
+
+def test_a_timer_before_the_clock_does_not_end_probing():
+    # a fresh ACK for an earlier probe can move the clock past the last
+    # probe's timeout; a timer between the two once set the first rate and
+    # the controller before restart_epochs raised
+    sess = SourceSession(SourceConfig(probe_count=2, probe_timeout=1.0))
+    first = sess.on_timer(0.0)
+    sess.on_timer(1.0)  # probe 1 timed out; probe 2 times out at 2.0
+    assert sess.on_datagram(2.5, ack_for(first)) is None  # fresh, but not the current probe's
+    before = _session_state(sess)
+    with pytest.raises(ProtocolError):
+        sess.on_timer(2.2)
+    assert _session_state(sess) == before
+    assert sess.on_timer(2.5) is not None and sess.state == "run"
 
 
 def test_zero_mean_probe_rtt_is_an_initialization_error():
@@ -229,6 +256,32 @@ def test_monitor_discards_out_of_sequence_without_ack():
     assert mon.stale == 1
     assert [rec["seq"] for rec in mon.trace] == [1, 3]
     assert mon.freshest_seq == 3
+
+
+def test_monitor_rejects_an_instant_off_its_clock():
+    # a NaN or infinite instant, or one before the last call's, was once
+    # accepted and logged, and true_avg_age then raised
+    mon = MonitorSession()
+
+    def state(malformed: int = 0) -> str:
+        return repr({**vars(mon), "malformed": mon.malformed - malformed})
+
+    before, bad = state(), 0
+    for t in (-1.0, math.nan, math.inf):  # the clock starts at 0.0
+        for seq in (1, 2):
+            assert mon.on_datagram(t, make_update(seq, 0)) is None
+            bad += 1
+            assert state(malformed=bad) == before
+    assert mon.on_datagram(1.0, make_update(2, 0)) is not None
+    before, bad = state(), 0
+    for t in (math.nan, math.inf, -math.inf, 0.5):
+        for seq in (1, 3):  # stale and fresh alike
+            assert mon.on_datagram(t, make_update(seq, 500_000)) is None
+            bad += 1
+            assert state(malformed=bad) == before
+    assert (mon.stale, mon.freshest_seq, list(mon.seqs)) == (0, 2, [2])
+    assert mon.on_datagram(1.5, make_update(3, 500_000)) is not None
+    assert mon.true_avg_age(0.0, 2.0) == pytest.approx(1.25)  # ages 1 to 1.5 over [1, 1.5], 1 to 1.5 over [1.5, 2]
 
 
 def test_monitor_single_round_trip():

@@ -280,15 +280,16 @@ def test_nan_instants_are_rejected_and_change_nothing():
     est.on_send(2.0, us(2.0))
     state = lambda: repr({**vars(est), "_pending": dict(est._pending)})  # noqa: E731
     before = state()
-    for call, error in (
-        (lambda: est.on_send(math.nan, 0), ProtocolError),
-        (lambda: est.on_ack(math.nan, 2, us(2.0)), ProtocolError),
-        (lambda: est.restart_epochs(math.nan), ProtocolError),
-        (lambda: est.close_epoch(math.nan), ValueError),
-    ):
-        with pytest.raises(error, match="not a number|a number as its end"):
-            call()
-        assert state() == before
+    for bad in (math.nan, math.inf):  # inf once became the clock, an RTT or a NaN average
+        for call, error in (
+            (lambda: est.on_send(bad, 0), ProtocolError),
+            (lambda: est.on_ack(bad, 2, us(2.0)), ProtocolError),
+            (lambda: est.restart_epochs(bad), ProtocolError),
+            (lambda: est.close_epoch(bad), ValueError),
+        ):
+            with pytest.raises(error, match="not a number|a number as its end"):
+                call()
+            assert state() == before
     assert est.close_epoch(2.5).avg_backlog == pytest.approx(0.4)  # 0 over [0, 1], 1 over [1, 1.5] and [2, 2.5]
 
 

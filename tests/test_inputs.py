@@ -104,8 +104,8 @@ ENTRIES = {
     "run_fixed_rate": (run_fixed_rate, {**OPEN, "lam": (0.5, _float)}),
     "sweep_lambda": (sweep_lambda, {**OPEN, "grid": ([0.5], _rates)}),
     "run_closed_loop": (lambda **kw: run_closed_loop(**kw).to_dict(), {
-        "net": (NET, _never), "policy": ("acp_plus", _never), "n_sources": (1, _int), "duration": (10.0, _float),
-        "seed": (1, _int), "warmup_frac": (0.1, _float), "cfg": (None, _or_none(_never)),
+        "net": (NET, _never), "source": ("acp_plus", _never), "n_sources": (1, _int), "duration": (10.0, _float),
+        "seed": (1, _int), "warmup_frac": (0.1, _float),
     }),
     "SimulatedPath": (_round_trip, {
         "fwd_delay": (0.01, _float), "rev_delay": (0.01, _float), "loss": (0.0, _float), "seed": (1, _int),

@@ -398,7 +398,7 @@ def test_an_update_reaches_its_monitor_only_by_the_end_of_the_run():
                 monitors.append(self)
 
         with mock.patch.object(simkit, "MonitorSession", Recorded):
-            run_closed_loop(net, cfg.policy, 1, duration=duration, seed=0, warmup_frac=0.0, cfg=cfg)
+            run_closed_loop(net, cfg, 1, duration=duration, seed=0, warmup_frac=0.0)
         return list(monitors[0].deliver_times)
 
     last = want[-1]
@@ -1041,8 +1041,8 @@ def test_closed_loop_rejects_an_update_bytes_it_would_ignore():
     # told apart from an explicit 1040
     cfg = SourceConfig(payload_size=500)
     assert net.update_bytes == DEFAULT_UPDATE_BYTES
-    want = run_closed_loop(net, "acp_plus", 1, duration=30.0, seed=1, cfg=cfg)
-    got = run_closed_loop(net._replace(update_bytes=516), "acp_plus", 1, duration=30.0, seed=1, cfg=cfg)
+    want = run_closed_loop(net, cfg, 1, duration=30.0, seed=1)
+    got = run_closed_loop(net._replace(update_bytes=516), cfg, 1, duration=30.0, seed=1)
     assert got.to_dict() == want.to_dict()
 
 
@@ -1058,6 +1058,18 @@ def test_closed_loop_deterministic():
     a = run_closed_loop(CL_TANDEM, "acp_plus", 2, duration=500.0, seed=5)
     b = run_closed_loop(CL_TANDEM, "acp_plus", 2, duration=500.0, seed=5)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+
+
+def test_closed_loop_takes_a_policy_name_or_its_source_config():
+    by_name = run_closed_loop(CL_TANDEM, "lazy", 2, duration=200.0, seed=3)
+    by_config = run_closed_loop(CL_TANDEM, SourceConfig(policy="lazy"), 2, duration=200.0, seed=3)
+    assert by_name.to_dict() == by_config.to_dict()
+
+
+@pytest.mark.parametrize("source", [None, 1, ("lazy",), {"policy": "lazy"}])
+def test_closed_loop_rejects_a_source_that_is_neither(source):
+    with pytest.raises(ConfigError, match="source"):
+        run_closed_loop(CL_TANDEM, source, 1, duration=60.0, seed=0)
 
 
 def test_closed_loop_lazy_backlog_target():
@@ -1140,8 +1152,9 @@ SOURCE_POLICIES = st.one_of(
 @st.composite
 def closed_loop_runs(draw, policies=SOURCE_POLICIES, repeats=False):
     """``run_closed_loop``'s arguments; with ``repeats``, chains drawn as
-    ``open_loop_runs`` draws them and a ``cfg`` with a drawn payload size,
-    so that the updates' frames need not have a cross flow's size."""
+    ``open_loop_runs`` draws them and a ``SourceConfig`` with a drawn payload
+    size as the source, so that the updates' frames need not have a cross
+    flow's size."""
     if repeats:
         forward, reverse = _repeated_chain(draw, 3), _repeated_chain(draw, 2)
     else:
@@ -1152,17 +1165,14 @@ def closed_loop_runs(draw, policies=SOURCE_POLICIES, repeats=False):
     )
     net = QueueNetwork(forward=forward, reverse=reverse, cross_traffic=tuple(draw(st.lists(flows, max_size=3))))
     policy = draw(policies)
-    run = (
-        net,
-        policy,
+    rest = (
         draw(st.integers(1, 3)),
         draw(st.floats(20.0, 200.0)),
         draw(st.integers(0, 2**32)),
         draw(st.sampled_from((0.0, 0.1))),
     )
-    if repeats:
-        run += (SourceConfig(policy=policy, payload_size=draw(st.integers(0, 2000))),)
-    return run
+    source = SourceConfig(policy=policy, payload_size=draw(st.integers(0, 2000))) if repeats else policy
+    return (net, source, *rest)
 
 
 class _TieWatch(HopEngine):
@@ -1327,9 +1337,9 @@ def test_closed_loop_delays_change_nothing():
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(closed_loop_runs(repeats=True))
-    @example((_SIZE_NET, "fixed:0.6", 3, 60.0, 0, 0.1, SourceConfig(policy="fixed:0.6", payload_size=2000)))
+    @example((_SIZE_NET, SourceConfig(policy="fixed:0.6", payload_size=2000), 3, 60.0, 0, 0.1))
     # net_d: cross traffic passes four delays ahead of the last node's queue
-    @example((QueueNetwork.from_dict(load_config("net_d")[0]["net"]), "acp_plus", 2, 20.0, 1, 0.1, SourceConfig()))
+    @example((QueueNetwork.from_dict(load_config("net_d")[0]["net"]), SourceConfig(), 2, 20.0, 1, 0.1))
     def check(run):
         got, engine = _closed_loop_outcome(run, _ENGINE)
         with mock.patch.object(simkit, "_queue_free", _mark_nothing):
@@ -1577,14 +1587,14 @@ def test_closed_loop_rejects_sources_starting_after_the_warmup():
     # nothing at all
     cfg = SourceConfig(policy="fixed:0.5", probe_timeout=30.0)
     with pytest.raises(ConfigError, match="probe_timeout"):
-        run_closed_loop(MM1_CL, "fixed:0.5", 2, duration=10.0, seed=1, cfg=cfg)
+        run_closed_loop(MM1_CL, cfg, 2, duration=10.0, seed=1)
     # without a warm-up the starts must fall inside the run
     with pytest.raises(ConfigError, match="probe_timeout"):
-        run_closed_loop(MM1_CL, "fixed:0.5", 2, duration=10.0, seed=1, warmup_frac=0.0, cfg=cfg)
+        run_closed_loop(MM1_CL, cfg, 2, duration=10.0, seed=1, warmup_frac=0.0)
     # spans that end at the limit are accepted
     for probe_timeout, warmup_frac in ((1.0, 0.1), (10.0, 0.0)):
         at_limit = SourceConfig(policy="fixed:0.5", probe_timeout=probe_timeout)
-        run_closed_loop(MM1_CL, "fixed:0.5", 2, duration=10.0, seed=1, warmup_frac=warmup_frac, cfg=at_limit)
+        run_closed_loop(MM1_CL, at_limit, 2, duration=10.0, seed=1, warmup_frac=warmup_frac)
 
 
 def test_closed_loop_reports_the_age_estimate_gap():
